@@ -20,28 +20,11 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, prod
 
+from .numtheory import factorize, is_prime
+
 
 class NotAPGroup(ValueError):
     """Raised when an operation requires a p-group but gets mixed primes."""
-
-
-# ---------------------------------------------------------------------------
-# small factorization helper (self-contained; fuchs.numtheory has the full
-# machinery, but abelian must not depend on it)
-
-def _factor(n: int) -> dict[int, int]:
-    if n < 1:
-        raise ValueError(f"cannot factor {n}")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -64,7 +47,7 @@ class FinAbGroup:
         for p, e, mult in self.factors:
             if e < 1 or mult < 1:
                 raise ValueError(f"bad factor (Z/{p}^{e})^{mult}")
-            if _factor(p) != {p: 1}:
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if (p, e) in seen:
                 raise ValueError(f"duplicate factor key ({p}, {e})")
@@ -81,7 +64,7 @@ class FinAbGroup:
         for n in orders:
             if n < 1:
                 raise ValueError(f"bad cyclic order {n}")
-            for p, e in _factor(n).items():
+            for p, e in factorize(n).pairs:
                 counts[(p, e)] = counts.get((p, e), 0) + 1
         return cls(tuple((p, e, m) for (p, e), m in sorted(counts.items())))
 
@@ -153,7 +136,7 @@ class FinAbGroup:
 
     def sylow(self, p: int) -> "FinAbGroup":
         """The Sylow p-subgroup, in canonical form."""
-        if _factor(p) != {p: 1}:
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         return FinAbGroup(tuple(f for f in self.factors if f[0] == p))
 
@@ -500,9 +483,9 @@ def solve_integer_system(A_rows: list[list[int]], target: list[int]) -> list[int
 def abelian_structure(elements, op, identity) -> FinAbGroup:
     """Isomorphism type of a finite abelian group given by a multiplication.
 
-    Works by splitting into Sylow parts (images of the power maps) and
-    peeling a maximal-order cyclic summand off each part; element ordering
-    is deterministic (sorted by repr key) so the recovery is reproducible.
+    Splits the group into Sylow parts (images of the power maps) and reads
+    each part's cyclic orders off :func:`pgroup_basis`; element ordering is
+    deterministic (sorted by repr key) so the recovery is reproducible.
     """
     elems = sorted(set(elements))
     n = len(elems)
@@ -520,67 +503,13 @@ def abelian_structure(elements, op, identity) -> FinAbGroup:
         return acc
 
     total = FinAbGroup.trivial()
-    for p, v in sorted(_factor(n).items()):
+    for p, v in factorize(n).pairs:
         cof = n // p ** v
         part = sorted({power(x, cof) for x in elems})
-        orders = _pgroup_peel(part, op, identity, p)
-        total = total * FinAbGroup.from_orders(orders)
+        total = total * FinAbGroup.from_orders(
+            [o for _, o in pgroup_basis(part, op, identity, p)])
     assert total.order() == n
     return total
-
-
-def _pgroup_peel(elems, op, identity, p) -> list[int]:
-    """Cyclic decomposition orders of an abelian p-group, by peeling."""
-    if len(elems) == 1:
-        return []
-
-    def order_of(x):
-        o = 1
-        y = x
-        while y != identity:
-            y = _op_pow(op, y, p, identity)
-            o *= p
-        return o
-
-    def _op_pow(op_, x, k, e):
-        acc = e
-        for _ in range(k):
-            acc = op_(acc, x)
-        return acc
-
-    best = max(elems, key=lambda x: (order_of(x), ))
-    d = order_of(best)
-    cyc = []
-    y = identity
-    for _ in range(d):
-        cyc.append(y)
-        y = op(y, best)
-    cyc_set = set(cyc)
-    # quotient by <best>: cosets labelled by a frozen canonical member
-    coset_of = {}
-    cosets = []
-    for x in elems:
-        if x in coset_of:
-            continue
-        members = []
-        y = x
-        for _ in range(d):
-            members.append(y)
-            y = op(y, best)
-        label = min(members)
-        for mbr in members:
-            coset_of[mbr] = label
-        cosets.append(label)
-    if len(cosets) == 1:
-        return [d]
-
-    def qop(a, b):
-        return coset_of[op(a, b)]
-
-    sub_orders = _pgroup_peel(sorted(cosets), qop, coset_of[identity], p)
-    # lift check is implicit: orders multiply to the group size
-    assert d * prod(sub_orders) == len(elems)
-    return [d] + sub_orders
 
 
 def pgroup_basis(elems, op, identity, p):

@@ -49,12 +49,10 @@ def _parser() -> argparse.ArgumentParser:
     orad = osub.add_parser("radical")
     orad.add_argument("--prime", type=int, required=True)
     orad.add_argument("--exp", type=int, required=True)
-    orad.add_argument("--jobs", type=int, default=1)
     orad.add_argument("--json", action="store_true")
     ofin = osub.add_parser("finring")
     ofin.add_argument("file", nargs="?")
     ofin.add_argument("--corpus", action="store_true")
-    ofin.add_argument("--jobs", type=int, default=1)
     ofin.add_argument("--json", action="store_true")
 
     p = sub.add_parser("model", help="evaluate a TN model file")
@@ -71,7 +69,6 @@ def _parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="table_kind", required=True)
     tcyc = tsub.add_parser("cyclic")
     tcyc.add_argument("--max", type=int, required=True)
-    tcyc.add_argument("--jobs", type=int, default=1)
     tcyc.add_argument("--json", action="store_true")
     return top
 
@@ -127,7 +124,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_oracle_radical(args) -> int:
-    rings = enumerate_radical_rings(args.prime, args.exp, jobs=args.jobs)
+    rings = enumerate_radical_rings(args.prime, args.exp)
     report = check_small_theorem(args.prime, args.exp)
     byott = None
     if args.prime == 2 and args.exp >= 3:
@@ -181,12 +178,7 @@ def _cmd_oracle_finring(args) -> int:
     else:
         print("need a FILE or --corpus", file=sys.stderr)
         return EXIT_USAGE
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_one_ring, rings))
-    else:
-        results = [_verify_one_ring(A) for A in rings]
+    results = [_verify_one_ring(A) for A in rings]
     ok = all(r.get("local_formula", True) for r in results)
     payload = {"kind": "oracle-finring", "rings": results,
                "all_local_formulas_hold": ok}
@@ -268,13 +260,7 @@ def _cyclic_row(n: int) -> dict:
 
 
 def _cmd_table_cyclic(args) -> int:
-    ns = list(range(2, args.max + 1))
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_cyclic_row, ns))
-    else:
-        rows = [_cyclic_row(n) for n in ns]
+    rows = [_cyclic_row(n) for n in range(2, args.max + 1)]
     payload = {"kind": "table-cyclic", "max": args.max, "rows": rows}
     lines = [f"{'n':>5}  {'finite':<16}{'tn (r=0)':<16}{'min rank (any)'}"]
     for row in rows:

@@ -2,27 +2,22 @@
 
 Everything here is an oracle at desk scale: unit groups come from element
 enumeration (exhaustive inverse pairing below 2^8 elements, an exact
-integer linear solve above), locality from the ideal test on non-units,
-and the local unit-structure identity A* = F* x (1 + m) is re-verified on
-every local instance rather than assumed.
+integer linear solve above), locality from the absence of nontrivial
+idempotents, and the local unit-structure identity A* = F* x (1 + m) is
+re-verified on every local instance rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
-from math import gcd, prod
 
 from .abelian import FinAbGroup, abelian_structure, is_lambda_small, \
     lambda_power_decompose, prufer_rank, solve_integer_system, format_group
 from .caps import UNIT_GROUP_CAP, oracle_cap
+from .numtheory import is_prime, is_prime_power
 from .radical import RadicalRing, radical_ring_from_mult, CapExceeded
+from .table import InvalidRing, TableRing, read_table_document
 from .verdict import Verdict, realisable, not_realisable, unknown
-from . import presentation
-
-
-class InvalidRing(ValueError):
-    pass
 
 
 class NotLocalError(ValueError):
@@ -34,7 +29,7 @@ class EvenPrime(ValueError):
 
 
 @dataclass(frozen=True)
-class FinCommRing:
+class FinCommRing(TableRing):
     """Finite commutative unital ring: additive orders, structure constants,
     identity coordinates.  Orders need not be prime powers (Z/6Z is one
     basis element of order 6)."""
@@ -45,6 +40,7 @@ class FinCommRing:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_orders", self.basis_orders)
         r = len(self.basis_orders)
         if any(n < 2 for n in self.basis_orders):
             raise InvalidRing("basis orders must be >= 2")
@@ -53,48 +49,6 @@ class FinCommRing:
         if len(self.one) != r:
             raise InvalidRing("identity width does not match basis")
         validate_ring(self)
-
-    def rank(self) -> int:
-        return len(self.basis_orders)
-
-    def order(self) -> int:
-        return prod(self.basis_orders)
-
-    def constant(self, i, j):
-        if i > j:
-            i, j = j, i
-        r = len(self.basis_orders)
-        return self.mult[i * r - i * (i - 1) // 2 + (j - i)]
-
-    def zero(self):
-        return (0,) * len(self.basis_orders)
-
-    def add(self, x, y):
-        return tuple((a + b) % n for a, b, n in zip(x, y, self.basis_orders))
-
-    def neg(self, x):
-        return tuple((-a) % n for a, n in zip(x, self.basis_orders))
-
-    def mul(self, x, y):
-        acc = [0] * len(self.basis_orders)
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                c = self.constant(i, j)
-                ab = a * b
-                for m, v in enumerate(c):
-                    if v:
-                        acc[m] += ab * v
-        return tuple(v % n for v, n in zip(acc, self.basis_orders))
-
-    def elements(self):
-        return iproduct(*(range(n) for n in self.basis_orders))
-
-    def additive_group(self) -> FinAbGroup:
-        return FinAbGroup.from_orders(self.basis_orders)
 
     def characteristic(self) -> int:
         n = 1
@@ -105,23 +59,13 @@ class FinCommRing:
         return n
 
     def to_presentation(self) -> str:
-        table = {}
-        r = len(self.basis_orders)
-        for i in range(r):
-            for j in range(i, r):
-                table[(i + 1, j + 1)] = self.constant(i, j)
-        return presentation.format_ring_document(
-            "ring", self.basis_orders, table, one=self.one, name=self.name or None)
+        return self.table_document("ring", one=self.one)
 
     @classmethod
     def from_presentation(cls, text: str) -> "FinCommRing":
-        doc = presentation.parse_ring_document(text)
-        if doc["kind"] != "ring":
-            raise InvalidRing("not a unital-ring document")
-        orders = doc["basis_orders"]
-        r = len(orders)
-        mult = tuple(doc["mult"][(i + 1, j + 1)] for i in range(r) for j in range(i, r))
-        return cls(tuple(orders), mult, tuple(doc["one"]), name=doc.get("name", ""))
+        doc, mult = read_table_document(text, "ring", "unital-ring")
+        return cls(tuple(doc["basis_orders"]), mult, tuple(doc["one"]),
+                   name=doc.get("name", ""))
 
     def __str__(self):
         label = self.name or "ring"
@@ -129,27 +73,7 @@ class FinCommRing:
 
 
 def validate_ring(A: FinCommRing) -> None:
-    r = len(A.basis_orders)
-    orders = A.basis_orders
-    for i in range(r):
-        for j in range(i, r):
-            c = A.constant(i, j)
-            if len(c) != r or any(not (0 <= v < n) for v, n in zip(c, orders)):
-                raise InvalidRing(f"constant ({i},{j}) out of range")
-            kill = gcd(orders[i], orders[j])
-            for m, v in enumerate(c):
-                if (kill * v) % orders[m]:
-                    raise InvalidRing(f"bilinearity fails at ({i},{j}) coord {m}")
-    basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
-    for i in range(r):
-        if A.mul(A.one, basis[i]) != basis[i]:
-            raise InvalidRing(f"identity fails on basis element {i}")
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                if A.mul(A.mul(basis[i], basis[j]), basis[k]) != \
-                        A.mul(basis[i], A.mul(basis[j], basis[k])):
-                    raise InvalidRing(f"associativity fails at ({i},{j},{k})")
+    A.check_table(one=A.one)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +95,8 @@ def unit_elements(A: FinCommRing, cap: int | None = None) -> list[tuple[int, ...
             if any(A.mul(x, y) == A.one for y in elems):
                 units.append(x)
         return units
-    r = len(A.basis_orders)
-    basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
+    r = A.rank()
+    basis = A.basis()
     for x in elems:
         cols = [A.mul(x, b) for b in basis]
         rows = []
@@ -209,45 +133,27 @@ class NotLocal:
 
 
 def localize(A: FinCommRing, cap: int | None = None):
-    """LocalData when the non-units form an ideal, else a NotLocal witness
-    carrying a nontrivial idempotent that splits the ring."""
-    units = set(unit_elements(A, cap))
-    nonunits = [x for x in A.elements() if x not in units]
-    closed = all(A.add(x, y) not in units for x in nonunits for y in nonunits)
-    if closed:
-        n = A.order()
-        m = len(nonunits)
-        residue = n // m if m else n
-        p = _prime_root(residue)
-        lam = 0
-        q = residue
-        while q > 1:
-            q //= p
-            lam += 1
-        data = LocalData(p, lam, tuple(sorted(nonunits)), residue)
-        # residue-degree consistency: A* must contain an element of order p^lam - 1
-        if residue > 2:
-            target = residue - 1
-            assert any(_mult_order_in(A, u, target) == target for u in units), \
-                "residue field size inconsistent with the unit group"
-        return data
+    """LocalData when A is local, else a NotLocal witness carrying the first
+    nontrivial idempotent in element order, which splits the ring.  A finite
+    commutative ring is local exactly when it has no nontrivial idempotent."""
+    units = unit_elements(A, cap)
+    zero = A.zero()
     for e in A.elements():
-        if e != A.zero() and e != A.one and A.mul(e, e) == e:
+        if e != zero and e != A.one and A.mul(e, e) == e:
             return NotLocal(e)
-    raise AssertionError("non-local ring without a nontrivial idempotent")
-
-
-def _prime_root(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            if n != 1:
-                raise InvalidRing("residue size is not a prime power")
-            return d
-        d += 1
-    return n
+    unit_set = set(units)
+    nonunits = [x for x in A.elements() if x not in unit_set]
+    residue = A.order() // len(nonunits) if nonunits else A.order()
+    pe = is_prime_power(residue)
+    if pe is None:
+        raise InvalidRing("residue size is not a prime power")
+    p, lam = pe
+    # residue-degree consistency: A* must contain an element of order p^lam - 1
+    if residue > 2:
+        target = residue - 1
+        assert any(_mult_order_in(A, u, target) == target for u in units), \
+            "residue field size inconsistent with the unit group"
+    return LocalData(p, lam, tuple(nonunits), residue)
 
 
 def _mult_order_in(A: FinCommRing, x, bound: int) -> int:
@@ -353,32 +259,18 @@ class QuotientRing:
         return abelian_structure(self.units(), self.mul, self.one)
 
 
-def subgroup_closure(A: FinCommRing, gens) -> frozenset:
-    seen = {A.zero()}
-    frontier = [A.zero()]
-    gens = list(gens)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = A.add(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
-
-
 def ideals_inside(A: FinCommRing, ambient) -> list[frozenset]:
     """All ideals of A contained in the given element set (desk scale)."""
     ambient = sorted(ambient)
     found = {frozenset({A.zero()})}
     frontier = [frozenset({A.zero()})]
-    basis = [tuple(int(m == i) for m in range(A.rank())) for i in range(A.rank())]
+    basis = A.basis()
     while frontier:
         sub = frontier.pop()
         for g in ambient:
             if g in sub:
                 continue
-            closure = set(subgroup_closure(A, list(sub) + [g]))
+            closure = set(A.span(list(sub) + [g]))
             if not all(x in ambient or x == A.zero() for x in closure):
                 continue
             # close under multiplication by the whole ring
@@ -386,7 +278,7 @@ def ideals_inside(A: FinCommRing, ambient) -> list[frozenset]:
                 extra = {A.mul(b, x) for b in basis for x in closure} - closure
                 if not extra:
                     break
-                closure = set(subgroup_closure(A, list(closure) + list(extra)))
+                closure = set(A.span(list(closure) + list(extra)))
             fs = frozenset(closure)
             if fs not in found and all(x in ambient or x == A.zero() for x in fs):
                 found.add(fs)
@@ -442,10 +334,8 @@ _IRREDUCIBLE = {  # smallest-lex monic irreducible over F_p, little-endian
 def field_ring(q: int) -> FinCommRing:
     """The finite field F_q as structure constants."""
     if q in _IRREDUCIBLE:
-        from .numtheory import is_prime_power
         p, _ = is_prime_power(q)
         return poly_quotient_ring(p, _IRREDUCIBLE[q], name=f"F_{q}")
-    from .numtheory import is_prime
     if not is_prime(q):
         raise InvalidRing(f"no irreducible polynomial on file for {q}")
     return FinCommRing((q,), ((1,),), (1,), name=f"F_{q}")

@@ -520,26 +520,14 @@ def _covers_dfs(cands, start: int, remaining: int, chosen, covers):
         chosen.pop()
 
 
-def _covers_from_first(arg):
-    m, idx = arg
-    cands = admissible_ps_factors(m)
-    f = cands[idx]
-    covers: list[PsCover] = []
-    if m % f.value == 0 and gcd(f.value, m // f.value) == 1:
-        _covers_dfs(cands, idx + 1, m // f.value, [f], covers)
-    return covers
-
-
-def pearson_schneider_covers(m: int, jobs: int = 1) -> list[PsCover]:
+def pearson_schneider_covers(m: int) -> list[PsCover]:
     """All ways to write m as a product of pairwise coprime admissible factors.
 
     An empty result means Z/mZ is not the unit group of any finite ring; for
     m == 1 the single empty cover is returned.  Factors equal to 1 are
     excluded (the empty product already accounts for them), and covers are
     distinguished by their tagged factors, so 6 = 7 - 1 and 6 = (3-1)*3 are
-    two different covers of the same integer.  ``jobs > 1`` partitions the
-    search on the first factor across worker processes; the output order is
-    normalized either way.
+    two different covers of the same integer.
     """
     if m < 1:
         raise ValueError("m >= 1 required")
@@ -547,16 +535,8 @@ def pearson_schneider_covers(m: int, jobs: int = 1) -> list[PsCover]:
         return [()]
     cands = admissible_ps_factors(m)
     covers: list[PsCover] = []
-    if jobs > 1 and len(cands) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_covers_from_first,
-                                  [(m, i) for i in range(len(cands))]):
-                covers.extend(chunk)
-        covers.sort(key=lambda c: [(f.value, f.kind) for f in c])
-    else:
-        _covers_dfs(cands, 0, m, [], covers)
-        covers.sort(key=lambda c: [(f.value, f.kind) for f in c])
+    _covers_dfs(cands, 0, m, [], covers)
+    covers.sort(key=lambda c: [(f.value, f.kind) for f in c])
     for cover in covers:
         vals = [f.value for f in cover]
         assert prod(vals) == m

@@ -22,11 +22,8 @@ from math import prod
 
 from .abelian import FinAbGroup, abelian_structure, pgroup_basis, prufer_rank
 from .caps import RADICAL_ENUM_CAP, oracle_cap
-from . import presentation
-
-
-class InvalidRing(ValueError):
-    pass
+from .numtheory import factorize, is_prime_power
+from .table import InvalidRing, TableRing, read_table_document, table_mul
 
 
 class CapExceeded(ValueError):
@@ -38,7 +35,7 @@ class WrongOrder(ValueError):
 
 
 @dataclass(frozen=True)
-class RadicalRing:
+class RadicalRing(TableRing):
     """Structure constants of a commutative nilpotent ring of order p^k.
 
     ``exponents`` are the additive orders' exponents (non-increasing), so
@@ -57,11 +54,6 @@ class RadicalRing:
             raise InvalidRing("structure constant count does not match basis")
         validate_radical(self)
 
-    # -- layout helpers ------------------------------------------------------
-
-    def rank(self) -> int:
-        return len(self.exponents)
-
     def pairs(self) -> list[tuple[int, int]]:
         r = len(self.exponents)
         return [(i, j) for i in range(r) for j in range(i, r)]
@@ -69,90 +61,30 @@ class RadicalRing:
     def orders(self) -> tuple[int, ...]:
         return self._orders
 
-    def order(self) -> int:
-        return prod(self._orders)
-
-    def constant(self, i: int, j: int) -> tuple[int, ...]:
-        if i > j:
-            i, j = j, i
-        r = len(self.exponents)
-        idx = i * r - i * (i - 1) // 2 + (j - i)
-        return self.mult[idx]
-
-    # -- element arithmetic ---------------------------------------------------
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.exponents)
-
-    def add(self, x, y):
-        return tuple((a + b) % n for a, b, n in zip(x, y, self._orders))
-
-    def neg(self, x):
-        return tuple((-a) % n for a, n in zip(x, self._orders))
-
     def scale(self, c: int, x):
         return tuple((c * a) % n for a, n in zip(x, self._orders))
-
-    def mul(self, x, y):
-        acc = [0] * len(self.exponents)
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                c = self.constant(i, j)
-                ab = a * b
-                for m, v in enumerate(c):
-                    if v:
-                        acc[m] += ab * v
-        return tuple(v % n for v, n in zip(acc, self._orders))
 
     def circle(self, x, y):
         """x o y = x + y + xy, the adjoint group operation."""
         return self.add(self.add(x, y), self.mul(x, y))
 
-    def elements(self):
-        return iproduct(*(range(n) for n in self._orders))
-
-    # -- groups ---------------------------------------------------------------
-
-    def additive_group(self) -> FinAbGroup:
-        return FinAbGroup.from_orders(self._orders)
-
     def adjoint_group(self) -> FinAbGroup:
         """Isomorphism type of (N, o), recovered from the elements."""
         return abelian_structure(list(self.elements()), self.circle, self.zero())
 
-    # -- text format ----------------------------------------------------------
-
     def to_presentation(self) -> str:
-        table = {}
-        for i, j in self.pairs():
-            table[(i + 1, j + 1)] = self.constant(i, j)
-        return presentation.format_ring_document(
-            "radical", self.orders(), table, prime=self.p, name=self.name or None)
+        return self.table_document("radical", prime=self.p)
 
     @classmethod
     def from_presentation(cls, text: str) -> "RadicalRing":
-        doc = presentation.parse_ring_document(text)
-        if doc["kind"] != "radical":
-            raise InvalidRing("not a radical-ring document")
+        doc, mult = read_table_document(text, "radical", "radical-ring")
         p = doc["prime"]
-        orders = doc["basis_orders"]
         exponents = []
-        for n in orders:
-            e = 0
-            m = n
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1 or e < 1:
+        for n in doc["basis_orders"]:
+            pe = is_prime_power(n)
+            if pe is None or pe[0] != p:
                 raise InvalidRing(f"basis order {n} is not a power of {p}")
-            exponents.append(e)
-        r = len(orders)
-        mult = tuple(doc["mult"][(i + 1, j + 1)]
-                     for i in range(r) for j in range(i, r))
+            exponents.append(pe[1])
         return cls(p, tuple(exponents), mult, name=doc.get("name", ""))
 
     def __str__(self):
@@ -173,51 +105,18 @@ def adjoint_group(N: RadicalRing) -> FinAbGroup:
 
 
 def validate_radical(N: RadicalRing) -> None:
-    p = N.p
     r = len(N.exponents)
-    orders = N.orders()
     if any(N.exponents[i] < N.exponents[i + 1] for i in range(r - 1)):
         raise InvalidRing("exponents must be non-increasing")
     if any(e < 1 for e in N.exponents):
         raise InvalidRing("exponents must be positive")
-    for (i, j) in N.pairs():
-        c = N.constant(i, j)
-        if len(c) != r or any(not (0 <= v < n) for v, n in zip(c, orders)):
-            raise InvalidRing(f"constant ({i},{j}) out of range")
-        # well-definedness: p^min(ei, ej) kills the product
-        kill = p ** min(N.exponents[i], N.exponents[j])
-        for m, v in enumerate(c):
-            if (kill * v) % orders[m]:
-                raise InvalidRing(f"bilinearity fails at ({i},{j}) coord {m}")
-    basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                left = N.mul(N.mul(basis[i], basis[j]), basis[k])
-                right = N.mul(basis[i], N.mul(basis[j], basis[k]))
-                if left != right:
-                    raise InvalidRing(f"associativity fails at ({i},{j},{k})")
+    N.check_table()
     if not _is_nilpotent(N):
         raise InvalidRing("ring is not nilpotent")
 
 
-def _span(N: RadicalRing, gens) -> frozenset:
-    seen = {N.zero()}
-    frontier = [N.zero()]
-    gens = [g for g in gens if any(g)]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = N.add(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
-
-
 def _is_nilpotent(N: RadicalRing) -> bool:
-    r = len(N.exponents)
-    basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
+    basis = N.basis()
     gens = list(basis)
     bound = 1 + sum(N.exponents)
     for _ in range(bound):
@@ -230,12 +129,11 @@ def _is_nilpotent(N: RadicalRing) -> bool:
 
 def power_ideal_chain(N: RadicalRing) -> list[frozenset]:
     """[N^1, N^2, ...] as element sets, down to (and excluding) zero."""
-    r = len(N.exponents)
-    basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
+    basis = N.basis()
     chain = []
     gens = list(basis)
     while True:
-        span = _span(N, gens)
+        span = N.span(gens)
         if len(span) == 1:
             break
         chain.append(span)
@@ -262,7 +160,6 @@ def _partitions(k: int):
 def _primitive_root(p: int) -> int:
     if p == 2:
         return 1
-    from .numtheory import factorize
     fac = [q for q, _ in factorize(p - 1).pairs]
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
@@ -317,6 +214,7 @@ def _candidate_tables_elementary(p: int, r: int):
 def _filtration_exact(N: RadicalRing, weights) -> bool:
     """Check N^i == span of positions with weight >= i, for all i."""
     r = len(N.exponents)
+    basis = N.basis()
     chain = power_ideal_chain(N)
     maxw = max(weights)
     if len(chain) != maxw:
@@ -326,8 +224,7 @@ def _filtration_exact(N: RadicalRing, weights) -> bool:
         span = chain[i - 1]
         if len(span) != N.p ** len(expect):
             return False
-        base = [tuple(int(t == m) for t in range(r)) for m in expect]
-        if _span(N, base) != span:
+        if N.span([basis[m] for m in expect]) != span:
             return False
     return True
 
@@ -378,12 +275,6 @@ def _apply_automorphism(p, exponents, table, images):
     """
     r = len(exponents)
     orders = [p ** e for e in exponents]
-    scratch = RadicalRing.__new__(RadicalRing)
-    object.__setattr__(scratch, "p", p)
-    object.__setattr__(scratch, "exponents", tuple(exponents))
-    object.__setattr__(scratch, "mult", tuple(table))
-    object.__setattr__(scratch, "_orders", tuple(orders))
-    object.__setattr__(scratch, "name", "")
 
     def phi(v):
         acc = [0] * r
@@ -398,12 +289,8 @@ def _apply_automorphism(p, exponents, table, images):
         inv[phi(v)] = v
     if len(inv) != prod(orders):
         raise InvalidRing("not an automorphism")
-    out = []
-    for i in range(r):
-        for j in range(i, r):
-            prod_img = scratch.mul(images[i], images[j])
-            out.append(inv[prod_img])
-    return tuple(out)
+    return tuple(inv[table_mul(orders, table, images[i], images[j])]
+                 for i in range(r) for j in range(i, r))
 
 
 def _all_automorphisms(p: int, exponents):
@@ -517,6 +404,7 @@ def _enumerate_type_mixed(p: int, exponents) -> list[RadicalRing]:
             chosen.pop()
 
     dfs(0, [], [])
+    del dfs  # a self-referencing closure: free survivors and slot_opts on return
     classes = []
     valid = [t for t in survivors if _valid_table(p, exponents, t) is not None]
     autos = None
@@ -547,28 +435,21 @@ def _reduce_into_span(basis_rows, vec, p, r):
     return basis_rows + [v]
 
 
-def _enumerate_partition(arg):
-    p, parts = arg
-    if all(e == 1 for e in parts) and len(parts) > 1:
-        return _enumerate_type_elementary(p, len(parts))
-    return _enumerate_type_mixed(p, parts)
-
-
 @lru_cache(maxsize=None)
 def _enumerate_cached(p: int, k: int) -> tuple[RadicalRing, ...]:
     out = []
     for parts in _partitions(k):
-        out.extend(_enumerate_partition((p, parts)))
+        if all(e == 1 for e in parts) and len(parts) > 1:
+            out.extend(_enumerate_type_elementary(p, len(parts)))
+        else:
+            out.extend(_enumerate_type_mixed(p, parts))
     out.sort(key=lambda N: (N.exponents, N.mult))
     return tuple(out)
 
 
-def enumerate_radical_rings(p: int, k: int, cap: int | None = None,
-                            jobs: int = 1) -> list[RadicalRing]:
+def enumerate_radical_rings(p: int, k: int, cap: int | None = None) -> list[RadicalRing]:
     """One representative per isomorphism class of commutative radical rings
-    of order p**k.  ``jobs > 1`` fans the additive types out to worker
-    processes; the merged output is sorted either way, so it is
-    deterministic.
+    of order p**k, sorted by additive type and table.
 
     >>> len(enumerate_radical_rings(3, 1))
     1
@@ -579,14 +460,6 @@ def enumerate_radical_rings(p: int, k: int, cap: int | None = None,
         cap = oracle_cap(RADICAL_ENUM_CAP)
     if p ** k > cap:
         raise CapExceeded(f"order {p ** k} exceeds the enumeration cap {cap}")
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(_enumerate_partition,
-                              [(p, parts) for parts in _partitions(k)])
-        out = [N for chunk in chunks for N in chunk]
-        out.sort(key=lambda N: (N.exponents, N.mult))
-        return out
     return list(_enumerate_cached(p, k))
 
 
@@ -665,13 +538,7 @@ def radical_ring_from_mult(elements, add, zero, mul, p: int, name: str = "") -> 
     basis = pgroup_basis(elements, add, zero, p)
     basis.sort(key=lambda bo: -bo[1])
     orders = [o for _, o in basis]
-    exponents = []
-    for o in orders:
-        e = 0
-        while o > 1:
-            o //= p
-            e += 1
-        exponents.append(e)
+    exponents = [is_prime_power(o)[1] for o in orders]
     coords = {}
     for combo in iproduct(*(range(o) for o in orders)):
         x = zero

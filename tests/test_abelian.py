@@ -75,6 +75,12 @@ class TestGroupLiterals:
         assert parse_group("1") == FgAbGroup(G(), 0)
         assert parse_group("Z^3") == FgAbGroup(G(), 3)
 
+    def test_large_prime_order(self):
+        # 2^61 - 1 is prime: trial division up to its square root would take
+        # billions of steps, the shared factoriser settles it at once
+        q = 2 ** 61 - 1
+        assert parse_group(f"Z/{q}Z").torsion.factors == ((q, 1, 1),)
+
     def test_parse_rejects_junk(self):
         for bad in ("", "Z/xZ", "Q/4Z", "Z/4Z + Z"):
             with pytest.raises(ValueError):
@@ -343,3 +349,32 @@ class TestBlackBoxStructure:
         el = [x for x in range(35) if x % 5 and x % 7]
         got = abelian_structure(el, lambda a, b: a * b % 35, 1)
         assert got == G(4, 3, 2)
+
+
+def _power(op, identity, x, k):
+    acc = identity
+    while k:
+        if k & 1:
+            acc = op(acc, x)
+        x = op(x, x)
+        k >>= 1
+    return acc
+
+
+class TestStructureByCounting:
+    def test_corpus_unit_groups(self):
+        # |G[p^j]| = p^(sum_i min(e_i, j)) for every prime p and every j:
+        # counting the units killed by p^j fixes the type without peeling
+        from fuchs.finring import build_corpus, unit_elements, unit_group
+        from fuchs.numtheory import factorize
+        for A in build_corpus():
+            units = unit_elements(A)
+            got = unit_group(A)
+            assert got.order() == len(units)
+            for p, v in factorize(len(units)).pairs:
+                exps = [e for q, e, m in got.factors if q == p for _ in range(m)]
+                for j in range(1, v + 1):
+                    killed = sum(1 for x in units
+                                 if _power(A.mul, A.one, x, p ** j) == A.one)
+                    assert killed == p ** sum(min(e, j) for e in exps), \
+                        (A.name, p, j)

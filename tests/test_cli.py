@@ -134,12 +134,8 @@ class TestTable:
         assert rows[8]["min_rank_any"] == 0   # 8 = 3^2 - 1 covers it
         assert rows[9]["min_rank_any"] is None
 
-    def test_jobs_flag(self, capsys):
-        code1, doc1 = run_json(capsys, "table", "cyclic", "--max", "12")
-        code2, out2, _ = run(capsys, "table", "cyclic", "--max", "12",
-                             "--jobs", "2", "--json")
-        assert code1 == code2 == 0
-        assert doc1 == json.loads(out2)
+    def test_jobs_flag_is_gone(self, capsys):
+        assert run(capsys, "table", "cyclic", "--max", "12", "--jobs", "2")[0] == 3
 
 
 class TestRoundTrip:

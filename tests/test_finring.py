@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import fuchs
 from fuchs.abelian import FinAbGroup
 from fuchs.finring import (EvenPrime, FinCommRing, LocalData, NotLocal,
                            QuotientRing, build_corpus, decide_local_small,
@@ -84,6 +85,40 @@ class TestLocalize:
                 py = (A.mul(e, y), A.mul(one_minus_e, y))
                 prod_pair = (A.mul(e, A.mul(x, y)), A.mul(one_minus_e, A.mul(x, y)))
                 assert prod_pair == (A.mul(px[0], py[0]), A.mul(px[1], py[1]))
+
+
+def closure_maximal_ideal(A):
+    """Reference definition: A is local iff its non-units are closed under
+    addition, and then they are its maximal ideal.  None when not local."""
+    units = set(unit_elements(A))
+    nonunits = tuple(x for x in A.elements() if x not in units)
+    closed = all(A.add(x, y) not in units for x in nonunits for y in nonunits)
+    return nonunits if closed else None
+
+
+class TestLocalizeAgainstClosure:
+    def test_agrees_with_closure_definition(self):
+        rings = build_corpus() + [zn_ring(1024),
+                                  product_ring(zn_ring(32), zn_ring(32))]
+        for A in rings:
+            data = localize(A)
+            ideal = closure_maximal_ideal(A)
+            if ideal is None:
+                assert isinstance(data, NotLocal), A.name
+            else:
+                assert data.maximal_ideal == ideal, A.name
+                assert data.residue_size == A.order() // len(ideal)
+
+
+class TestInvalidRing:
+    def test_one_class_for_both_ring_kinds(self):
+        with pytest.raises(fuchs.InvalidRing):  # t-order 3 does not divide 4
+            zn_with_nilpotent(4, 3)
+        with pytest.raises(fuchs.InvalidRing):  # x^2 = 0, so 1 is no identity
+            FinCommRing((2,), ((0,),), (1,))
+        with pytest.raises(fuchs.InvalidRing):
+            FinCommRing.from_presentation(
+                "kind = radical\nprime = 2\nbasis_orders = 2\nmult[1][1] = 0\n")
 
 
 class TestLocalFormula:

@@ -205,11 +205,6 @@ class TestPearsonSchneider:
                 for c in brute_force_covers(m)}
         assert fast == slow
 
-    def test_parallel_mode_matches(self):
-        for m in (6, 24, 328, 600, 65536):
-            assert pearson_schneider_covers(m, jobs=2) == \
-                pearson_schneider_covers(m)
-
 
 class TestMersenneDivisors:
     def test_examples(self):

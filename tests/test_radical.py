@@ -114,11 +114,6 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             enumerate_radical_rings(2, 4, cap=8)
 
-    def test_parallel_matches_serial(self):
-        serial = enumerate_radical_rings(3, 2)
-        parallel = enumerate_radical_rings(3, 2, jobs=2)
-        assert serial == parallel
-
     def test_env_var_overrides_cap(self, monkeypatch):
         monkeypatch.setenv("FUCHS_ORACLE_CAP", "8")
         with pytest.raises(CapExceeded):
@@ -240,8 +235,9 @@ def census_structure(elems, op, identity, p):
 class TestStructureRecoveryCrossCheck:
     def test_adjoint_groups_match_order_census(self):
         # the peeling-based recovery agrees with the census reconstruction
-        # on every enumerated adjoint group
-        for (p, k) in [(2, 3), (3, 2), (5, 2), (2, 4)]:
+        # on every enumerated adjoint group of order up to 27
+        for (p, k) in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                       (5, 1), (5, 2)]:
             for N in enumerate_radical_rings(p, k):
                 census = census_structure(list(N.elements()), N.circle,
                                           N.zero(), p)
