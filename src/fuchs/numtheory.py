@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, prod
 
 
@@ -244,9 +245,8 @@ class CycloPoly:
         return len(self.coefficients) - 1
 
 
-_cyclo_cache: dict[int, tuple[int, ...]] = {}
-
-
+# bounded; one round of either benchmark workload leaves 4 entries
+@lru_cache(maxsize=128)
 def cyclotomic_poly(n: int) -> CycloPoly:
     """Exact coefficients of Phi_n via recursive division of x^n - 1.
 
@@ -257,8 +257,6 @@ def cyclotomic_poly(n: int) -> CycloPoly:
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    if n in _cyclo_cache:
-        return CycloPoly(n, _cyclo_cache[n])
     xn1 = [-1] + [0] * (n - 1) + [1]
     q = xn1
     for d in divisors(n):
@@ -267,7 +265,6 @@ def cyclotomic_poly(n: int) -> CycloPoly:
     coeffs = tuple(q)
     assert len(coeffs) - 1 == euler_phi(n)
     assert coeffs[-1] == 1
-    _cyclo_cache[n] = coeffs
     return CycloPoly(n, coeffs)
 
 

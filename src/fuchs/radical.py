@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations, permutations
 from itertools import product as iproduct
-from math import prod
 
 from .abelian import FinAbGroup, abelian_structure, pgroup_basis, prufer_rank
 from .caps import RADICAL_ENUM_CAP, oracle_cap
@@ -147,14 +147,16 @@ def power_ideal_chain(N: RadicalRing) -> list[frozenset]:
 
 def _partitions(k: int):
     """Non-increasing partitions of k."""
-    def rec(rest, maxpart):
-        if rest == 0:
-            yield ()
-            return
-        for part in range(min(rest, maxpart), 0, -1):
-            for tail in rec(rest - part, part):
-                yield (part,) + tail
-    return list(rec(k, k))
+    return list(_partitions_below(k, k))
+
+
+def _partitions_below(rest: int, maxpart: int):
+    if rest == 0:
+        yield ()
+        return
+    for part in range(min(rest, maxpart), 0, -1):
+        for tail in _partitions_below(rest - part, part):
+            yield (part,) + tail
 
 
 def _primitive_root(p: int) -> int:
@@ -177,27 +179,14 @@ def _candidate_tables_elementary(p: int, r: int):
     class admits such an adapted basis, and isomorphisms between adapted
     tables preserve the standard flag, so per-d orbit closure under the
     flag-preserving generators partitions candidates into classes.
+    Yields (weights, tables) per d, d running over the compositions of r.
     """
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for tail in compositions(total - first, parts - 1):
-                yield (first,) + tail
-
-    out = []
+    pairs = [(i, j) for i in range(r) for j in range(i, r)]
     for c in range(1, r + 1):
-        for d in compositions(r, c):
-            weights = []
-            for w, dim in enumerate(d, start=1):
-                weights.extend([w] * dim)
-            pairs = [(i, j) for i in range(r) for j in range(i, r)]
-            slots = []
-            for (i, j) in pairs:
-                wsum = weights[i] + weights[j]
-                free = [m for m in range(r) if weights[m] >= wsum]
-                slots.append(free)
+        for cuts in combinations(range(1, r), c - 1):
+            weights = [1 + sum(cut <= m for cut in cuts) for m in range(r)]
+            slots = [[m for m in range(r) if weights[m] >= weights[i] + weights[j]]
+                     for (i, j) in pairs]
             tables = []
             for assignment in iproduct(*(iproduct(range(p), repeat=len(s)) for s in slots)):
                 table = []
@@ -207,8 +196,7 @@ def _candidate_tables_elementary(p: int, r: int):
                         vec[m] = v
                     table.append(tuple(vec))
                 tables.append(tuple(table))
-            out.append((d, weights, tables))
-    return out
+            yield weights, tables
 
 
 def _filtration_exact(N: RadicalRing, weights) -> bool:
@@ -229,99 +217,94 @@ def _filtration_exact(N: RadicalRing, weights) -> bool:
     return True
 
 
-def _flag_generators(p: int, weights):
-    """Generators of the flag-preserving automorphisms, as basis images."""
-    r = len(weights)
-    gens = []
+def _symmetry_generators(p: int, exponents, weights=None):
+    """Generators of the additive automorphisms that preserve a weight flag,
+    as (images, inverse_images) pairs of basis-image tuples.
 
-    def as_map(images):
-        return tuple(tuple(img) for img in images)
-
-    ident = [[int(i == j) for i in range(r)] for j in range(r)]
-    g = _primitive_root(p)
-    blocks: dict[int, list[int]] = {}
-    for m, w in enumerate(weights):
-        blocks.setdefault(w, []).append(m)
-    for members in blocks.values():
-        a = members[0]
-        if p > 2:
-            im = [row[:] for row in ident]
-            im[a][a] = g
-            gens.append(as_map(im))
-        for b in members[1:]:
-            im = [row[:] for row in ident]
-            im[a], im[b] = im[b], im[a]
-            gens.append(as_map(im))
-        if len(members) > 1:
-            b = members[1]
-            im = [row[:] for row in ident]
-            im[a][b] = 1  # x_a -> x_a + x_b
-            gens.append(as_map(im))
-    for m, w in enumerate(weights):
-        for t, wt in enumerate(weights):
-            if wt > w:
-                im = [row[:] for row in ident]
-                im[m][t] = 1
-                gens.append(as_map(im))
-    return gens
-
-
-def _apply_automorphism(p, exponents, table, images):
-    """Transport a structure-constant table along an additive automorphism.
-
-    ``images[j]`` is the coordinate vector of the image of basis vector j.
-    Returns the table of the isomorphic ring in which the new basis element
-    i multiplies as the old images did.
+    An automorphism preserves the flag when the image of x_m lies in the
+    span of the positions of weight >= weights[m]; without weights every
+    automorphism does.  The generators are the scalings of one coordinate
+    by g, -1 and 1 + p (g a primitive root mod p; together they generate
+    (Z/p^e)*), the swaps of adjacent positions of equal exponent and
+    weight, and the transvections x_a -> x_a + p^max(0, e_b - e_a) x_b with
+    weight(b) >= weight(a).  Without weights they generate all of
+    Aut(Z/p^e1 x ... x Z/p^er), whose matrix description is in Hillar and
+    Rhea, "Automorphisms of finite abelian groups", Amer. Math. Monthly 114
+    (2007).
     """
     r = len(exponents)
     orders = [p ** e for e in exponents]
+    if weights is None:
+        weights = (1,) * r
 
-    def phi(v):
-        acc = [0] * r
-        for j, a in enumerate(v):
-            if a:
-                for m, b in enumerate(images[j]):
-                    acc[m] += a * b
-        return tuple(x % n for x, n in zip(acc, orders))
+    def basis_map(rows):
+        """The identity, except that x_a maps to sum_b rows[a][b] x_b."""
+        return tuple(tuple(rows.get(a, {a: 1}).get(b, 0) for b in range(r))
+                     for a in range(r))
 
-    inv = {}
-    for v in iproduct(*(range(n) for n in orders)):
-        inv[phi(v)] = v
-    if len(inv) != prod(orders):
-        raise InvalidRing("not an automorphism")
-    return tuple(inv[table_mul(orders, table, images[i], images[j])]
-                 for i in range(r) for j in range(i, r))
+    gens = []
+    g = _primitive_root(p)
+    for a, n in enumerate(orders):
+        for u in sorted({g % n, -1 % n, (1 + p) % n} - {1}):
+            gens.append((basis_map({a: {a: u}}), basis_map({a: {a: pow(u, -1, n)}})))
+    for a in range(r - 1):
+        if (exponents[a], weights[a]) == (exponents[a + 1], weights[a + 1]):
+            swap = basis_map({a: {a + 1: 1}, a + 1: {a: 1}})
+            gens.append((swap, swap))
+    for a, b in permutations(range(r), 2):
+        if weights[b] >= weights[a]:
+            c = p ** max(0, exponents[b] - exponents[a])
+            gens.append((basis_map({a: {a: 1, b: c}}),
+                         basis_map({a: {a: 1, b: -c % orders[b]}})))
+    return gens
 
 
-def _all_automorphisms(p: int, exponents):
-    """All additive automorphisms of the type, as basis-image tuples."""
-    r = len(exponents)
-    orders = [p ** e for e in exponents]
-    all_elems = list(iproduct(*(range(n) for n in orders)))
-    by_max_order = {}
-    for e in sorted(set(exponents)):
-        killer = p ** e
-        by_max_order[e] = [v for v in all_elems
-                           if all((killer * a) % n == 0 for a, n in zip(v, orders))]
-    total = prod(orders)
+def _apply_automorphism(orders, table, images, inverse):
+    """Transport a structure-constant table along an additive automorphism.
+
+    ``images[j]`` is the coordinate vector of the image of basis vector j and
+    ``inverse[j]`` that of its preimage.  Returns the table of the isomorphic
+    ring in which the new basis element i multiplies as the old images did:
+    each product images[i] * images[j] is pulled back through ``inverse``.
+    """
+    r = len(orders)
     out = []
-    for images in iproduct(*(by_max_order[e] for e in exponents)):
-        seen = set()
-        ok = True
-        for v in all_elems:
+    for i in range(r):
+        for j in range(i, r):
             acc = [0] * r
-            for j, a in enumerate(v):
+            for m, a in enumerate(table_mul(orders, table, images[i], images[j])):
                 if a:
-                    for m, b in enumerate(images[j]):
-                        acc[m] += a * b
-            w = tuple(x % n for x, n in zip(acc, orders))
-            if w in seen:
-                ok = False
-                break
-            seen.add(w)
-        if ok and len(seen) == total:
-            out.append(tuple(tuple(im) for im in images))
-    return out
+                    for t, b in enumerate(inverse[m]):
+                        acc[t] += a * b
+            out.append(tuple(x % n for x, n in zip(acc, orders)))
+    return tuple(out)
+
+
+def _orbit_classes(p: int, exponents, tables, gens) -> list[RadicalRing]:
+    """One ring per orbit of ``tables`` under the group generated by
+    ``gens``, represented by the orbit's minimum table.  ``tables`` must be
+    closed under that group."""
+    orders = [p ** e for e in exponents]
+    table_set = set(tables)
+    visited = set()
+    classes = []
+    for table in sorted(table_set):
+        if table in visited:
+            continue
+        # every smaller table was visited, so this one is its orbit's minimum
+        orbit = {table}
+        frontier = [table]
+        while frontier:
+            t = frontier.pop()
+            for images, inverse in gens:
+                t2 = _apply_automorphism(orders, t, images, inverse)
+                if t2 not in orbit:
+                    assert t2 in table_set, "orbit left the candidate tables"
+                    orbit.add(t2)
+                    frontier.append(t2)
+        visited |= orbit
+        classes.append(RadicalRing(p, tuple(exponents), table))
+    return classes
 
 
 def _valid_table(p, exponents, table) -> RadicalRing | None:
@@ -334,30 +317,14 @@ def _valid_table(p, exponents, table) -> RadicalRing | None:
 def _enumerate_type_elementary(p: int, r: int) -> list[RadicalRing]:
     exponents = (1,) * r
     classes = []
-    for d, weights, tables in _candidate_tables_elementary(p, r):
+    for weights, tables in _candidate_tables_elementary(p, r):
         survivors = []
         for table in tables:
             ring = _valid_table(p, exponents, table)
             if ring is not None and _filtration_exact(ring, weights):
                 survivors.append(table)
-        gens = _flag_generators(p, weights)
-        survivor_set = set(survivors)
-        visited = set()
-        for table in sorted(survivors):
-            if table in visited:
-                continue
-            orbit = {table}
-            frontier = [table]
-            while frontier:
-                t = frontier.pop()
-                for g in gens:
-                    t2 = _apply_automorphism(p, exponents, t, g)
-                    if t2 not in orbit:
-                        assert t2 in survivor_set, "flag orbit left the candidate space"
-                        orbit.add(t2)
-                        frontier.append(t2)
-            visited |= orbit
-            classes.append(RadicalRing(p, exponents, min(orbit)))
+        classes += _orbit_classes(p, exponents, survivors,
+                                  _symmetry_generators(p, exponents, weights))
     return classes
 
 
@@ -379,45 +346,28 @@ def _mixed_type_candidates(p, exponents):
 def _enumerate_type_mixed(p: int, exponents) -> list[RadicalRing]:
     r = len(exponents)
     _, slot_values = _mixed_type_candidates(p, exponents)
-    slot_opts = []
-    for per_coord in slot_values:
-        opts = []
-        for vec in iproduct(*per_coord):
-            opts.append((vec, tuple(v % p for v in vec)))
-        slot_opts.append(opts)
+    slot_opts = [[(vec, tuple(v % p for v in vec)) for vec in iproduct(*per_coord)]
+                 for per_coord in slot_values]
+    valid = [t for t in _unsaturated_tables(slot_opts, p, r, 0, [])
+             if _valid_table(p, exponents, t) is not None]
+    # validity is an isomorphism invariant, so the valid tables are closed
+    # under every additive automorphism
+    return _orbit_classes(p, exponents, valid, _symmetry_generators(p, exponents))
 
-    # DFS over pairs, pruning as soon as the mod-p span of the products
-    # saturates F_p^r: nilpotency forces N^2 + pN to be a proper subgroup,
-    # so any saturated prefix cannot extend to a valid table.
-    survivors = []
 
-    def dfs(idx, chosen, basis_rows):
-        if idx == len(slot_opts):
-            survivors.append(tuple(chosen))
-            return
-        for vec, mask in slot_opts[idx]:
-            nb = _reduce_into_span(basis_rows, mask, p, r)
-            if nb is None:  # saturated
-                continue
-            chosen.append(vec)
-            dfs(idx + 1, chosen, nb)
-            chosen.pop()
-
-    dfs(0, [], [])
-    del dfs  # a self-referencing closure: free survivors and slot_opts on return
-    classes = []
-    valid = [t for t in survivors if _valid_table(p, exponents, t) is not None]
-    autos = None
-    visited = set()
-    for table in sorted(valid):
-        if table in visited:
-            continue
-        if autos is None:
-            autos = _all_automorphisms(p, exponents)
-        orbit = {_apply_automorphism(p, exponents, table, a) for a in autos}
-        visited |= orbit
-        classes.append(RadicalRing(p, tuple(exponents), min(orbit)))
-    return classes
+def _unsaturated_tables(slot_opts, p, r, idx, basis_rows):
+    """Tables choosing one option per slot from ``slot_opts[idx:]``, pruned
+    as soon as the mod-p span of the products saturates F_p^r: nilpotency
+    forces N^2 + pN to be a proper subgroup, so any saturated prefix cannot
+    extend to a valid table."""
+    if idx == len(slot_opts):
+        yield ()
+        return
+    for vec, mask in slot_opts[idx]:
+        nb = _reduce_into_span(basis_rows, mask, p, r)
+        if nb is not None:
+            for tail in _unsaturated_tables(slot_opts, p, r, idx + 1, nb):
+                yield (vec,) + tail
 
 
 def _reduce_into_span(basis_rows, vec, p, r):
@@ -435,7 +385,8 @@ def _reduce_into_span(basis_rows, vec, p, r):
     return basis_rows + [v]
 
 
-@lru_cache(maxsize=None)
+# bounded; a round of the benchmark's `oracles` workload enumerates 8 orders
+@lru_cache(maxsize=32)
 def _enumerate_cached(p: int, k: int) -> tuple[RadicalRing, ...]:
     out = []
     for parts in _partitions(k):

@@ -17,7 +17,8 @@ from math import gcd, prod
 from .abelian import (FgAbGroup, FinAbGroup, epsilon, format_group,
                       is_lambda_small, lambda_power_decompose, parse_group,
                       prufer_rank)
-from .numtheory import (euler_phi, factorize, is_prime,
+from .numtheory import (divisors, euler_phi, factorize, is_prime,
+                        is_prime_power,
                         mersenne_divisor_set, mult_order,
                         pearson_schneider_covers)
 from .verdict import Verdict, not_realisable, realisable, unknown
@@ -295,6 +296,17 @@ def _cover_payload(cover):
             for f in cover]
 
 
+def _residue_shapes(exp: int) -> list[tuple[int, int]]:
+    """Candidate residue shapes (p, lam) of a local factor, sorted.
+
+    They are bounded by p^lam - 1 | exp(G): the factor Z/(p^lam - 1) is a
+    cyclic direct factor of G, so its order divides the exponent.  So
+    m = p^lam - 1 runs over the divisors of exp(G) with m + 1 a prime
+    power; m = 1 gives (2, 1).
+    """
+    return sorted(pp for m in divisors(exp) if (pp := is_prime_power(m + 1)))
+
+
 def _local_factor_search(G: FinAbGroup):
     """Search assignments of G's cyclic factors to local unit shapes
     F_{p^lam}* x H. Returns (certificate | None, unknown branches, trace)."""
@@ -303,27 +315,11 @@ def _local_factor_search(G: FinAbGroup):
     for p, e, mult in G.factors:
         factor_pool[(p, e)] = mult
 
-    # Candidate residue shapes (p, lam) are bounded by p^lam - 1 | exp(G):
-    # the factor Z/(p^lam - 1) is a cyclic direct factor of G, so its order
-    # divides the exponent.  That caps lam at log2(1 + exp(G)).
     candidates = []  # (p, lam, residue cyclic part as {(p,e): mult})
-    for p in _primes_up_to(exp + 1):
-        lam = 1
-        while p ** lam - 1 <= exp:
-            m = p ** lam - 1
-            if exp % max(m, 1) == 0:
-                part = {}
-                ok = True
-                if m > 1:
-                    for q, e in factorize(m).pairs:
-                        if factor_pool.get((q, e), 0) < 1:
-                            ok = False
-                            break
-                        part[(q, e)] = part.get((q, e), 0) + 1
-                if ok:
-                    candidates.append((p, lam, part))
-            lam += 1
-    candidates.sort(key=lambda c: (c[0], c[1]))
+    for p, lam in _residue_shapes(exp):
+        part = {qe: 1 for qe in factorize(p ** lam - 1).pairs}
+        if all(qe in factor_pool for qe in part):
+            candidates.append((p, lam, part))
 
     trace: list[dict] = []
     unknown_branches: list[dict] = []
@@ -410,17 +406,6 @@ def _local_factor_search(G: FinAbGroup):
         if "p" not in e and e not in remainders:
             remainders.append(e)
     return solution, unknown_branches, constraints + remainders
-
-
-def _primes_up_to(n: int):
-    sieve = bytearray([1]) * (n + 1)
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for m in range(p * p, n + 1, p):
-                sieve[m] = 0
-    return out
 
 
 # ---------------------------------------------------------------------------

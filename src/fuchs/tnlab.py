@@ -19,6 +19,7 @@ classical fact is hard-coded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd, lcm, prod
 
@@ -549,12 +550,9 @@ class TorsionUnitData:
     a_tors_elements: list
 
 
-_torsion_cache: dict = {}
-
-
+# bounded; a round of the benchmark's `oracles` workload sweeps 23 models
+@lru_cache(maxsize=32)
 def _torsion_unit_data(A: TnModel) -> TorsionUnitData:
-    if A in _torsion_cache:
-        return _torsion_cache[A]
     base = A.base
     B = _BaseAlgebra(A)
     f = A.nfree()
@@ -586,10 +584,8 @@ def _torsion_unit_data(A: TnModel) -> TorsionUnitData:
     # A*_tors divides exp(B*_tors) * exp(1+N_tors)
     assert (b_tors.exponent() * one_plus_n.exponent()) % a_tors.exponent() == 0, \
         "torsion unit order exceeded the exact-sequence bound"
-    data = TorsionUnitData(one_plus_n, b_tors, a_tors,
+    return TorsionUnitData(one_plus_n, b_tors, a_tors,
                            sorted(b_units), sorted(lifted))
-    _torsion_cache[A] = data
-    return data
 
 
 def _b_torsion_units(A: TnModel, B: _BaseAlgebra) -> list:

@@ -27,6 +27,7 @@ QUERIES = (
     ("rank", "Z/8Z x Z/41Z"),
     ("oracle", "radical", "--prime", "2", "--exp", "3"),
     ("oracle", "radical", "--prime", "3", "--exp", "3"),
+    ("oracle", "radical", "--prime", "5", "--exp", "3"),
     ("oracle", "finring", "--corpus"),
     ("example", "paper-7-1"),
     ("example", "paper-7-2-v2"),

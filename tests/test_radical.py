@@ -3,17 +3,22 @@ oracles over the enumerated classes."""
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import product as iproduct
+from math import prod
 
 import pytest
 
 import fuchs.radical as rad
 from fuchs.abelian import FinAbGroup
+from fuchs.numtheory import cyclotomic_poly
 from fuchs.radical import (CapExceeded, InvalidRing, RadicalRing, WrongOrder,
                            check_byott, check_small_theorem,
                            enumerate_radical_rings, power_ideal_chain,
                            radical_ring_from_mult)
+from fuchs.table import table_mul
+from fuchs.tnlab import _torsion_unit_data
 
 
 def G(*orders):
@@ -128,13 +133,13 @@ def _brute_classes(p, exponents) -> int:
     for combo in iproduct(*(iproduct(*pc) for pc in slots)):
         if rad._valid_table(p, exponents, combo) is not None:
             valid.append(combo)
-    autos = rad._all_automorphisms(p, exponents)
+    autos = _brute_automorphisms(p, exponents)
     visited = set()
     classes = 0
     for table in sorted(valid):
         if table in visited:
             continue
-        visited |= {rad._apply_automorphism(p, exponents, table, a) for a in autos}
+        visited |= {_brute_transport(p, exponents, table, a) for a in autos}
         classes += 1
     return classes
 
@@ -142,9 +147,162 @@ def _brute_classes(p, exponents) -> int:
 def _brute_isomorphic(N: RadicalRing, M: RadicalRing) -> bool:
     if N.exponents != M.exponents:
         return False
-    autos = rad._all_automorphisms(N.p, N.exponents)
-    return any(rad._apply_automorphism(N.p, N.exponents, N.mult, a) == M.mult
+    autos = _brute_automorphisms(N.p, N.exponents)
+    return any(_brute_transport(N.p, N.exponents, N.mult, a) == M.mult
                for a in autos)
+
+
+# The brute-force reference below lists every additive automorphism and
+# inverts each one over all of N; the enumerator only uses generators.
+
+
+def _brute_automorphisms(p: int, exponents):
+    """All additive automorphisms of the type, as basis-image tuples."""
+    r = len(exponents)
+    orders = [p ** e for e in exponents]
+    all_elems = list(iproduct(*(range(n) for n in orders)))
+    by_max_order = {}
+    for e in sorted(set(exponents)):
+        killer = p ** e
+        by_max_order[e] = [v for v in all_elems
+                           if all((killer * a) % n == 0 for a, n in zip(v, orders))]
+    total = prod(orders)
+    out = []
+    for images in iproduct(*(by_max_order[e] for e in exponents)):
+        seen = set()
+        ok = True
+        for v in all_elems:
+            acc = [0] * r
+            for j, a in enumerate(v):
+                if a:
+                    for m, b in enumerate(images[j]):
+                        acc[m] += a * b
+            w = tuple(x % n for x, n in zip(acc, orders))
+            if w in seen:
+                ok = False
+                break
+            seen.add(w)
+        if ok and len(seen) == total:
+            out.append(tuple(tuple(im) for im in images))
+    return out
+
+
+def _brute_transport(p, exponents, table, images):
+    """Transport a table along an automorphism, inverting it over all of N."""
+    r = len(exponents)
+    orders = [p ** e for e in exponents]
+
+    def phi(v):
+        acc = [0] * r
+        for j, a in enumerate(v):
+            if a:
+                for m, b in enumerate(images[j]):
+                    acc[m] += a * b
+        return tuple(x % n for x, n in zip(acc, orders))
+
+    inv = {phi(v): v for v in iproduct(*(range(n) for n in orders))}
+    assert len(inv) == prod(orders), "not an automorphism"
+    return tuple(inv[table_mul(orders, table, images[i], images[j])]
+                 for i in range(r) for j in range(i, r))
+
+
+def _compose(orders, f, g):
+    """The basis images of f after g."""
+    out = []
+    for row in g:
+        acc = [0] * len(orders)
+        for m, c in enumerate(row):
+            if c:
+                for t, v in enumerate(f[m]):
+                    acc[t] += c * v
+        out.append(tuple(x % n for x, n in zip(acc, orders)))
+    return tuple(out)
+
+
+def _generated_group(p, exponents, gens) -> set:
+    orders = [p ** e for e in exponents]
+    r = len(orders)
+    identity = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        a = frontier.pop()
+        for images, _ in gens:
+            b = _compose(orders, a, images)  # images is sparse
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return group
+
+
+def _types_up_to(bound):
+    """(p, additive type) for every order p^k <= bound whose brute-force
+    automorphism search (candidate images times |N|) is at most 2^20."""
+    for p in (2, 3, 5, 7, 11):
+        k = 1
+        while p ** k <= bound:
+            for parts in rad._partitions(k):
+                images = prod(p ** sum(min(e, f) for f in parts) for e in parts)
+                if images * p ** k <= 2 ** 20:
+                    yield p, parts
+            k += 1
+
+
+class TestSymmetryGenerators:
+    def test_inverses(self):
+        for p, exponents in [(2, (3, 1)), (3, (2, 1, 1)), (5, (2, 1)), (2, (1, 1, 1))]:
+            orders = [p ** e for e in exponents]
+            identity = tuple(tuple(int(i == j) for j in range(len(orders)))
+                             for i in range(len(orders)))
+            for images, inverse in rad._symmetry_generators(p, exponents):
+                assert _compose(orders, images, inverse) == identity
+                assert _compose(orders, inverse, images) == identity
+
+    def test_generate_every_automorphism(self):
+        types = list(_types_up_to(125))
+        assert all((2, parts) in types for parts in rad._partitions(4))
+        for p, exponents in types:
+            closure = _generated_group(
+                p, exponents, rad._symmetry_generators(p, exponents))
+            assert closure == set(_brute_automorphisms(p, exponents)), (p, exponents)
+
+    def test_generate_every_flag_preserving_automorphism(self):
+        for p in (2, 3):
+            for r in (1, 2, 3):
+                exponents = (1,) * r
+                autos = _brute_automorphisms(p, exponents)
+                for weights, _ in rad._candidate_tables_elementary(p, r):
+                    flagged = {a for a in autos
+                               if all(not a[m][t] or weights[t] >= weights[m]
+                                      for m in range(r) for t in range(r))}
+                    gens = rad._symmetry_generators(p, exponents, weights)
+                    assert _generated_group(p, exponents, gens) == flagged, \
+                        (p, weights)
+
+
+class TestEnumerationGarbage:
+    def test_no_reference_cycles_left(self):
+        # nothing the enumerator allocates may wait for the cycle collector
+        gc.collect()
+        gc.disable()
+        try:
+            for p, k in ((2, 3), (3, 2)):
+                rad._enumerate_cached.__wrapped__(p, k)
+                assert gc.collect() == 0, (p, k)
+        finally:
+            gc.enable()
+
+
+class TestModuleCaches:
+    def test_bounded(self):
+        caches = (rad._enumerate_cached, cyclotomic_poly, _torsion_unit_data)
+        for cached in caches:
+            assert cached.cache_info().maxsize is not None, cached.__name__
+        for n in range(1, cyclotomic_poly.cache_info().maxsize + 20):
+            cyclotomic_poly(n)
+        for cached in caches:
+            info = cached.cache_info()
+            assert info.currsize <= info.maxsize, cached.__name__
 
 
 class TestSmallTheorem:

@@ -4,6 +4,8 @@ certificate soundness."""
 from __future__ import annotations
 
 import random
+from itertools import compress
+from math import isqrt
 
 import pytest
 
@@ -233,6 +235,42 @@ class TestDecideFinite:
                     assert has_cover, n
                 elif not unknowns:
                     assert not has_cover, n
+
+
+    def test_residue_shapes_match_the_prime_sieve(self):
+        # the shapes were once drawn from every prime up to exp + 1; the
+        # divisor walk must give the same sorted (p, lam) list
+        from fuchs.realize import _residue_shapes
+        small = list(_primes_up_to(3001))
+        for exp in range(1, 3001):
+            assert _residue_shapes(exp) == _sieve_shapes(exp, small), exp
+        near_bound = list(_primes_up_to(500_001))
+        for exp in [*range(450_000, 500_001, 1_001), 498_960, 500_000]:
+            assert _residue_shapes(exp) == _sieve_shapes(exp, near_bound), exp
+        exp = 2 * 10_000_019
+        assert _residue_shapes(exp) == _sieve_shapes(exp, _primes_up_to(exp + 1))
+
+
+def _primes_up_to(n: int):
+    """Sieve of Eratosthenes, the reference for the residue shapes."""
+    sieve = bytearray([1]) * (n + 1)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return compress(range(2, n + 1), sieve[2:])
+
+
+def _sieve_shapes(exp, primes):
+    out = []
+    for p in primes:
+        if p > exp + 1:
+            break
+        lam = 1
+        while p ** lam - 1 <= exp:
+            if exp % (p ** lam - 1) == 0:
+                out.append((p, lam))
+            lam += 1
+    return out
 
 
 class TestDecideAny:
