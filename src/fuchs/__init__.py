@@ -2,9 +2,9 @@
 groups of rings, with brute-force finite-ring and TN-model oracles."""
 
 from .abelian import (FgAbGroup, FinAbGroup, NotAPGroup, epsilon,
-                      format_group, group_from_relations, is_isomorphic,
-                      is_lambda_small, lambda_power_decompose, parse_group,
-                      prufer_rank, smith_normal_form)
+                      format_group, group_from_relations, is_lambda_small,
+                      lambda_power_decompose, parse_group, prufer_rank,
+                      smith_normal_form)
 from .numtheory import (CycloPoly, Factorization, NotCoprime, PsFactor,
                         cyclotomic_poly, euler_phi, factor_cyclo_mod,
                         factorize, is_fermat_prime, mersenne_divisor_set,

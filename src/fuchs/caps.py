@@ -1,4 +1,9 @@
-"""Enumeration caps, overridable through the FUCHS_ORACLE_CAP env var."""
+"""Enumeration caps, overridable through the FUCHS_ORACLE_CAP env var.
+
+One value replaces both caps: setting FUCHS_ORACLE_CAP to limit radical
+enumeration (default 625) also sets the unit-group cap (default 4096), so a
+value of 100 makes ``unit_group`` refuse every ring of order above 100.
+"""
 
 from __future__ import annotations
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .abelian import FgAbGroup, FinAbGroup, format_group, parse_group
 from .finring import FinCommRing, NotLocal, build_corpus, localize, \
@@ -30,6 +31,8 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
 
+# built on the first call, not at import, and reused by every later main()
+@lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fuchs")
     sub = top.add_subparsers(dest="command", required=True)

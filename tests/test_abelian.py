@@ -18,10 +18,11 @@ from hypothesis import given, settings, strategies as st
 from fuchs.abelian import (FgAbGroup, FinAbGroup, NotAPGroup,
                            abelian_structure, epsilon, format_group,
                            group_from_relations, hermite_normal_form,
-                           is_isomorphic, is_lambda_small,
-                           lambda_power_decompose, parse_group, prufer_rank,
+                           is_lambda_small, lambda_power_decompose,
+                           parse_group, pgroup_basis, prufer_rank,
                            rank_over_q, smith_normal_form,
                            solve_integer_system)
+from fuchs.numtheory import factorize
 
 
 def G(*orders):
@@ -55,16 +56,15 @@ class TestCanonicalForm:
     @given(st.lists(st.integers(2, 48), min_size=0, max_size=5))
     def test_crt_split_invariance(self, orders):
         # replacing any order by its prime-power parts is a no-op
-        from fuchs.numtheory import factorize
         split = []
         for n in orders:
             split.extend(p ** e for p, e in factorize(n).pairs)
         assert G(*orders) == G(*split)
 
     def test_isomorphism_is_equality(self):
-        assert is_isomorphic(G(2, 3), G(6))
-        assert not is_isomorphic(G(4), G(2, 2))
-        assert is_isomorphic(G(), G())
+        assert G(2, 3) == G(6)
+        assert G(4) != G(2, 2)
+        assert G() == G()
 
 
 class TestGroupLiterals:
@@ -221,7 +221,6 @@ def brute_cokernel(rows, n):
     # rebuild the group from order counts, prime by prime
     total = len(reps)
     out = FinAbGroup.trivial()
-    from fuchs.numtheory import factorize
     for p, vmax in factorize(total).pairs:
         # s_k = #solutions of p^k x = 0; the ratios give the exponent counts
         s = [1]
@@ -361,6 +360,38 @@ def _power(op, identity, x, k):
     return acc
 
 
+def _peeled_structure(elements, op, identity):
+    """Independent reference for :func:`abelian_structure`: project onto each
+    Sylow part with the cofactor power and read the cyclic orders off the
+    basis that :func:`pgroup_basis` peels."""
+    elems = sorted(set(elements))
+    n = len(elems)
+    total = FinAbGroup.trivial()
+    for p, v in factorize(n).pairs:
+        cof = n // p ** v
+        part = sorted({_power(op, identity, x, cof) for x in elems})
+        total = total * FinAbGroup.from_orders(
+            [o for _, o in pgroup_basis(part, op, identity, p)])
+    assert total.order() == n
+    return total
+
+
+_PRIME_POWERS = [q for q in range(2, 2001) if len(factorize(q).pairs) == 1]
+
+
+@st.composite
+def _cyclic_orders(draw):
+    """Prime-power cyclic orders whose product is at most 2000."""
+    orders = []
+    while draw(st.booleans()):
+        q = draw(st.sampled_from([q for q in _PRIME_POWERS
+                                  if q * prod(orders) <= 2000]))
+        orders.append(q)
+        if prod(orders) * 2 > 2000:
+            break
+    return orders
+
+
 class TestStructureByCounting:
     def test_corpus_unit_groups(self):
         # |G[p^j]| = p^(sum_i min(e_i, j)) for every prime p and every j:
@@ -378,3 +409,56 @@ class TestStructureByCounting:
                                  if _power(A.mul, A.one, x, p ** j) == A.one)
                     assert killed == p ** sum(min(e, j) for e in exps), \
                         (A.name, p, j)
+
+    def test_agrees_with_peeling_on_corpus_unit_groups(self):
+        from fuchs.finring import build_corpus, unit_elements, unit_group
+        for A in build_corpus():
+            units = unit_elements(A)
+            assert _peeled_structure(units, A.mul, A.one) == unit_group(A), \
+                A.name
+
+    def test_agrees_with_peeling_on_adjoint_groups(self):
+        from fuchs.radical import enumerate_radical_rings
+        for (p, k) in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                       (5, 1), (5, 2)]:
+            for N in enumerate_radical_rings(p, k):
+                peeled = _peeled_structure(list(N.elements()), N.circle,
+                                           N.zero())
+                assert peeled == N.adjoint_group(), N.mult
+
+    def test_agrees_with_peeling_on_tn_torsion_groups(self):
+        from fuchs.tnlab import (EXAMPLE_NAMES, _BaseAlgebra,
+                                 _torsion_unit_data, load_example)
+        for name in EXAMPLE_NAMES:
+            A = load_example(name)
+            data = _torsion_unit_data(A)
+            B = _BaseAlgebra(A)
+            one_plus_n = [(B.one(), t[1]) for t in A.torsion_elements()]
+            assert _peeled_structure(one_plus_n, A.mul, A.one()) \
+                == data.one_plus_n, name
+            assert _peeled_structure(data.b_tors_elements, B.mul, B.one()) \
+                == data.b_tors, name
+            assert _peeled_structure(data.a_tors_elements, A.mul, A.one()) \
+                == data.a_tors, name
+
+    @given(_cyclic_orders(), st.integers(0, 2 ** 32))
+    @settings(max_examples=60, deadline=None)
+    def test_black_box_relabelled_groups(self, orders, seed):
+        # the operation only sees shuffled integer labels, never coordinates
+        tuples = list(iproduct(*(range(q) for q in orders)))
+        labels = list(range(len(tuples)))
+        random.Random(seed).shuffle(labels)
+        label_of = dict(zip(tuples, labels))
+        point_of = dict(zip(labels, tuples))
+
+        def op(a, b):
+            return label_of[tuple((x + y) % q for x, y, q
+                                  in zip(point_of[a], point_of[b], orders))]
+
+        got = abelian_structure(labels, op, label_of[(0,) * len(orders)])
+        assert got == FinAbGroup.from_orders(orders)
+
+    def test_non_group_raises(self):
+        # {0, 1, 2, 3} is not closed under addition mod 5
+        with pytest.raises(AssertionError):
+            abelian_structure(range(4), lambda a, b: (a + b) % 5, 0)

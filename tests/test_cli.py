@@ -10,7 +10,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from fuchs.cli import main
+from fuchs.cli import _parser, main
 from fuchs.abelian import parse_group, format_group
 
 SCHEMA = json.loads(
@@ -52,6 +52,15 @@ class TestDecide:
     def test_tn_class(self, capsys):
         code, doc = run_json(capsys, "decide", "--class", "tn", "Z/328Z x Z")
         assert code == 0 and doc["theorem"] == "tn-rank-threshold"
+
+    def test_parser_is_reused_after_a_usage_error(self, capsys):
+        query = ("decide", "--class", "any", "Z/4Z x Z/16Z", "--json")
+        _parser.cache_clear()
+        alone = run(capsys, *query)
+        assert run(capsys, "decide", "--no-such-flag")[0] == 3
+        again = run(capsys, *query)
+        assert again[:2] == alone[:2]
+        assert _parser.cache_info().misses == 1
 
 
 class TestRank:

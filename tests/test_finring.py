@@ -47,6 +47,15 @@ class TestUnitGroup:
         with pytest.raises(CapExceeded):
             unit_group(zn_ring(11), cap=10)
 
+    def test_oracle_cap_variable_sets_unit_group_cap(self, monkeypatch):
+        # one variable replaces both caps: 100 is meant for radical
+        # enumeration but also refuses the unit group of a ring of order 128
+        monkeypatch.setenv("FUCHS_ORACLE_CAP", "100")
+        with pytest.raises(CapExceeded):
+            unit_group(zn_ring(128))
+        monkeypatch.delenv("FUCHS_ORACLE_CAP")
+        assert unit_group(zn_ring(128)) == G(2, 32)
+
 
 class TestLocalize:
     def test_examples(self):

@@ -392,7 +392,7 @@ def census_structure(elems, op, identity, p):
 
 class TestStructureRecoveryCrossCheck:
     def test_adjoint_groups_match_order_census(self):
-        # the peeling-based recovery agrees with the census reconstruction
+        # the kernel-counting recovery agrees with the census reconstruction
         # on every enumerated adjoint group of order up to 27
         for (p, k) in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
                        (5, 1), (5, 2)]:
