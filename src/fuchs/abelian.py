@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, prod
 
@@ -431,46 +430,6 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
         if r == len(m):
             break
     return [row for row in m[:r] if any(row)]
-
-
-def rank_over_q(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over the rationals (exact, Fraction-based)."""
-    m = [[Fraction(a) for a in r] for r in rows]
-    rank = 0
-    nc = len(m[0]) if m else 0
-    for c in range(nc):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [a * inv for a in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def solve_integer_system(A_rows: list[list[int]], target: list[int]) -> list[int] | None:
-    """One integer solution x of A x = target, or None if unsolvable over Z."""
-    diag, U, V = smith_normal_form(A_rows, want_transforms=True)
-    n = len(A_rows[0]) if A_rows else 0
-    t = [sum(U[i][k] * target[k] for k in range(len(target))) for i in range(len(U))]
-    w = [0] * n
-    for i, d in enumerate(diag):
-        if d == 0:
-            if t[i] != 0:
-                return None
-            continue
-        if t[i] % d:
-            return None
-        w[i] = t[i] // d
-    for i in range(len(diag), len(t)):
-        if t[i] != 0:
-            return None
-    return [sum(V[i][j] * w[j] for j in range(n)) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -166,10 +166,11 @@ def _verify_one_ring(A) -> dict:
     if isinstance(data, NotLocal):
         return {"ring": A.name or str(A), "local": False,
                 "idempotent": list(data.idempotent)}
+    group = unit_group(A, units=data.units)
     return {"ring": A.name or str(A), "local": True,
             "p": data.p, "lam": data.lam,
-            "units": str(unit_group(A)),
-            "local_formula": verify_local_formula(A)}
+            "units": str(group),
+            "local_formula": verify_local_formula(A, data=data, group=group)}
 
 
 def _cmd_oracle_finring(args) -> int:

@@ -1,20 +1,25 @@
 """Finite commutative unital rings by structure constants.
 
-Everything here is an oracle at desk scale: unit groups come from element
-enumeration (exhaustive inverse pairing below 2^8 elements, an exact
-integer linear solve above), locality from the absence of nontrivial
-idempotents, and the local unit-structure identity A* = F* x (1 + m) is
-re-verified on every local instance rather than assumed.
+Everything here is an oracle at desk scale.  Unit elements come from a
+linear test mod each prime p of |A|: p A_p is nilpotent, so it lies in the
+Jacobson radical of the p-part A_p, and by Nakayama's lemma x is a unit
+exactly when multiplication by x is invertible on every A/pA (B. R.
+McDonald, *Finite Rings with Identity*, 1974).  Unit groups are then
+recovered from those elements by ``abelian_structure``, locality from the
+absence of nontrivial idempotents, and the local unit-structure identity
+A* = F* x (1 + m) is re-verified on every local instance rather than
+assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 
 from .abelian import FinAbGroup, abelian_structure, is_lambda_small, \
-    lambda_power_decompose, prufer_rank, solve_integer_system, format_group
+    lambda_power_decompose, prufer_rank, format_group
 from .caps import UNIT_GROUP_CAP, oracle_cap
-from .numtheory import is_prime, is_prime_power
+from .numtheory import factorize, is_prime, is_prime_power
 from .radical import RadicalRing, radical_ring_from_mult, CapExceeded
 from .table import InvalidRing, TableRing, read_table_document
 from .verdict import Verdict, realisable, not_realisable, unknown
@@ -81,41 +86,69 @@ def validate_ring(A: FinCommRing) -> None:
 
 
 def unit_elements(A: FinCommRing, cap: int | None = None) -> list[tuple[int, ...]]:
-    """All invertible elements, by exhaustive pairing below 2^8 elements and
-    an exact linear solve (multiplication-by-x matrix over Z) above."""
+    """All invertible elements, in element order, by a linear test mod p.
+
+    For each prime p of |A|, A/pA is Z/p on every basis index i with
+    p | n_i.  Since p A_p lies in the Jacobson radical of the p-part A_p,
+    x is a unit exactly when multiplication by x is invertible on A/pA for
+    every p (Nakayama's lemma; B. R. McDonald, *Finite Rings with
+    Identity*, 1974).  That matrix is sum_k x_k M(b_k) mod p, which depends
+    only on the residue of x, so each residue class of A/pA is tested once.
+    """
     if cap is None:
         cap = oracle_cap(UNIT_GROUP_CAP)
     n = A.order()
     if n > cap:
         raise CapExceeded(f"ring order {n} exceeds the unit-group cap {cap}")
-    elems = list(A.elements())
-    units = []
-    if n <= 2 ** 8:
-        for x in elems:
-            if any(A.mul(x, y) == A.one for y in elems):
-                units.append(x)
-        return units
-    r = A.rank()
-    basis = A.basis()
-    for x in elems:
-        cols = [A.mul(x, b) for b in basis]
-        rows = []
-        for m in range(r):
-            rows.append([cols[j][m] for j in range(r)] +
-                        [A.basis_orders[m] if t == m else 0 for t in range(r)])
-        if solve_integer_system(rows, list(A.one)) is not None:
-            units.append(x)
-    return units
+    tests = []
+    for p in factorize(n).primes():
+        idx = [i for i, m in enumerate(A.basis_orders) if m % p == 0]
+        # images[k][i] = b_k * b_i in A/pA: the rows of the (transposed)
+        # matrix of multiplication by b_k
+        images = [[[A.constant(k, i)[m] % p for m in idx] for i in idx]
+                  for k in idx]
+        invertible = set()
+        for res in iproduct(range(p), repeat=len(idx)):
+            rows = [[0] * len(idx) for _ in idx]
+            for c, image in zip(res, images):
+                if c:
+                    rows = [[(a + c * b) % p for a, b in zip(row, add)]
+                            for row, add in zip(rows, image)]
+            if _invertible_mod(rows, p):
+                invertible.add(res)
+        tests.append((p, idx, invertible))
+    return [x for x in A.elements()
+            if all(tuple(x[i] % p for i in idx) in invertible
+                   for p, idx, invertible in tests)]
 
 
-def unit_group(A: FinCommRing, cap: int | None = None) -> FinAbGroup:
-    """Isomorphism type of A*, recovered from the invertible elements.
+def _invertible_mod(rows: list[list[int]], p: int) -> bool:
+    """Whether a square matrix over F_p is invertible; overwrites ``rows``."""
+    for c in range(len(rows)):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            return False
+        rows[c], rows[piv] = rows[piv], rows[c]
+        top = rows[c]
+        inv = pow(top[c], -1, p)
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+    return True
+
+
+def unit_group(A: FinCommRing, cap: int | None = None,
+               units=None) -> FinAbGroup:
+    """Isomorphism type of A*, recovered from the invertible elements
+    (``units`` when the caller already has them from ``unit_elements``).
 
     >>> Z9 = zn_ring(9)
     >>> str(unit_group(Z9))
     'Z/2Z x Z/3Z'
     """
-    units = unit_elements(A, cap)
+    if units is None:
+        units = unit_elements(A, cap)
     return abelian_structure(units, A.mul, A.one)
 
 
@@ -125,6 +158,7 @@ class LocalData:
     lam: int
     maximal_ideal: tuple[tuple[int, ...], ...]
     residue_size: int
+    units: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -135,7 +169,9 @@ class NotLocal:
 def localize(A: FinCommRing, cap: int | None = None):
     """LocalData when A is local, else a NotLocal witness carrying the first
     nontrivial idempotent in element order, which splits the ring.  A finite
-    commutative ring is local exactly when it has no nontrivial idempotent."""
+    commutative ring is local exactly when it has no nontrivial idempotent.
+    LocalData keeps the unit elements, so later steps need not search
+    again."""
     units = unit_elements(A, cap)
     zero = A.zero()
     for e in A.elements():
@@ -153,7 +189,7 @@ def localize(A: FinCommRing, cap: int | None = None):
         target = residue - 1
         assert any(_mult_order_in(A, u, target) == target for u in units), \
             "residue field size inconsistent with the unit group"
-    return LocalData(p, lam, tuple(nonunits), residue)
+    return LocalData(p, lam, tuple(nonunits), residue, tuple(units))
 
 
 def _mult_order_in(A: FinCommRing, x, bound: int) -> int:
@@ -172,17 +208,22 @@ def maximal_ideal_ring(A: FinCommRing, data: LocalData) -> RadicalRing:
         name=f"m({A.name})" if A.name else "")
 
 
-def verify_local_formula(A: FinCommRing, cap: int | None = None) -> bool:
+def verify_local_formula(A: FinCommRing, cap: int | None = None,
+                         data=None, group=None) -> bool:
     """Check A* = Z/(p^lam - 1) x (1 + m) for a local ring, with 1 + m
-    computed as the adjoint group of the maximal ideal."""
-    data = localize(A, cap)
+    computed as the adjoint group of the maximal ideal.  A caller that
+    already has ``localize(A)`` and ``unit_group(A)`` passes them as
+    ``data`` and ``group``."""
+    if data is None:
+        data = localize(A, cap)
     if isinstance(data, NotLocal):
         raise NotLocalError(f"{A} splits at idempotent {data.idempotent}")
-    units = unit_group(A, cap)
+    if group is None:
+        group = unit_group(A, units=data.units)
     one_plus_m = maximal_ideal_ring(A, data).adjoint_group()
     expected = FinAbGroup.from_orders([data.residue_size - 1]) * one_plus_m \
         if data.residue_size > 2 else one_plus_m
-    return units == expected
+    return group == expected
 
 
 def decide_local_small(G: FinAbGroup, p: int, lam: int) -> Verdict:
@@ -218,72 +259,6 @@ def decide_local_small(G: FinAbGroup, p: int, lam: int) -> Verdict:
     return realisable(
         "small-sylow-local-classification", query, cls,
         {"p": p, "lam": lam, "witness_p_group": format_group(V)})
-
-
-# ---------------------------------------------------------------------------
-# quotients and ideals (oracle support)
-
-
-class QuotientRing:
-    """A/I for an ideal I, with coset labels as elements."""
-
-    def __init__(self, A: FinCommRing, ideal_elements):
-        self.A = A
-        ideal = set(ideal_elements)
-        label_of = {}
-        labels = []
-        for x in A.elements():
-            if x in label_of:
-                continue
-            coset = sorted(A.add(x, i) for i in ideal)
-            lab = coset[0]
-            for y in coset:
-                label_of[y] = lab
-            labels.append(lab)
-        self.label_of = label_of
-        self.labels = sorted(labels)
-        self.one = label_of[A.one]
-        self.zero = label_of[A.zero()]
-
-    def mul(self, a, b):
-        return self.label_of[self.A.mul(a, b)]
-
-    def add(self, a, b):
-        return self.label_of[self.A.add(a, b)]
-
-    def units(self):
-        return [x for x in self.labels
-                if any(self.mul(x, y) == self.one for y in self.labels)]
-
-    def unit_group(self) -> FinAbGroup:
-        return abelian_structure(self.units(), self.mul, self.one)
-
-
-def ideals_inside(A: FinCommRing, ambient) -> list[frozenset]:
-    """All ideals of A contained in the given element set (desk scale)."""
-    ambient = sorted(ambient)
-    found = {frozenset({A.zero()})}
-    frontier = [frozenset({A.zero()})]
-    basis = A.basis()
-    while frontier:
-        sub = frontier.pop()
-        for g in ambient:
-            if g in sub:
-                continue
-            closure = set(A.span(list(sub) + [g]))
-            if not all(x in ambient or x == A.zero() for x in closure):
-                continue
-            # close under multiplication by the whole ring
-            while True:
-                extra = {A.mul(b, x) for b in basis for x in closure} - closure
-                if not extra:
-                    break
-                closure = set(A.span(list(closure) + list(extra)))
-            fs = frozenset(closure)
-            if fs not in found and all(x in ambient or x == A.zero() for x in fs):
-                found.add(fs)
-                frontier.append(fs)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 # ---------------------------------------------------------------------------

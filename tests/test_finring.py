@@ -10,17 +10,47 @@ import pytest
 import fuchs
 from fuchs.abelian import FinAbGroup
 from fuchs.finring import (EvenPrime, FinCommRing, LocalData, NotLocal,
-                           QuotientRing, build_corpus, decide_local_small,
-                           field_ring, galois_ring, ideals_inside, localize,
+                           build_corpus, decide_local_small,
+                           field_ring, galois_ring, localize,
                            maximal_ideal_ring, nilpotent_extension,
-                           product_ring, unit_elements,
+                           product_ring, unit_elements, unitalization,
                            unit_group, verify_local_formula,
                            zn_ring, zn_with_nilpotent)
-from fuchs.radical import CapExceeded
+from fuchs.radical import CapExceeded, enumerate_radical_rings
 
 
 def G(*orders):
     return FinAbGroup.from_orders(orders)
+
+
+def _paired_units(A):
+    """Reference definition: x is a unit when x * y = 1 for some y.  Each
+    element is paired with the others in element order until a partner
+    decides it: x * y = 1 makes x and y units, and x * y = 0 with x, y != 0
+    makes both zero divisors, which are never units.  In a finite ring
+    every element is one or the other, so every scan ends with a verdict."""
+    elems = list(A.elements())
+    zero = A.zero()
+    is_unit = {zero: False}
+    for x in elems:
+        if x in is_unit:
+            continue
+        for y in elems:
+            xy = A.mul(x, y)
+            if xy == A.one:
+                is_unit[x] = is_unit[y] = True
+                break
+            if xy == zero and y != zero:
+                is_unit[x] = is_unit[y] = False
+                break
+        else:
+            raise AssertionError(f"{x} is neither a unit nor a zero divisor")
+    return [x for x in elems if is_unit[x]]
+
+
+# unitalizations are checked up to this order: the pairing reference is
+# quadratic, and 2^7 keeps all 250 of them under a few seconds
+PAIRING_CAP = 2 ** 7
 
 
 class TestUnitGroup:
@@ -31,14 +61,35 @@ class TestUnitGroup:
 
     def test_unit_count_matches_invertibles(self):
         for A in build_corpus():
-            units = unit_elements(A)
-            brute = [x for x in A.elements()
-                     if any(A.mul(x, y) == A.one for y in A.elements())]
-            assert sorted(units) == sorted(brute), A.name
+            assert unit_elements(A) == _paired_units(A), A.name
+
+    def test_agrees_with_pairing_on_unitalizations(self):
+        # Z/p^c + N for every radical class N of order p^k <= 27 and every
+        # c with exponent(N) | p^c and p^c |N| <= PAIRING_CAP
+        checked = 0
+        for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                     (5, 1), (5, 2), (7, 1), (11, 1), (13, 1), (17, 1),
+                     (19, 1), (23, 1)]:
+            for N in enumerate_radical_rings(p, k):
+                c = max(N.exponents)
+                while p ** c * N.order() <= PAIRING_CAP:
+                    A = unitalization(N, c)
+                    assert unit_elements(A) == _paired_units(A), (A.name, N)
+                    checked += 1
+                    c += 1
+        assert checked == 250
+
+    def test_agrees_with_pairing_across_primes_and_sizes(self):
+        # several primes in one basis order, and orders above 2^8
+        for A in [zn_ring(30), nilpotent_extension(zn_ring(6)),
+                  nilpotent_extension(zn_ring(12)), field_ring(257),
+                  galois_ring(2, 3, 8), product_ring(zn_ring(16), zn_ring(25))]:
+            assert unit_elements(A) == _paired_units(A), A.name
 
     def test_linear_solve_path_agrees(self):
-        # force the above-2^8 code path on a ring small enough to brute force
-        A = product_ring(zn_ring(25), zn_ring(16))  # order 400 > 256
+        # a ring of order 400 whose unit group is known in closed form; its
+        # basis orders 25 and 16 give one linear test mod 5 and one mod 2
+        A = product_ring(zn_ring(25), zn_ring(16))
         units = unit_elements(A)
         assert len(units) == 20 * 8
         assert unit_group(A) == G(20) * G(2, 4)
@@ -152,6 +203,61 @@ class TestLocalFormula:
         A = galois_ring(2, 2, 4)
         m = maximal_ideal_ring(A, localize(A))
         assert m.additive_group() == G(2, 2)
+
+
+class QuotientRing:
+    """A/I for an ideal I, with coset labels as elements."""
+
+    def __init__(self, A: FinCommRing, ideal_elements):
+        self.A = A
+        ideal = set(ideal_elements)
+        label_of = {}
+        labels = []
+        for x in A.elements():
+            if x in label_of:
+                continue
+            coset = sorted(A.add(x, i) for i in ideal)
+            lab = coset[0]
+            for y in coset:
+                label_of[y] = lab
+            labels.append(lab)
+        self.label_of = label_of
+        self.labels = sorted(labels)
+        self.one = label_of[A.one]
+
+    def mul(self, a, b):
+        return self.label_of[self.A.mul(a, b)]
+
+    def units(self):
+        return [x for x in self.labels
+                if any(self.mul(x, y) == self.one for y in self.labels)]
+
+
+def ideals_inside(A: FinCommRing, ambient) -> list[frozenset]:
+    """All ideals of A contained in the given element set (desk scale)."""
+    ambient = sorted(ambient)
+    found = {frozenset({A.zero()})}
+    frontier = [frozenset({A.zero()})]
+    basis = A.basis()
+    while frontier:
+        sub = frontier.pop()
+        for g in ambient:
+            if g in sub:
+                continue
+            closure = set(A.span(list(sub) + [g]))
+            if not all(x in ambient or x == A.zero() for x in closure):
+                continue
+            # close under multiplication by the whole ring
+            while True:
+                extra = {A.mul(b, x) for b in basis for x in closure} - closure
+                if not extra:
+                    break
+                closure = set(A.span(list(closure) + list(extra)))
+            fs = frozenset(closure)
+            if fs not in found and all(x in ambient or x == A.zero() for x in fs):
+                found.add(fs)
+                frontier.append(fs)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 class TestExactSequence:
