@@ -7,7 +7,8 @@ is stated prime-locally, so this is the native representation; invariant
 factors are available as a derived view.
 
 The module also houses exact integer-matrix normal forms (Smith and
-Hermite) used to recover group structure from relation matrices, plus
+Hermite) used to recover group structure from relation matrices, row
+reduction over F_p for the linear tests of the ring oracles, plus
 black-box structure recovery for a finite abelian group given only its
 multiplication: the type is read off the sizes of the p-power kernels
 G[p^j], and a basis is peeled off only where a caller needs one.
@@ -430,6 +431,27 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
         if r == len(m):
             break
     return [row for row in m[:r] if any(row)]
+
+
+def row_reduce_mod(rows, p: int) -> tuple[list[int], list[list[int]]]:
+    """Reduced row echelon form of the integer rows ``rows`` over F_p, as
+    ``(pivots, reduced)``: the pivot columns (their number is the rank) and
+    the nonzero rows, each 1 at its own pivot and 0 at the other pivots."""
+    m = [[a % p for a in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        inv = pow(m[piv][c], -1, p)
+        m[piv], m[r] = m[r], [a * inv % p for a in m[piv]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = [(a - f * b) % p for a, b in zip(row, m[r])]
+        pivots.append(c)
+    return pivots, m[:len(pivots)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ from .radical import check_byott, check_small_theorem, enumerate_radical_rings
 from .realize import (NonCyclicTwoPart, decide_any, decide_finite, decide_tn,
                       ge_classify, g_value, r_value, verdict_to_json,
                       mersenne_divisor_set, GeClass)
-from .tnlab import (TnModel, adjoint_of_nil_torsion, load_example,
-                    nil_torsion, sequence_splits, torsion_units,
-                    quotient_torsion_units, EXAMPLE_NAMES)
+from .tnlab import (TnModel, adjoint_of_nil_torsion, load_example, sequence_splits,
+                    torsion_units, quotient_torsion_units, EXAMPLE_NAMES)
 
 EXIT_REALISABLE = 0
 EXIT_NOT_REALISABLE = 1
@@ -200,11 +199,10 @@ def _cmd_oracle_finring(args) -> int:
 
 
 def _model_report(model: TnModel) -> dict:
-    ideal = nil_torsion(model)
     return {
         "kind": "model",
         "name": model.name,
-        "nil_torsion": str(ideal.additive_group()),
+        "nil_torsion": str(model.n_tors.additive_group()),
         "adjoint": str(adjoint_of_nil_torsion(model)),
         "quotient_torsion_units": str(quotient_torsion_units(model)),
         "torsion_units": str(torsion_units(model)),

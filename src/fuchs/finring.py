@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .abelian import FinAbGroup, abelian_structure, is_lambda_small, \
-    lambda_power_decompose, prufer_rank, format_group
+    lambda_power_decompose, prufer_rank, format_group, row_reduce_mod
 from .caps import UNIT_GROUP_CAP, oracle_cap
 from .numtheory import factorize, is_prime, is_prime_power
 from .radical import RadicalRing, radical_ring_from_mult, CapExceeded
@@ -114,28 +114,12 @@ def unit_elements(A: FinCommRing, cap: int | None = None) -> list[tuple[int, ...
                 if c:
                     rows = [[(a + c * b) % p for a, b in zip(row, add)]
                             for row, add in zip(rows, image)]
-            if _invertible_mod(rows, p):
+            if len(row_reduce_mod(rows, p)[0]) == len(idx):
                 invertible.add(res)
         tests.append((p, idx, invertible))
     return [x for x in A.elements()
             if all(tuple(x[i] % p for i in idx) in invertible
                    for p, idx, invertible in tests)]
-
-
-def _invertible_mod(rows: list[list[int]], p: int) -> bool:
-    """Whether a square matrix over F_p is invertible; overwrites ``rows``."""
-    for c in range(len(rows)):
-        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            return False
-        rows[c], rows[piv] = rows[piv], rows[c]
-        top = rows[c]
-        inv = pow(top[c], -1, p)
-        for i in range(c + 1, len(rows)):
-            f = rows[i][c] * inv % p
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
-    return True
 
 
 def unit_group(A: FinCommRing, cap: int | None = None,

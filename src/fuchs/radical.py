@@ -10,7 +10,9 @@ The enumeration below produces one representative per isomorphism class at
 desk scale and is the oracle used to test the additive-vs-adjoint theory:
 for odd p every class of Prüfer rank < p - 1 has isomorphic additive and
 adjoint groups, while p = 2 exhibits genuine mismatches (2Z/8Z being the
-smallest).
+smallest).  Every type other than (Z/p)^r is lifted p-adically from its
+reduction mod p: nilpotency is decided mod p, and each further digit layer
+of the table is affine over F_p, so every lifted table is valid.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from itertools import product as iproduct
 
-from .abelian import FinAbGroup, abelian_structure, pgroup_basis, prufer_rank
+from .abelian import (FinAbGroup, abelian_structure, pgroup_basis, prufer_rank,
+                      row_reduce_mod)
 from .caps import RADICAL_ENUM_CAP, oracle_cap
 from .numtheory import factorize, is_prime_power
-from .table import InvalidRing, TableRing, read_table_document, table_mul
+from .table import InvalidRing, TableRing, associators, read_table_document, table_mul
 
 
 class CapExceeded(ValueError):
@@ -200,19 +203,13 @@ def _candidate_tables_elementary(p: int, r: int):
 
 
 def _filtration_exact(N: RadicalRing, weights) -> bool:
-    """Check N^i == span of positions with weight >= i, for all i."""
-    r = len(N.exponents)
+    """Check N^i == span of positions with weight >= i, for all i: a rank
+    test mod p, as products of weights (a, b) only touch weights >= a + b."""
     basis = N.basis()
-    chain = power_ideal_chain(N)
-    maxw = max(weights)
-    if len(chain) != maxw:
-        return False
-    for i in range(2, maxw + 1):
-        expect = [m for m in range(r) if weights[m] >= i]
-        span = chain[i - 1]
-        if len(span) != N.p ** len(expect):
-            return False
-        if N.span([basis[m] for m in expect]) != span:
+    gens = basis
+    for i in range(2, max(weights) + 1):
+        _, gens = row_reduce_mod([N.mul(b, g) for b in basis for g in gens], N.p)
+        if len(gens) != sum(w >= i for w in weights):
             return False
     return True
 
@@ -280,29 +277,34 @@ def _apply_automorphism(orders, table, images, inverse):
     return tuple(out)
 
 
+def _orbit(orders, table, gens) -> set:
+    """The orbit of ``table`` under the group generated by ``gens``."""
+    orbit = {table}
+    frontier = [table]
+    while frontier:
+        t = frontier.pop()
+        for images, inverse in gens:
+            t2 = _apply_automorphism(orders, t, images, inverse)
+            if t2 not in orbit:
+                orbit.add(t2)
+                frontier.append(t2)
+    return orbit
+
+
 def _orbit_classes(p: int, exponents, tables, gens) -> list[RadicalRing]:
     """One ring per orbit of ``tables`` under the group generated by
     ``gens``, represented by the orbit's minimum table.  ``tables`` must be
     closed under that group."""
     orders = [p ** e for e in exponents]
-    table_set = set(tables)
-    visited = set()
+    unvisited = set(tables)
     classes = []
-    for table in sorted(table_set):
-        if table in visited:
+    for table in sorted(unvisited):
+        if table not in unvisited:
             continue
         # every smaller table was visited, so this one is its orbit's minimum
-        orbit = {table}
-        frontier = [table]
-        while frontier:
-            t = frontier.pop()
-            for images, inverse in gens:
-                t2 = _apply_automorphism(orders, t, images, inverse)
-                if t2 not in orbit:
-                    assert t2 in table_set, "orbit left the candidate tables"
-                    orbit.add(t2)
-                    frontier.append(t2)
-        visited |= orbit
+        orbit = _orbit(orders, table, gens)
+        assert orbit <= unvisited, "orbit left the candidate tables"
+        unvisited -= orbit
         classes.append(RadicalRing(p, tuple(exponents), table))
     return classes
 
@@ -328,61 +330,79 @@ def _enumerate_type_elementary(p: int, r: int) -> list[RadicalRing]:
     return classes
 
 
-def _mixed_type_candidates(p, exponents):
+# bounded; the base tables of one type are reused by every type of that rank
+@lru_cache(maxsize=8)
+def _elementary_tables(p: int, r: int) -> tuple:
+    """Every valid table of type (1,)*r, sorted: the orbits of the
+    elementary classes under all additive automorphisms."""
+    gens = _symmetry_generators(p, (1,) * r)
+    orbits = [_orbit((p,) * r, N.mult, gens) for N in _enumerate_type_elementary(p, r)]
+    return tuple(sorted(set().union(*orbits)))
+
+
+def _lifts(p: int, exponents, base) -> list[tuple]:
+    """Every valid table of type ``exponents`` reducing to the elementary
+    table ``base`` mod p, one F_p solve per digit (``_enumerate_type_mixed``)."""
     r = len(exponents)
     orders = [p ** e for e in exponents]
-    pairs = [(i, j) for i in range(r) for j in range(i, r)]
-    slot_values = []
-    for (i, j) in pairs:
-        lo = min(exponents[i], exponents[j])
-        per_coord = []
-        for m in range(r):
-            step = p ** max(0, exponents[m] - lo)
-            per_coord.append(range(0, orders[m], step))
-        slot_values.append(per_coord)
-    return pairs, slot_values
+    # bilinearity: entry (q, m) is a multiple of p^low[q][m]
+    low = [[max(0, e - min(exponents[i], exponents[j])) for e in exponents]
+           for i in range(r) for j in range(i, r)]
+    if any(v and low[q][m] for q, vec in enumerate(base) for m, v in enumerate(vec)):
+        return []
+    tables = [base]
+    for d in range(1, exponents[0]):
+        free = [(q, m) for q in range(len(base)) for m in range(r)
+                if low[q][m] <= d < exponents[m]]
+        live = [m for m in range(r) if exponents[m] > d]
+        mod = p ** (d + 1)
+
+        def associator(t):
+            return [v[m] % mod for _, v in associators(orders, t) for m in live]
+
+        # the linear part: digit d of the associator as one digit d moves
+        at_base = associator(base)
+        columns = [[(u - v) % mod // p ** d for u, v in
+                    zip(associator(_shifted(base, {(q, m): p ** d})), at_base)]
+                   for q, m in free]
+        lifts = []
+        for t in tables:
+            system = [[col[i] for col in columns] + [-v % mod // p ** d]
+                      for i, v in enumerate(associator(t))]
+            pivots, reduced = row_reduce_mod(system, p)
+            if len(free) in pivots:
+                continue
+            kernel = [f for f in range(len(free)) if f not in pivots]
+            for choice in iproduct(range(p), repeat=len(kernel)):
+                x = dict(zip(kernel, choice))
+                for c, row in zip(pivots, reduced):
+                    x[c] = (row[-1] - sum(row[f] * x[f] for f in kernel)) % p
+                lifts.append(_shifted(t, {pos: x[f] * p ** d for f, pos in enumerate(free)}))
+        tables = lifts
+    return tables
+
+
+def _shifted(table, steps) -> tuple:
+    """``table`` with ``steps[(q, m)]`` added to coordinate m of entry q."""
+    return tuple(tuple(v + steps.get((q, m), 0) for m, v in enumerate(vec))
+                 for q, vec in enumerate(table))
 
 
 def _enumerate_type_mixed(p: int, exponents) -> list[RadicalRing]:
-    r = len(exponents)
-    _, slot_values = _mixed_type_candidates(p, exponents)
-    slot_opts = [[(vec, tuple(v % p for v in vec)) for vec in iproduct(*per_coord)]
-                 for per_coord in slot_values]
-    valid = [t for t in _unsaturated_tables(slot_opts, p, r, 0, [])
-             if _valid_table(p, exponents, t) is not None]
-    # validity is an isomorphism invariant, so the valid tables are closed
-    # under every additive automorphism
+    """Classes of an additive type that is not (1,)*r, by p-adic lifting.
+
+    Nilpotency is decided mod p (N^c in pN gives N^(ck) in p^k N), so the
+    lifting starts from the valid elementary tables.  Each further p-adic
+    digit d of all entries is an affine layer: for T' associative mod p^d,
+    the associator of T' + p^d D mod p^(d+1) is that of T' plus p^d times a
+    linear function of D (the D*D term carries p^(2d)), so one F_p solve per
+    layer gives exactly the associative lifts.  Every lift is validated."""
+    # the lifts are all the valid tables, so they are closed under every
+    # additive automorphism
+    valid = [RadicalRing(p, exponents, t).mult
+             for base in _elementary_tables(p, len(exponents))
+             for t in _lifts(p, exponents, base)]
     return _orbit_classes(p, exponents, valid, _symmetry_generators(p, exponents))
-
-
-def _unsaturated_tables(slot_opts, p, r, idx, basis_rows):
-    """Tables choosing one option per slot from ``slot_opts[idx:]``, pruned
-    as soon as the mod-p span of the products saturates F_p^r: nilpotency
-    forces N^2 + pN to be a proper subgroup, so any saturated prefix cannot
-    extend to a valid table."""
-    if idx == len(slot_opts):
-        yield ()
-        return
-    for vec, mask in slot_opts[idx]:
-        nb = _reduce_into_span(basis_rows, mask, p, r)
-        if nb is not None:
-            for tail in _unsaturated_tables(slot_opts, p, r, idx + 1, nb):
-                yield (vec,) + tail
-
-
-def _reduce_into_span(basis_rows, vec, p, r):
-    """Add a mod-p vector to a row-echelon span; None when F_p^r saturates."""
-    v = list(vec)
-    for b in basis_rows:
-        lead = next(m for m in range(r) if b[m])
-        if v[lead]:
-            c = v[lead] * pow(b[lead], -1, p) % p
-            v = [(x - c * y) % p for x, y in zip(v, b)]
-    if not any(v):
-        return basis_rows
-    if len(basis_rows) + 1 == r:
-        return None
-    return basis_rows + [v]
 
 
 # bounded; a round of the benchmark's `oracles` workload enumerates 8 orders
@@ -390,7 +410,7 @@ def _reduce_into_span(basis_rows, vec, p, r):
 def _enumerate_cached(p: int, k: int) -> tuple[RadicalRing, ...]:
     out = []
     for parts in _partitions(k):
-        if all(e == 1 for e in parts) and len(parts) > 1:
+        if parts[0] == 1:
             out.extend(_enumerate_type_elementary(p, len(parts)))
         else:
             out.extend(_enumerate_type_mixed(p, parts))

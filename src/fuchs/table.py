@@ -38,6 +38,26 @@ def table_mul(orders, mult, x, y):
     return tuple(v % n for v, n in zip(acc, orders))
 
 
+def associators(orders, mult):
+    """Yield ((a, b, c), (x_a x_b) x_c - x_a (x_b x_c)) for a < c, all b, in
+    lexicographic order.  For a commutative table these decide associativity:
+    the associator is antisymmetric in a and c, so no earlier triple fails."""
+    r = len(orders)
+    basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
+
+    def constant(i, j):
+        lo = min(i, j)
+        return mult[lo * r - lo * (lo - 1) // 2 + abs(i - j)]
+
+    for a in range(r):
+        for b in range(r):
+            ab = constant(a, b)
+            for c in range(a + 1, r):
+                left = table_mul(orders, mult, ab, basis[c])
+                right = table_mul(orders, mult, basis[a], constant(b, c))
+                yield (a, b, c), tuple((u - v) % n for u, v, n in zip(left, right, orders))
+
+
 def read_table_document(text: str, kind: str, what: str):
     """Parse a ring document of the given kind; returns (doc, mult)."""
     doc = presentation.parse_ring_document(text)
@@ -124,12 +144,9 @@ class TableRing:
             for i in range(r):
                 if self.mul(one, basis[i]) != basis[i]:
                     raise InvalidRing(f"identity fails on basis element {i}")
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    if self.mul(self.mul(basis[i], basis[j]), basis[k]) != \
-                            self.mul(basis[i], self.mul(basis[j], basis[k])):
-                        raise InvalidRing(f"associativity fails at ({i},{j},{k})")
+        for (i, j, k), assoc in associators(orders, self.mult):
+            if any(assoc):
+                raise InvalidRing(f"associativity fails at ({i},{j},{k})")
 
     def table_document(self, kind: str, **header) -> str:
         r = len(self._orders)

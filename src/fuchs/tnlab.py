@@ -128,7 +128,7 @@ class TnModel:
     def __post_init__(self):
         object.__setattr__(self, "base", CycloBase(self.conductor))
         object.__setattr__(self, "_spow", self._scalar_powers())
-        validate_model(self)
+        object.__setattr__(self, "n_tors", validate_model(self))
 
     # layout ----------------------------------------------------------------
 
@@ -311,7 +311,9 @@ class TnModel:
                    tuple(scalar), tuple(entries), name=doc.get("name", ""))
 
 
-def validate_model(A: TnModel) -> None:
+def validate_model(A: TnModel) -> "TorsionIdeal":
+    """Raise InvalidModel unless A is a TN model; returns N_tors, which the
+    nilpotency check computes."""
     f, t = A.nfree(), A.ntors()
     base = A.base
     if f < 1:
@@ -373,7 +375,7 @@ def validate_model(A: TnModel) -> None:
                 if A.mul(A.mul(x, y), z) != A.mul(x, A.mul(y, z)):
                     raise InvalidModel("associativity fails on a basis triple")
     # nilpotency of the torsion ideal via the extracted radical components
-    nil_torsion(A)
+    return nil_torsion(A)
 
 
 def _matrix_power_column(A: TnModel, d: int, j: int):
@@ -856,8 +858,7 @@ def build_construction_model(k: int, H: FinAbGroup, name: str = "") -> TnModel:
     model = TnModel(k, free_names, tuple(tors_names), tuple(tors_orders),
                     tuple(scalar_cols), tuple(entries),
                     name=name or f"construction(k={k}, H={format_group(H)})")
-    ideal = nil_torsion(model)
-    assert ideal.additive_group() == H, "construction failed to realise H"
+    assert model.n_tors.additive_group() == H, "construction failed to realise H"
     assert adjoint_of_nil_torsion(model) == H
     return model
 

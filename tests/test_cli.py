@@ -11,7 +11,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from fuchs.cli import _parser, main
-from fuchs.abelian import parse_group, format_group
+from fuchs.abelian import FinAbGroup, parse_group, format_group
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "fuchs" / "data" /
@@ -133,6 +133,25 @@ class TestOracles:
 
 
 class TestModels:
+    def test_nil_torsion_computed_once_per_model(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # the report and the construction reuse the N_tors that
+        # validate_model computed when the model was built
+        import fuchs.tnlab as tnlab
+        calls = []
+        inner = tnlab.nil_torsion
+        monkeypatch.setattr(tnlab, "nil_torsion",
+                            lambda A: calls.append(A.name) or inner(A))
+        model = tnlab.build_construction_model(4, FinAbGroup.from_orders([3, 3]))
+        assert len(calls) == 1
+        path = tmp_path / "c.tn"
+        path.write_text(model.to_presentation(), encoding="utf-8")
+        for argv in (["model", str(path)], ["example", "paper-7-1"]):
+            calls.clear()
+            code, doc = run_json(capsys, *argv)
+            assert code == 0 and doc["nil_torsion"]
+            assert len(calls) == 1, argv
+
     def test_example_reports(self, capsys):
         code, doc = run_json(capsys, "example", "paper-7-1")
         assert code == 0

@@ -65,6 +65,34 @@ class TestArithmetic:
         with pytest.raises(InvalidRing):  # bilinearity: 2*(x1 x2) must vanish
             RadicalRing(2, (2, 1), ((0, 0), (1, 0), (0, 0)))
 
+    def test_names_the_first_failing_triple(self):
+        # the check visits only the triples a < c, yet must name the first
+        # failing one in the order of all triples (i, j, k)
+        rng = random.Random(3)
+        for p, exponents, count in [(2, (1, 1, 1), 3000), (3, (2, 1), 2187)]:
+            orders = [p ** e for e in exponents]
+            r = len(orders)
+            basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
+            _, slots = _mixed_type_candidates(p, exponents)
+            raws = list(iproduct(*(iproduct(*pc) for pc in slots)))
+            for table in rng.sample(raws, count):
+                def mul(x, y):
+                    return table_mul(orders, table, x, y)
+                first = next(((i, j, k) for i in range(r) for j in range(r)
+                              for k in range(r)
+                              if mul(mul(basis[i], basis[j]), basis[k])
+                              != mul(basis[i], mul(basis[j], basis[k]))), None)
+                try:
+                    RadicalRing(p, exponents, table)
+                    message = None
+                except InvalidRing as exc:
+                    message = str(exc)
+                if first is None:
+                    assert message in (None, "ring is not nilpotent"), table
+                else:
+                    assert message == "associativity fails at ({},{},{})".format(
+                        *first), table
+
 
 class TestEnumeration:
     def test_order_p_single_class(self):
@@ -127,12 +155,34 @@ class TestEnumeration:
         assert len(enumerate_radical_rings(3, 2)) == 4
 
 
+def _mixed_type_candidates(p, exponents):
+    """Every table of the additive type that bilinearity allows, as the
+    value ranges of each coordinate of each pair's product."""
+    r = len(exponents)
+    orders = [p ** e for e in exponents]
+    pairs = [(i, j) for i in range(r) for j in range(i, r)]
+    slot_values = []
+    for (i, j) in pairs:
+        lo = min(exponents[i], exponents[j])
+        per_coord = []
+        for m in range(r):
+            step = p ** max(0, exponents[m] - lo)
+            per_coord.append(range(0, orders[m], step))
+        slot_values.append(per_coord)
+    return pairs, slot_values
+
+
+def _brute_valid_tables(p, exponents, slots=None) -> list:
+    """Every raw table from ``slots`` (default: all that bilinearity
+    allows) that passes validation."""
+    if slots is None:
+        _, slots = _mixed_type_candidates(p, exponents)
+    return [combo for combo in iproduct(*(iproduct(*pc) for pc in slots))
+            if rad._valid_table(p, exponents, combo) is not None]
+
+
 def _brute_classes(p, exponents) -> int:
-    _, slots = rad._mixed_type_candidates(p, exponents)
-    valid = []
-    for combo in iproduct(*(iproduct(*pc) for pc in slots)):
-        if rad._valid_table(p, exponents, combo) is not None:
-            valid.append(combo)
+    valid = _brute_valid_tables(p, exponents)
     autos = _brute_automorphisms(p, exponents)
     visited = set()
     classes = 0
@@ -248,6 +298,40 @@ def _types_up_to(bound):
             k += 1
 
 
+class TestLifting:
+    def test_lifts_are_exactly_the_valid_tables(self):
+        # every raw table is validated; the lifts of all elementary tables
+        # must be the valid ones, each exactly once
+        for p, exponents in [(2, (2,)), (2, (3,)), (2, (2, 1)), (2, (3, 1)),
+                             (2, (2, 2)), (3, (2,)), (3, (2, 1))]:
+            lifted = [t for base in rad._elementary_tables(p, len(exponents))
+                      for t in rad._lifts(p, exponents, base)]
+            assert len(lifted) == len(set(lifted)), (p, exponents)
+            assert set(lifted) == set(_brute_valid_tables(p, exponents)), \
+                (p, exponents)
+
+    def test_seeded_slice_of_type_211_at_3(self):
+        # for sampled bases mod 3, the raw tables reducing to the base that
+        # pass validation are exactly the solver's lifts
+        p, exponents = 3, (2, 1, 1)
+        _, slots = _mixed_type_candidates(p, exponents)
+        bases = [b for b in rad._elementary_tables(p, 3)
+                 if rad._lifts(p, exponents, b)]
+        rng = random.Random(11)
+        sample = rng.sample(bases, 6) + rng.sample(rad._elementary_tables(p, 3), 6)
+        for base in sample:
+            above = [[[v for v in values if v % p == base[q][m]]
+                      for m, values in enumerate(per_coord)]
+                     for q, per_coord in enumerate(slots)]
+            assert set(_brute_valid_tables(p, exponents, above)) == \
+                set(rad._lifts(p, exponents, base)), base
+
+    def test_type_counts(self):
+        for p, exponents, count in [(2, (2, 1, 1), 35), (2, (3, 1, 1), 57),
+                                    (3, (2, 2), 28)]:
+            assert len(rad._enumerate_type_mixed(p, exponents)) == count
+
+
 class TestSymmetryGenerators:
     def test_inverses(self):
         for p, exponents in [(2, (3, 1)), (3, (2, 1, 1)), (5, (2, 1)), (2, (1, 1, 1))]:
@@ -295,7 +379,8 @@ class TestEnumerationGarbage:
 
 class TestModuleCaches:
     def test_bounded(self):
-        caches = (rad._enumerate_cached, cyclotomic_poly, _torsion_unit_data)
+        caches = (rad._enumerate_cached, rad._elementary_tables,
+                  cyclotomic_poly, _torsion_unit_data)
         for cached in caches:
             assert cached.cache_info().maxsize is not None, cached.__name__
         for n in range(1, cyclotomic_poly.cache_info().maxsize + 20):
