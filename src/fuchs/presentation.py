@@ -260,7 +260,10 @@ def parse_tn_document(text: str) -> dict:
             pairs = []
             for tok in value.split():
                 nm, _, order = tok.partition(":")
-                pairs.append((nm, int(order)))
+                order = int(order)
+                if order < 2:
+                    raise PresentationError(f"torsion order of {nm} must be >= 2")
+                pairs.append((nm, order))
             fields["tors_basis"] = tuple(pairs)
         elif key.startswith("scalar_action"):
             pending.append(("scalar", key.split()[1], value))

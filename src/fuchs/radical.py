@@ -510,13 +510,15 @@ def radical_ring_from_mult(elements, add, zero, mul, p: int, name: str = "") -> 
     basis.sort(key=lambda bo: -bo[1])
     orders = [o for _, o in basis]
     exponents = [is_prime_power(o)[1] for o in orders]
-    coords = {}
-    for combo in iproduct(*(range(o) for o in orders)):
-        x = zero
-        for c, (b, _) in zip(combo, basis):
-            for _ in range(c):
-                x = add(x, b)
-        coords[x] = combo
+    coords = {zero: ()}
+    for b, o in basis:  # one addition per new point
+        layer = {}
+        for x, combo in coords.items():
+            for c in range(o):
+                if c:
+                    x = add(x, b)
+                layer[x] = combo + (c,)
+        coords = layer
     assert len(coords) == len(elements)
     mult = []
     r = len(basis)

@@ -8,6 +8,17 @@ examples: the torsion ideal, its adjoint group, the torsion units of the
 model and of its torsion-free quotient B = A / N_tors, and whether the unit
 sequence 1 -> 1+N -> A*_tors -> B*_tors -> 1 splits.
 
+The product is compiled into structure constants once per model.  Over Z
+an element has coordinates zeta^d e_i (free index i, d < phi(k)) and then
+t_j (torsion), and the product given by the nested table is Z-bilinear in
+them: free coordinates are never reduced, and each torsion coordinate is
+only ever reduced mod its order.  So the product of every pair of flat
+basis vectors is computed once with the table, and ``TnModel.mul`` sums
+those products over the nonzero coordinate pairs and reduces each torsion
+coordinate once at the end, which gives exactly the table's product.  The
+torsion x torsion block is a plain symmetric table over the torsion orders,
+so N_tors and 1 + N_tors multiply with ``table.table_mul``.
+
 B*_tors is computed by embedding B into a product of cyclotomic rings, one
 component per root of unity annihilating the generator relation.  The
 embedding is injective but generally not surjective, so membership of a
@@ -20,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import gcd, lcm, prod
+from operator import mod
 
 from .abelian import (FinAbGroup, abelian_structure, format_group,
                       group_from_relations, hermite_normal_form,
@@ -29,6 +41,7 @@ from .abelian import (FinAbGroup, abelian_structure, format_group,
 from .numtheory import (NotCoprime, cyclotomic_poly, factor_cyclo_mod,
                         factorize, hensel_lift_factor, mult_order)
 from .radical import RadicalRing, radical_ring_from_mult
+from .table import table_mul
 from . import presentation
 
 
@@ -122,12 +135,16 @@ class TnModel:
     tors_names: tuple[str, ...]
     tors_orders: tuple[int, ...]
     scalar_action: tuple[tuple[int, ...], ...]  # column j: coords of zeta*t_j
-    mult: tuple  # flattened symmetric table, see _pair_index
+    mult: tuple  # pairs a <= b of free then torsion indices, row by row
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "base", CycloBase(self.conductor))
+        _check_layout(self)
         object.__setattr__(self, "_spow", self._scalar_powers())
+        constants, tors_mult = _compile_product(self)
+        object.__setattr__(self, "_constants", constants)
+        object.__setattr__(self, "_tors_mult", tors_mult)
         object.__setattr__(self, "n_tors", validate_model(self))
 
     # layout ----------------------------------------------------------------
@@ -137,17 +154,6 @@ class TnModel:
 
     def ntors(self) -> int:
         return len(self.tors_names)
-
-    def _pair_index(self, a: int, b: int) -> int:
-        # indices over free (0..f-1) then torsion (f..f+t-1)
-        if a > b:
-            a, b = b, a
-        n = self.nfree() + self.ntors()
-        return a * n - a * (a - 1) // 2 + (b - a)
-
-    def table(self, a: int, b: int):
-        """(free coeffs, torsion coords) of basis product a*b."""
-        return self.mult[self._pair_index(a, b)]
 
     # elements ----------------------------------------------------------------
 
@@ -173,84 +179,31 @@ class TnModel:
         return (free, tors)
 
     def _scalar_powers(self):
-        t = len(self.tors_names)
-        deg = len(cyclotomic_poly(self.conductor).coefficients) - 1
-        ident = [tuple(int(i == j) for i in range(t)) for j in range(t)]
-        powers = [ident]
-        cols = [list(c) for c in self.scalar_action]
-        current = ident
-        for _ in range(1, deg):
-            nxt = []
-            for j in range(t):
-                acc = [0] * t
-                for m, v in enumerate(current[j]):
-                    if v:
-                        for mm, w in enumerate(cols[m]):
-                            acc[mm] += v * w
-                nxt.append(tuple(a % n for a, n in zip(acc, self.tors_orders)))
-            powers.append(nxt)
-            current = nxt
+        # row j of powers[d] is zeta^d t_j, for d = 0, ..., phi(k)
+        t = self.ntors()
+        powers = [[tuple(int(i == j) for i in range(t)) for j in range(t)]]
+        for _ in range(self.base.degree):
+            powers.append([tuple(
+                sum(v * col[m] for v, col in zip(row, self.scalar_action)) % n
+                for m, n in enumerate(self.tors_orders)) for row in powers[-1]])
         return powers
 
-    def scalar_apply(self, coeff, tors_vec):
-        """Action of a base element (poly in zeta) on a torsion vector."""
-        t = self.ntors()
-        acc = [0] * t
-        for d, c in enumerate(coeff):
-            if not c:
-                continue
-            mat = self._spow[d]
-            for j, v in enumerate(tors_vec):
-                if v:
-                    for m, w in enumerate(mat[j]):
-                        acc[m] += c * v * w
-        return tuple(a % n for a, n in zip(acc, self.tors_orders))
-
     def mul(self, x, y):
-        f, t = self.nfree(), self.ntors()
-        xf, xt = x
-        yf, yt = y
-        rf = [list(self.base.zero()) for _ in range(f)]
-        rt = [0] * t
-
-        def add_tors(vec, scale=1):
-            for m, v in enumerate(vec):
-                if v:
-                    rt[m] += scale * v
-
-        for i, a in enumerate(xf):
-            if not any(a):
-                continue
-            for i2, b in enumerate(yf):
-                if not any(b):
-                    continue
-                c = self.base.mul(a, b)
-                entry_free, entry_tors = self.table(i, i2)
-                for e, coeff in enumerate(entry_free):
-                    if any(coeff):
-                        prodc = self.base.mul(c, coeff)
-                        for m, v in enumerate(prodc):
-                            rf[e][m] += v
-                if any(entry_tors):
-                    add_tors(self.scalar_apply(c, entry_tors))
-            for j, nco in enumerate(yt):
-                if nco:
-                    _, entry_tors = self.table(i, f + j)
-                    add_tors(self.scalar_apply(a, entry_tors), nco)
-        for j, nco in enumerate(xt):
-            if not nco:
-                continue
-            for i2, b in enumerate(yf):
-                if any(b):
-                    _, entry_tors = self.table(i2, f + j)
-                    add_tors(self.scalar_apply(b, entry_tors), nco)
-            for j2, nco2 in enumerate(yt):
-                if nco2:
-                    _, entry_tors = self.table(f + j, f + j2)
-                    add_tors(entry_tors, nco * nco2)
-        free = tuple(tuple(v for v in row) for row in rf)
-        tors = tuple(a % n for a, n in zip(rt, self.tors_orders))
-        return (free, tors)
+        """Product through the flat structure constants (module docstring)."""
+        sc = self._constants
+        nfree = len(sc) - len(self.tors_orders)
+        xs = [(p, a) for p, a in enumerate(chain(*x[0], x[1])) if a]
+        acc = [0] * len(sc)
+        for q, b in enumerate(chain(*y[0], y[1])):
+            if b:
+                row = sc[q]
+                for p, a in xs:
+                    ab = a * b
+                    for m, v in row[p]:
+                        acc[m] += ab * v
+        deg = self.base.degree
+        free = tuple([tuple(acc[i:i + deg]) for i in range(0, nfree, deg)])
+        return (free, tuple(map(mod, acc[nfree:], self.tors_orders)))
 
     def torsion_elements(self):
         for coords in iproduct(*(range(n) for n in self.tors_orders)):
@@ -265,10 +218,10 @@ class TnModel:
                           for m, v in enumerate(self.scalar_action[j]) if v}
         table = {}
         names = list(self.free_names) + list(self.tors_names)
+        entries = iter(self.mult)
         for ai, a in enumerate(names):
             for b in names[ai:]:
-                bi = names.index(b)
-                entry_free, entry_tors = self.table(ai, bi)
+                entry_free, entry_tors = next(entries)
                 fmap = {self.free_names[e]: tuple(coeff)
                         for e, coeff in enumerate(entry_free) if any(coeff)}
                 tmap = {self.tors_names[m]: v
@@ -311,19 +264,94 @@ class TnModel:
                    tuple(scalar), tuple(entries), name=doc.get("name", ""))
 
 
-def validate_model(A: TnModel) -> "TorsionIdeal":
-    """Raise InvalidModel unless A is a TN model; returns N_tors, which the
-    nilpotency check computes."""
-    f, t = A.nfree(), A.ntors()
-    base = A.base
+def _check_layout(A: TnModel) -> None:
+    """Raise InvalidModel unless every table, order and action has the shape
+    the product is compiled from; runs before anything else is derived."""
+    f, t, deg = A.nfree(), A.ntors(), A.base.degree
     if f < 1:
         raise InvalidModel("need at least the identity free basis element")
-    n = f + t
-    if len(A.mult) != n * (n + 1) // 2:
+    if len(A.tors_orders) != t or any(o < 2 for o in A.tors_orders):
+        raise InvalidModel("every torsion symbol needs an order >= 2")
+    if len(A.mult) != (f + t) * (f + t + 1) // 2:
         raise InvalidModel("multiplication table size mismatch")
+    if any(len(e) != 2 or len(e[0]) != f or len(e[1]) != t
+           or any(len(c) != deg for c in e[0]) for e in A.mult):
+        raise InvalidModel("multiplication table entry has wrong shape")
+    if len(A.scalar_action) != t or any(len(col) != t for col in A.scalar_action):
+        raise InvalidModel("scalar action has wrong shape")
+
+
+def _scalar_apply(A: TnModel, coeff, tors_vec):
+    """Action of a base element (poly in zeta) on a torsion vector."""
+    acc = [0] * A.ntors()
+    for d, c in enumerate(coeff):
+        if not c:
+            continue
+        mat = A._spow[d]
+        for j, v in enumerate(tors_vec):
+            if v:
+                for m, w in enumerate(mat[j]):
+                    acc[m] += c * v * w
+    return tuple(a % n for a, n in zip(acc, A.tors_orders))
+
+
+def _compile_product(A: TnModel):
+    """Structure constants of the product over the flat Z-basis.
+
+    Returns ``(sc, tors_mult)``.  ``sc[q][p]`` is the sparse
+    ``((m, v), ...)`` product of flat basis vectors p and q: the free
+    coordinates zeta^d e_i come first (index i * phi(k) + d, F of them), the
+    torsion coordinates t_j after (index F + j, reduced mod its order).
+    ``tors_mult`` is the t_j * t_j' block in the pair layout of
+    ``table.table_mul``.  Each constant is computed with the nested table,
+    the arithmetic of Z[zeta_k] and the zeta action, exactly as the product
+    of those two basis elements would be.
+    """
+    f, t, base = A.nfree(), A.ntors(), A.base
+    deg = base.degree
+    F = f * deg
+    entries = iter(A.mult)
+    entry = {}
+    for a in range(f + t):
+        for b in range(a, f + t):
+            entry[a, b] = entry[b, a] = next(entries)
+    units = [tuple(int(m == d) for m in range(deg)) for d in range(deg)]
+
+    def product(p, q):
+        # p <= q, so p is free whenever one of the two is
+        free = [0] * F
+        if q >= F:
+            j = f + q - F
+            if p < F:
+                tors = _scalar_apply(A, units[p % deg], entry[p // deg, j][1])
+            else:
+                tors = entry[f + p - F, j][1]
+        else:
+            c = base.mul(units[p % deg], units[q % deg])
+            entry_free, entry_tors = entry[p // deg, q // deg]
+            for e, coeff in enumerate(entry_free):
+                free[e * deg:(e + 1) * deg] = base.mul(c, coeff)
+            tors = _scalar_apply(A, c, entry_tors)
+        vec = list(free) + [v % n for v, n in zip(tors, A.tors_orders)]
+        return tuple((m, v) for m, v in enumerate(vec) if v)
+
+    sc = [[None] * (F + t) for _ in range(F + t)]
+    for p in range(F + t):
+        for q in range(p, F + t):
+            sc[p][q] = sc[q][p] = product(p, q)
+    tors_mult = tuple(entry[f + j, f + j2][1]
+                      for j in range(t) for j2 in range(j, t))
+    return sc, tors_mult
+
+
+def validate_model(A: TnModel) -> "TorsionIdeal":
+    """Raise InvalidModel unless A is a TN model; returns N_tors, which the
+    nilpotency check computes.  The shapes were checked by ``_check_layout``
+    before the product was compiled; the checks here run through it."""
+    f, t = A.nfree(), A.ntors()
+    base = A.base
+    n = f + t
     for j, col in enumerate(A.scalar_action):
-        if len(col) != t:
-            raise InvalidModel("scalar action has wrong shape")
         oj = A.tors_orders[j]
         for m, v in enumerate(col):
             if (oj * v) % A.tors_orders[m]:
@@ -333,8 +361,7 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
         vec = [0] * t
         for d, c in enumerate(base.phi):
             if c:
-                img = _matrix_power_column(A, d, j)
-                for m, v in enumerate(img):
+                for m, v in enumerate(A._spow[d][j]):
                     vec[m] += c * v
         if any(v % o for v, o in zip(vec, A.tors_orders)):
             raise InvalidModel("Phi_k(scalar action) is nonzero on the torsion part")
@@ -345,9 +372,10 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
         if A.mul(one, b) != b:
             raise InvalidModel("first free basis element is not an identity")
     # torsion entries stay torsion and respect the additive orders
+    entries = iter(A.mult)
     for a in range(n):
         for b in range(a, n):
-            entry_free, entry_tors = A.mult[A._pair_index(a, b)]
+            entry_free, entry_tors = next(entries)
             if a >= f or b >= f:
                 if any(any(c) for c in entry_free):
                     raise InvalidModel("torsion ideal is not closed")
@@ -362,10 +390,10 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
     zeta = base.zeta()
     for j in range(t):
         tj = A.from_torsion(tuple(int(m == j) for m in range(t)))
-        ztj = A.from_torsion(A.scalar_apply(zeta, tj[1]))
+        ztj = A.from_torsion(_scalar_apply(A, zeta, tj[1]))
         for b in basis:
             lhs = A.mul(ztj, b)[1]
-            rhs = A.scalar_apply(zeta, A.mul(tj, b)[1])
+            rhs = _scalar_apply(A, zeta, A.mul(tj, b)[1])
             if lhs != rhs:
                 raise InvalidModel("scalar action is incompatible with the table")
     # associativity on basis triples
@@ -376,19 +404,6 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
                     raise InvalidModel("associativity fails on a basis triple")
     # nilpotency of the torsion ideal via the extracted radical components
     return nil_torsion(A)
-
-
-def _matrix_power_column(A: TnModel, d: int, j: int):
-    t = A.ntors()
-    vec = tuple(int(m == j) for m in range(t))
-    for _ in range(d):
-        acc = [0] * t
-        for m, v in enumerate(vec):
-            if v:
-                for mm, w in enumerate(A.scalar_action[m]):
-                    acc[mm] += v * w
-        vec = tuple(a % n for a, n in zip(acc, A.tors_orders))
-    return vec
 
 
 def _basis_elements(A: TnModel):
@@ -418,20 +433,8 @@ class TorsionIdeal:
             g = g * c.additive_group()
         return g
 
-    def adjoint_group(self) -> FinAbGroup:
-        g = FinAbGroup.trivial()
-        for c in self.components:
-            g = g * c.adjoint_group()
-        return g
-
     def order(self) -> int:
         return prod(c.order() for c in self.components)
-
-    def exponent(self) -> int:
-        out = 1
-        for c in self.components:
-            out = lcm(out, c.additive_group().exponent())
-        return out
 
 
 def nil_torsion(A: TnModel) -> TorsionIdeal:
@@ -454,7 +457,7 @@ def nil_torsion(A: TnModel) -> TorsionIdeal:
             return tuple((a + b) % n for a, b, n in zip(u, v, A.tors_orders))
 
         def mul(u, v):
-            return A.mul(A.from_torsion(u), A.from_torsion(v))[1]
+            return table_mul(A.tors_orders, A._tors_mult, u, v)
 
         comps.append(radical_ring_from_mult(
             elems, add, (0,) * A.ntors(), mul, p,
@@ -463,15 +466,20 @@ def nil_torsion(A: TnModel) -> TorsionIdeal:
 
 
 def adjoint_of_nil_torsion(A: TnModel) -> FinAbGroup:
-    """Group structure of 1 + N_tors, computed inside the model."""
+    """Group structure of 1 + N_tors, computed inside the model once; the
+    torsion-unit sweep takes its 1 + N_tors from the same cache."""
+    return _adjoint_group(A)
+
+
+@lru_cache(maxsize=32)  # bounded, like _torsion_unit_data
+def _adjoint_group(A: TnModel) -> FinAbGroup:
+    # 1 + u <-> u turns (1 + u)(1 + v) = 1 + (u + v + uv) into u o v
+    orders, tors_mult = A.tors_orders, A._tors_mult
     elems = [x[1] for x in A.torsion_elements()]
 
     def circ(u, v):
-        prod_t = A.mul(A.from_torsion(u), A.from_torsion(v))
-        assert not any(any(c) for c in prod_t[0]), "torsion product left the ideal"
-        w = tuple((a + b + c) % n for a, b, c, n in
-                  zip(u, v, prod_t[1], A.tors_orders))
-        return w
+        uv = table_mul(orders, tors_mult, u, v)
+        return tuple((a + b + c) % n for a, b, c, n in zip(u, v, uv, orders))
 
     return abelian_structure(elems, circ, (0,) * A.ntors())
 
@@ -487,27 +495,15 @@ class _BaseAlgebra:
         self.A = A
         self.base = A.base
         self.f = A.nfree()
+        self._no_tors = (0,) * A.ntors()
 
     def one(self):
         return tuple(self.base.one() if i == 0 else self.base.zero()
                      for i in range(self.f))
 
     def mul(self, x, y):
-        rf = [list(self.base.zero()) for _ in range(self.f)]
-        for i, a in enumerate(x):
-            if not any(a):
-                continue
-            for i2, b in enumerate(y):
-                if not any(b):
-                    continue
-                c = self.base.mul(a, b)
-                entry_free, _ = self.A.table(i, i2)
-                for e, coeff in enumerate(entry_free):
-                    if any(coeff):
-                        prodc = self.base.mul(c, coeff)
-                        for m, v in enumerate(prodc):
-                            rf[e][m] += v
-        return tuple(tuple(row) for row in rf)
+        # with no torsion coordinates only the free x free block is read
+        return self.A.mul((x, self._no_tors), (y, self._no_tors))[0]
 
 
 _ORDER_SEARCH_CAP = 4096
@@ -555,15 +551,12 @@ class TorsionUnitData:
 # bounded; a round of the benchmark's `oracles` workload sweeps 23 models
 @lru_cache(maxsize=32)
 def _torsion_unit_data(A: TnModel) -> TorsionUnitData:
-    base = A.base
     B = _BaseAlgebra(A)
     f = A.nfree()
 
-    # (1) 1 + N_tors inside the model
-    one_plus_n_elements = [
-        (tuple(base.one() if i == 0 else base.zero() for i in range(f)), t[1])
-        for t in A.torsion_elements()]
-    one_plus_n = abelian_structure(one_plus_n_elements, A.mul, A.one())
+    # (1) 1 + N_tors inside the model; its type is the adjoint group's
+    one_plus_n_elements = [(A.one()[0], t[1]) for t in A.torsion_elements()]
+    one_plus_n = _adjoint_group(A)
 
     # (2) torsion units of B through the cyclotomic embedding
     if f == 1:

@@ -169,6 +169,42 @@ class TestModels:
         code, doc = run_json(capsys, "model", str(path), "--sequence")
         assert code == 0 and doc["sequence_splits"] is False
 
+    def test_one_plus_n_recovered_once_per_model(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # the report's 1 + N_tors and the unit sweep share one structure
+        # recovery; B*_tors and A*_tors take one each
+        import fuchs.tnlab as tnlab
+        path = tmp_path / "c.tn"
+        path.write_text(tnlab.build_construction_model(
+            4, FinAbGroup.from_orders([13])).to_presentation(), encoding="utf-8")
+        tnlab._torsion_unit_data.cache_clear()
+        tnlab._adjoint_group.cache_clear()
+        calls = []
+        inner = tnlab.abelian_structure
+        monkeypatch.setattr(tnlab, "abelian_structure",
+                            lambda *args: calls.append(1) or inner(*args))
+        code, doc = run_json(capsys, "model", str(path))
+        assert code == 0 and doc["torsion_units"] == "Z/4Z x Z/13Z"
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("order", [0, 1, -2])
+    def test_bad_torsion_order_exits_3(self, capsys, tmp_path, order):
+        path = tmp_path / "bad.tn"
+        path.write_text(f"""\
+name = bad
+kind = tn
+conductor = 4
+free_basis = u
+tors_basis = y:{order}
+scalar_action y = y
+mult u u = u
+mult u y = y
+mult y y = 0
+""", encoding="utf-8")
+        code, out, err = run(capsys, "model", str(path))
+        assert code == 3 and out == ""
+        assert "Traceback" not in err and "torsion order of y" in err
+
     def test_missing_file(self, capsys):
         assert run(capsys, "model", "/nonexistent.tn")[0] == 3
 

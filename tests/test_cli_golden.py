@@ -1,8 +1,10 @@
 """Byte-for-byte pins of the CLI's ``--json`` output on a fixed query set.
 
 Refactors of the rings, the group recovery or the deciders must leave this
-output unchanged.  Regenerate the golden file only when an output change is
-intended:
+output unchanged.  The ``construction-k*.tn`` files under ``tests/data`` are
+``build_construction_model(k, H).to_presentation()`` for (2, [27]),
+(4, [9, 9]) and (8, [13, 13]).  Regenerate the golden file only when an
+output change is intended:
 
     PYTHONPATH=src python tests/test_cli_golden.py --regenerate
 """
@@ -17,7 +19,8 @@ from pathlib import Path
 
 from fuchs.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
 
 QUERIES = (
     ("decide", "--class", "finite", "Z/328Z"),
@@ -33,13 +36,18 @@ QUERIES = (
     ("example", "paper-7-2-v2"),
     ("example", "paper-7-2-v4"),
     ("table", "cyclic", "--max", "60"),
+    ("model", "tests/data/construction-k2-27.tn"),
+    ("model", "tests/data/construction-k4-9-9.tn"),
+    ("model", "tests/data/construction-k8-13-13.tn"),
 )
 
 
 def _run(argv) -> dict:
+    # model files are named relative to the repository root
+    paths = [str(ROOT / a) if a.endswith(".tn") else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([*argv, "--json"])
+        code = main([*paths, "--json"])
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
 
 

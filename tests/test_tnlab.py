@@ -3,6 +3,7 @@ rank-zero construction."""
 
 from __future__ import annotations
 
+import random
 from math import gcd
 
 import pytest
@@ -20,6 +21,104 @@ from fuchs.tnlab import (CycloBase, HypothesisViolated, InvalidModel,
 
 def G(*orders):
     return FinAbGroup.from_orders(orders)
+
+
+# ---------------------------------------------------------------------------
+# the product as it was computed before it was compiled into structure
+# constants: straight from the nested table, one basis pair at a time
+
+
+def _entry(A, a, b):
+    """(free coeffs, torsion coords) of basis product a*b."""
+    if a > b:
+        a, b = b, a
+    n = A.nfree() + A.ntors()
+    return A.mult[a * n - a * (a - 1) // 2 + (b - a)]
+
+
+def _act(A, coeff, tors_vec):
+    """Action of a base element (poly in zeta) on a torsion vector, from the
+    powers of the scalar_action matrix."""
+    t = A.ntors()
+    acc = [0] * t
+    power = [tuple(int(m == j) for m in range(t)) for j in range(t)]
+    for c in coeff:
+        for j, v in enumerate(tors_vec):
+            for m, w in enumerate(power[j]):
+                acc[m] += c * v * w
+        power = [tuple(sum(col[m2] * A.scalar_action[m2][m] for m2 in range(t))
+                       for m in range(t)) for col in power]
+    return tuple(a % n for a, n in zip(acc, A.tors_orders))
+
+
+def _reference_mul(A, x, y):
+    f, t = A.nfree(), A.ntors()
+    xf, xt = x
+    yf, yt = y
+    rf = [list(A.base.zero()) for _ in range(f)]
+    rt = [0] * t
+
+    def add_tors(vec, scale=1):
+        for m, v in enumerate(vec):
+            if v:
+                rt[m] += scale * v
+
+    for i, a in enumerate(xf):
+        if not any(a):
+            continue
+        for i2, b in enumerate(yf):
+            if not any(b):
+                continue
+            c = A.base.mul(a, b)
+            entry_free, entry_tors = _entry(A, i, i2)
+            for e, coeff in enumerate(entry_free):
+                if any(coeff):
+                    prodc = A.base.mul(c, coeff)
+                    for m, v in enumerate(prodc):
+                        rf[e][m] += v
+            if any(entry_tors):
+                add_tors(_act(A, c, entry_tors))
+        for j, nco in enumerate(yt):
+            if nco:
+                _, entry_tors = _entry(A, i, f + j)
+                add_tors(_act(A, a, entry_tors), nco)
+    for j, nco in enumerate(xt):
+        if not nco:
+            continue
+        for i2, b in enumerate(yf):
+            if any(b):
+                _, entry_tors = _entry(A, i2, f + j)
+                add_tors(_act(A, b, entry_tors), nco)
+        for j2, nco2 in enumerate(yt):
+            if nco2:
+                _, entry_tors = _entry(A, f + j, f + j2)
+                add_tors(entry_tors, nco * nco2)
+    free = tuple(tuple(v for v in row) for row in rf)
+    tors = tuple(a % n for a, n in zip(rt, A.tors_orders))
+    return (free, tors)
+
+
+def _kernel_models():
+    # the shipped examples and construction models with lam = 1 and 2
+    # blocks, over bases of degree 1, 2 and 4
+    models = [load_example(name) for name in EXAMPLE_NAMES]
+    for k, H in ((2, [27]), (4, [9, 9]), (8, [13, 13])):
+        models.append(build_construction_model(k, G(*H)))
+    return models
+
+
+def _flat_basis(A):
+    """zeta^d e_i for every free index i and d < phi(k), then every t_j."""
+    f, t, deg = A.nfree(), A.ntors(), A.base.degree
+    out = []
+    for i in range(f):
+        for d in range(deg):
+            coeff = tuple(int(m == d) for m in range(deg))
+            out.append((tuple(coeff if e == i else A.base.zero()
+                              for e in range(f)), (0,) * t))
+    for j in range(t):
+        out.append(A.from_torsion(tuple(int(m == j) for m in range(t))))
+    return out
 
 
 class TestCycloBase:
@@ -124,6 +223,45 @@ mult w w = 0
 """
         with pytest.raises(InvalidModel):
             TnModel.from_presentation(text)
+
+
+class TestCompiledProduct:
+    @pytest.mark.parametrize("A", _kernel_models(), ids=lambda A: A.name)
+    def test_matches_reference_on_flat_basis(self, A):
+        basis = _flat_basis(A)
+        for x in basis:
+            for y in basis:
+                assert A.mul(x, y) == _reference_mul(A, x, y), (x, y)
+
+    @pytest.mark.parametrize("A", _kernel_models(), ids=lambda A: A.name)
+    def test_matches_reference_on_random_pairs(self, A):
+        rng = random.Random(20240601)
+        f, deg = A.nfree(), A.base.degree
+
+        def element():
+            free = tuple(tuple(rng.choice((-3, -2, -1, 0, 1, 2, 5))
+                               for _ in range(deg)) for _ in range(f))
+            return (free, tuple(rng.randrange(n) for n in A.tors_orders))
+
+        for _ in range(150):
+            x, y = element(), element()
+            assert A.mul(x, y) == _reference_mul(A, x, y), (x, y)
+
+    def test_malformed_layouts_raise_invalid_model(self):
+        good = build_construction_model(4, G(5))
+        fields = (good.conductor, good.free_names, good.tors_names,
+                  good.tors_orders, good.scalar_action, good.mult)
+        broken = [
+            (4, (), (), (), (), ((),)),                    # no identity
+            fields[:3] + ((0,),) + fields[4:],             # order 0
+            fields[:3] + ((5, 5),) + fields[4:],           # orders vs names
+            fields[:5] + (fields[5][:-1],),                # table too short
+            fields[:5] + (fields[5][:-1] + (((), ()),),),  # entry shape
+            fields[:4] + (((1, 0),),) + fields[5:],        # action shape
+        ]
+        for args in broken:
+            with pytest.raises(InvalidModel):
+                TnModel(*args)
 
 
 class TestCyclotomicQuotients:
