@@ -58,6 +58,8 @@ def parse_ring_document(text: str) -> dict:
         m = _MULT_RE.match(key)
         if m:
             i, j = int(m.group(1)), int(m.group(2))
+            if (i, j) in fields["mult"]:
+                raise PresentationError(f"repeated key {key!r}")
             fields["mult"][(i, j)] = _intvec(value)
         elif key == "kind":
             fields["kind"] = value
@@ -75,7 +77,14 @@ def parse_ring_document(text: str) -> dict:
         raise PresentationError("document kind must be 'radical' or 'ring'")
     if "basis_orders" not in fields:
         raise PresentationError("missing basis_orders")
+    required = "one" if fields["kind"] == "ring" else "prime"
+    if required not in fields:
+        raise PresentationError(f"missing {required}")
     r = len(fields["basis_orders"])
+    for i, j in fields["mult"]:
+        if not 1 <= i <= j <= r:
+            raise PresentationError(
+                f"mult[{i}][{j}] needs indices 1 <= i <= j <= {r}")
     for i in range(1, r + 1):
         for j in range(i, r + 1):
             if (i, j) not in fields["mult"]:
@@ -240,6 +249,9 @@ def format_combination(free: dict, tors: dict) -> str:
 
 
 def parse_tn_document(text: str) -> dict:
+    """Parse a ``tn`` document into a plain dict.  Every basis symbol is
+    declared once; a ``scalar_action`` key names one torsion symbol and a
+    ``mult`` key two basis symbols, each key given at most once."""
     fields: dict = {"scalar_action": {}, "mult": {}}
     pending = []
     for line in _strip_lines(text):
@@ -248,12 +260,16 @@ def parse_tn_document(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        words = key.split()
         if key == "kind":
             fields["kind"] = value
         elif key == "name":
             fields["name"] = value
         elif key == "conductor":
             fields["conductor"] = int(value)
+            if fields["conductor"] < 1:
+                raise PresentationError(
+                    f"conductor must be >= 1, got {fields['conductor']}")
         elif key == "free_basis":
             fields["free_basis"] = tuple(value.split())
         elif key == "tors_basis":
@@ -265,23 +281,42 @@ def parse_tn_document(text: str) -> dict:
                     raise PresentationError(f"torsion order of {nm} must be >= 2")
                 pairs.append((nm, order))
             fields["tors_basis"] = tuple(pairs)
-        elif key.startswith("scalar_action"):
-            pending.append(("scalar", key.split()[1], value))
-        elif key.startswith("mult"):
-            _, a, b = key.split()
-            pending.append(("mult", (a, b), value))
+        elif words and words[0] in ("scalar_action", "mult"):
+            if len(words) != (2 if words[0] == "scalar_action" else 3):
+                raise PresentationError(f"bad key in line {line!r}")
+            pending.append((words[0], tuple(words[1:]), value, line))
         else:
             raise PresentationError(f"unknown key {key!r}")
     if fields.get("kind") != "tn":
         raise PresentationError("document kind must be 'tn'")
+    for required in ("conductor", "free_basis"):
+        if required not in fields:
+            raise PresentationError(f"missing {required}")
+    fields.setdefault("tors_basis", ())
     free_names = fields["free_basis"]
-    tors_names = tuple(nm for nm, _ in fields.get("tors_basis", ()))
-    for tag, where, value in pending:
-        if tag == "scalar":
+    tors_names = tuple(nm for nm, _ in fields["tors_basis"])
+    seen = set()
+    for nm in free_names + tors_names:
+        if nm in seen:
+            raise PresentationError(f"basis symbol {nm!r} is listed twice")
+        seen.add(nm)
+    keys = set()
+    for tag, symbols, value, line in pending:
+        allowed = tors_names if tag == "scalar_action" else seen
+        for nm in symbols:
+            if nm not in allowed:
+                what = "torsion" if tag == "scalar_action" else "basis"
+                raise PresentationError(
+                    f"unknown {what} symbol {nm!r} in line {line!r}")
+        key = (tag, frozenset(symbols))
+        if key in keys:
+            raise PresentationError(f"repeated key in line {line!r}")
+        keys.add(key)
+        if tag == "scalar_action":
             free, tors = parse_combination(value, (), tors_names)
-            fields["scalar_action"][where] = tors
+            fields["scalar_action"][symbols[0]] = tors
         else:
-            fields["mult"][where] = parse_combination(value, free_names, tors_names)
+            fields["mult"][symbols] = parse_combination(value, free_names, tors_names)
     return fields
 
 

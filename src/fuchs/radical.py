@@ -18,7 +18,7 @@ of the table is affine over F_p, so every lifted table is valid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from itertools import product as iproduct
 
@@ -67,9 +67,11 @@ class RadicalRing(TableRing):
     def scale(self, c: int, x):
         return tuple((c * a) % n for a, n in zip(x, self._orders))
 
-    def circle(self, x, y):
-        """x o y = x + y + xy, the adjoint group operation."""
-        return self.add(self.add(x, y), self.mul(x, y))
+    @cached_property
+    def circle(self):
+        """x o y = x + y + xy, the adjoint group operation, compiled into one
+        call on first use (``table.compile_product``)."""
+        return self._kernel(circle=True)
 
     def adjoint_group(self) -> FinAbGroup:
         """Isomorphism type of (N, o), recovered from the elements."""
@@ -122,8 +124,9 @@ def _is_nilpotent(N: RadicalRing) -> bool:
     basis = N.basis()
     gens = list(basis)
     bound = 1 + sum(N.exponents)
+    orders, mult = N.orders(), N.mult
     for _ in range(bound):
-        gens = [N.mul(b, g) for b in basis for g in gens]
+        gens = [table_mul(orders, mult, b, g) for b in basis for g in gens]
         gens = sorted({g for g in gens if any(g)})
         if not gens:
             return True
@@ -207,8 +210,10 @@ def _filtration_exact(N: RadicalRing, weights) -> bool:
     test mod p, as products of weights (a, b) only touch weights >= a + b."""
     basis = N.basis()
     gens = basis
+    orders, mult = N.orders(), N.mult
     for i in range(2, max(weights) + 1):
-        _, gens = row_reduce_mod([N.mul(b, g) for b in basis for g in gens], N.p)
+        _, gens = row_reduce_mod([table_mul(orders, mult, b, g)
+                                  for b in basis for g in gens], N.p)
         if len(gens) != sum(w >= i for w in weights):
             return False
     return True

@@ -5,12 +5,23 @@ x_1, ..., x_r and, for every pair i <= j, the coordinate vector of
 x_i * x_j, flattened row by row.  :class:`TableRing` turns such a table into
 element arithmetic, spans and the checks every table must pass;
 ``RadicalRing`` and ``FinCommRing`` add their own invariants on top.
+
+Two products read a table.  ``table_mul`` walks it on every call; it serves
+code that touches a table only a few times (validation, nilpotency and
+filtration checks, p-adic lifting, automorphisms) and is the reference.
+``compile_product`` turns a table into one straight-line function, which
+element-scale loops (unit groups, idempotent scans, adjoint groups, the TN
+torsion-unit sweep) call instead.  The kernel is exact: coordinate m is the
+same integer sum over the same nonzero constants as in ``table_mul``,
+reduced once at the end, so both give the same tuples.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product as iproduct
 from math import gcd, prod
+from operator import index
 
 from .abelian import FinAbGroup
 from . import presentation
@@ -36,6 +47,96 @@ def table_mul(orders, mult, x, y):
                 if v:
                     acc[m] += ab * v
     return tuple(v % n for v, n in zip(acc, orders))
+
+
+def compile_product(mult, moduli, shape=None, circle=False):
+    """The product of the pair table ``mult`` as one straight-line function.
+
+    ``mult`` is laid out as for ``table_mul``: the coordinate vector of
+    x_i * x_j for every pair i <= j, row by row.  Coordinate m of the result
+    is the sum of v * (x_i y_j + x_j y_i) (v * x_i y_i when i = j) over the
+    pairs whose constant v at m is nonzero, reduced once mod ``moduli[m]``;
+    a modulus of ``None`` leaves that coordinate unreduced.  ``shape`` is
+    how the coordinates nest in an element: an int n is a flat tuple of n
+    coordinates and a tuple of shapes is a tuple of such parts, in order
+    (default: one flat tuple).  With ``circle`` the function returns
+    x + y + xy instead, the circle operation of a radical ring.
+
+    Only integers reach the generated source, each through
+    ``operator.index``, so a float or a string raises instead of being
+    truncated or spliced in.
+
+    Z/4[x]/(x^2) on the basis 1, x:
+
+    >>> mul = compile_product(((1, 0), (0, 1), (0, 0)), (4, 4))
+    >>> mul((1, 1), (3, 2))
+    (3, 1)
+    >>> compile_product(((1, 0), (0, 1), (0, 0)), (4, 4), circle=True)((1, 1), (3, 2))
+    (3, 0)
+    """
+    moduli = [None if n is None else index(n) for n in moduli]
+    r = len(moduli)
+    if shape is None:
+        shape = r
+    if _width(shape) != r:
+        raise ValueError("shape does not match the moduli")
+    if len(mult) != r * (r + 1) // 2:
+        raise ValueError("structure constant count does not match the moduli")
+    terms = [[] for _ in range(r)]  # per coordinate: (constant, pair number)
+    pairs = []
+    vectors = iter(mult)
+    for i in range(r):
+        for j in range(i, r):
+            vec = next(vectors)
+            if len(vec) != r:
+                raise ValueError(f"constant ({i},{j}) has the wrong length")
+            for m, v in enumerate(vec):
+                v = index(v)
+                if v:
+                    terms[m].append((v, len(pairs)))
+            pairs.append(f"x{i}*y{i}" if i == j else f"x{i}*y{j} + x{j}*y{i}")
+    uses = [0] * len(pairs)
+    for row in terms:
+        for _, k in row:
+            uses[k] += 1
+    lines = [f"    {_unpack(shape, 'x', iter(range(r)))} = x",
+             f"    {_unpack(shape, 'y', iter(range(r)))} = y"]
+    # a pair that feeds several coordinates is multiplied out once
+    for k, expr in enumerate(pairs):
+        if uses[k] > 1:
+            lines.append(f"    p{k} = {expr}")
+    coords = []
+    for m, (row, n) in enumerate(zip(terms, moduli)):
+        parts = [f"x{m} + y{m}"] if circle else []
+        for v, k in row:
+            expr = f"p{k}" if uses[k] > 1 else pairs[k]
+            if v != 1:
+                expr = f"{v}*({expr})" if "+" in expr else f"{v}*{expr}"
+            parts.append(expr)
+        total = " + ".join(parts) or "0"
+        coords.append(total if n is None else f"({total}) % {n}")
+    name = "circle" if circle else "mul"
+    lines.append(f"    return {_unpack(shape, None, iter(coords))}")
+    namespace = {}
+    exec(f"def {name}(x, y):\n" + "\n".join(lines) + "\n", namespace)
+    # the function refers to its namespace as globals; popping it from
+    # there leaves no reference cycle for the collector to find
+    return namespace.pop(name)
+
+
+def _width(shape) -> int:
+    return sum(map(_width, shape)) if isinstance(shape, tuple) else index(shape)
+
+
+def _unpack(shape, prefix, items) -> str:
+    """A (possibly nested) tuple display of ``shape``: the names
+    prefix0, prefix1, ... when ``prefix`` is given, else the next ``items``."""
+    if isinstance(shape, tuple):
+        parts = [_unpack(s, prefix, items) for s in shape]
+    else:
+        parts = [f"{prefix}{next(items)}" if prefix else next(items)
+                 for _ in range(index(shape))]
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
 def associators(orders, mult):
@@ -72,7 +173,9 @@ class TableRing:
     """Element arithmetic over a structure-constant table.
 
     Subclasses provide ``mult`` (the flattened pair table), ``name`` and
-    ``_orders`` (the additive orders of the basis).
+    ``_orders`` (the additive orders of the basis).  ``mul`` is compiled on
+    first use, after validation, and kept on the instance; it is not a
+    dataclass field, so equality and hashing do not see it.
     """
 
     def rank(self) -> int:
@@ -100,8 +203,12 @@ class TableRing:
     def neg(self, x):
         return tuple((-a) % n for a, n in zip(x, self._orders))
 
-    def mul(self, x, y):
-        return table_mul(self._orders, self.mult, x, y)
+    @cached_property
+    def mul(self):
+        return self._kernel(circle=False)
+
+    def _kernel(self, circle: bool):
+        return compile_product(self.mult, self._orders, circle=circle)
 
     def elements(self):
         return iproduct(*(range(n) for n in self._orders))
@@ -142,7 +249,7 @@ class TableRing:
         basis = self.basis()
         if one is not None:
             for i in range(r):
-                if self.mul(one, basis[i]) != basis[i]:
+                if table_mul(orders, self.mult, one, basis[i]) != basis[i]:
                     raise InvalidRing(f"identity fails on basis element {i}")
         for (i, j, k), assoc in associators(orders, self.mult):
             if any(assoc):

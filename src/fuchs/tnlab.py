@@ -13,11 +13,12 @@ an element has coordinates zeta^d e_i (free index i, d < phi(k)) and then
 t_j (torsion), and the product given by the nested table is Z-bilinear in
 them: free coordinates are never reduced, and each torsion coordinate is
 only ever reduced mod its order.  So the product of every pair of flat
-basis vectors is computed once with the table, and ``TnModel.mul`` sums
-those products over the nonzero coordinate pairs and reduces each torsion
-coordinate once at the end, which gives exactly the table's product.  The
-torsion x torsion block is a plain symmetric table over the torsion orders,
-so N_tors and 1 + N_tors multiply with ``table.table_mul``.
+basis vectors is computed once with the table, and ``TnModel.mul`` is that
+pair table compiled by ``table.compile_product``: it sums the products over
+the coordinate pairs and reduces each torsion coordinate once at the end,
+which gives exactly the table's product.  The torsion x torsion block is a
+plain symmetric table over the torsion orders: N_tors is read off it with
+``table.table_mul``, and 1 + N_tors runs on its compiled circle operation.
 
 B*_tors is computed by embedding B into a product of cyclotomic rings, one
 component per root of unity annihilating the generator relation.  The
@@ -31,9 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product as iproduct
+from itertools import product as iproduct
 from math import gcd, lcm, prod
-from operator import mod
 
 from .abelian import (FinAbGroup, abelian_structure, format_group,
                       group_from_relations, hermite_normal_form,
@@ -41,7 +41,7 @@ from .abelian import (FinAbGroup, abelian_structure, format_group,
 from .numtheory import (NotCoprime, cyclotomic_poly, factor_cyclo_mod,
                         factorize, hensel_lift_factor, mult_order)
 from .radical import RadicalRing, radical_ring_from_mult
-from .table import table_mul
+from .table import compile_product, table_mul
 from . import presentation
 
 
@@ -127,7 +127,9 @@ class TnModel:
 
     ``free_names[0]`` is the multiplicative identity.  ``mult`` maps basis
     name pairs to (free coefficients, torsion coordinates); products that
-    touch a torsion symbol must stay inside the torsion ideal.
+    touch a torsion symbol must stay inside the torsion ideal.  ``mul`` is
+    the product compiled from that table when the model is built (module
+    docstring); it is not a dataclass field.
     """
 
     conductor: int
@@ -142,8 +144,10 @@ class TnModel:
         object.__setattr__(self, "base", CycloBase(self.conductor))
         _check_layout(self)
         object.__setattr__(self, "_spow", self._scalar_powers())
-        constants, tors_mult = _compile_product(self)
-        object.__setattr__(self, "_constants", constants)
+        flat, tors_mult = _flat_table(self)
+        shape = ((self.base.degree,) * self.nfree(), self.ntors())
+        moduli = (None,) * (self.nfree() * self.base.degree) + self.tors_orders
+        object.__setattr__(self, "mul", compile_product(flat, moduli, shape))
         object.__setattr__(self, "_tors_mult", tors_mult)
         object.__setattr__(self, "n_tors", validate_model(self))
 
@@ -187,23 +191,6 @@ class TnModel:
                 sum(v * col[m] for v, col in zip(row, self.scalar_action)) % n
                 for m, n in enumerate(self.tors_orders)) for row in powers[-1]])
         return powers
-
-    def mul(self, x, y):
-        """Product through the flat structure constants (module docstring)."""
-        sc = self._constants
-        nfree = len(sc) - len(self.tors_orders)
-        xs = [(p, a) for p, a in enumerate(chain(*x[0], x[1])) if a]
-        acc = [0] * len(sc)
-        for q, b in enumerate(chain(*y[0], y[1])):
-            if b:
-                row = sc[q]
-                for p, a in xs:
-                    ab = a * b
-                    for m, v in row[p]:
-                        acc[m] += ab * v
-        deg = self.base.degree
-        free = tuple([tuple(acc[i:i + deg]) for i in range(0, nfree, deg)])
-        return (free, tuple(map(mod, acc[nfree:], self.tors_orders)))
 
     def torsion_elements(self):
         for coords in iproduct(*(range(n) for n in self.tors_orders)):
@@ -295,17 +282,17 @@ def _scalar_apply(A: TnModel, coeff, tors_vec):
     return tuple(a % n for a, n in zip(acc, A.tors_orders))
 
 
-def _compile_product(A: TnModel):
+def _flat_table(A: TnModel):
     """Structure constants of the product over the flat Z-basis.
 
-    Returns ``(sc, tors_mult)``.  ``sc[q][p]`` is the sparse
-    ``((m, v), ...)`` product of flat basis vectors p and q: the free
-    coordinates zeta^d e_i come first (index i * phi(k) + d, F of them), the
-    torsion coordinates t_j after (index F + j, reduced mod its order).
-    ``tors_mult`` is the t_j * t_j' block in the pair layout of
-    ``table.table_mul``.  Each constant is computed with the nested table,
-    the arithmetic of Z[zeta_k] and the zeta action, exactly as the product
-    of those two basis elements would be.
+    Returns ``(flat, tors_mult)``, both in the pair layout of
+    ``table.table_mul``.  ``flat`` holds the product of flat basis vectors
+    p <= q: the free coordinates zeta^d e_i come first (index
+    i * phi(k) + d, F of them), the torsion coordinates t_j after (index
+    F + j, reduced mod its order).  ``tors_mult`` is the t_j * t_j' block.
+    Each constant is computed with the nested table, the arithmetic of
+    Z[zeta_k] and the zeta action, exactly as the product of those two basis
+    elements would be.
     """
     f, t, base = A.nfree(), A.ntors(), A.base
     deg = base.degree
@@ -332,16 +319,12 @@ def _compile_product(A: TnModel):
             for e, coeff in enumerate(entry_free):
                 free[e * deg:(e + 1) * deg] = base.mul(c, coeff)
             tors = _scalar_apply(A, c, entry_tors)
-        vec = list(free) + [v % n for v, n in zip(tors, A.tors_orders)]
-        return tuple((m, v) for m, v in enumerate(vec) if v)
+        return tuple(free) + tuple(v % n for v, n in zip(tors, A.tors_orders))
 
-    sc = [[None] * (F + t) for _ in range(F + t)]
-    for p in range(F + t):
-        for q in range(p, F + t):
-            sc[p][q] = sc[q][p] = product(p, q)
+    flat = tuple(product(p, q) for p in range(F + t) for q in range(p, F + t))
     tors_mult = tuple(entry[f + j, f + j2][1]
                       for j in range(t) for j2 in range(j, t))
-    return sc, tors_mult
+    return flat, tors_mult
 
 
 def validate_model(A: TnModel) -> "TorsionIdeal":
@@ -474,14 +457,9 @@ def adjoint_of_nil_torsion(A: TnModel) -> FinAbGroup:
 @lru_cache(maxsize=32)  # bounded, like _torsion_unit_data
 def _adjoint_group(A: TnModel) -> FinAbGroup:
     # 1 + u <-> u turns (1 + u)(1 + v) = 1 + (u + v + uv) into u o v
-    orders, tors_mult = A.tors_orders, A._tors_mult
     elems = [x[1] for x in A.torsion_elements()]
-
-    def circ(u, v):
-        uv = table_mul(orders, tors_mult, u, v)
-        return tuple((a + b + c) % n for a, b, c, n in zip(u, v, uv, orders))
-
-    return abelian_structure(elems, circ, (0,) * A.ntors())
+    circle = compile_product(A._tors_mult, A.tors_orders, circle=True)
+    return abelian_structure(elems, circle, (0,) * A.ntors())
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,83 @@ mult y y = 0
         assert run(capsys, "model", "/nonexistent.tn")[0] == 3
 
 
+_TN = """\
+name = t
+kind = tn
+conductor = 4
+free_basis = u
+tors_basis = y:2
+scalar_action y = y
+mult u u = u
+mult u y = y
+mult y y = 0
+"""
+
+_RING = """\
+kind = ring
+basis_orders = 4 4
+one = 1 0
+mult[1][1] = 1 0
+mult[1][2] = 0 1
+mult[2][2] = 0 0
+"""
+
+
+def _edit(doc, old, new):
+    assert old in doc
+    return doc.replace(old, new)
+
+
+# (document, the message fragment that names the symbol, key or line)
+_MALFORMED = {
+    "tn-scalar-key-without-symbol": (
+        _edit(_TN, "scalar_action y = y", "scalar_action = 2*y"),
+        "'scalar_action = 2*y'"),
+    "tn-mult-key-one-symbol": (_TN + "mult y = 0\n", "'mult y = 0'"),
+    "tn-mult-key-three-symbols": (_TN + "mult y y y = 0\n", "'mult y y y = 0'"),
+    "tn-torsion-symbol-twice": (
+        _edit(_TN, "tors_basis = y:2", "tors_basis = y:2 y:2"), "'y'"),
+    "tn-free-symbol-twice": (
+        _edit(_TN, "free_basis = u", "free_basis = u u"), "'u'"),
+    "tn-symbol-free-and-torsion": (
+        _edit(_TN, "free_basis = u", "free_basis = u y"), "'y'"),
+    "tn-conductor-0": (_edit(_TN, "conductor = 4", "conductor = 0"), "conductor"),
+    "tn-conductor-negative": (
+        _edit(_TN, "conductor = 4", "conductor = -4"), "conductor"),
+    "tn-undeclared-mult-symbol": (_TN + "mult u zz = 0\n", "'zz'"),
+    "tn-undeclared-scalar-symbol": (_TN + "scalar_action u = y\n", "'u'"),
+    "tn-repeated-mult": (_TN + "mult u y = 0\n", "'mult u y = 0'"),
+    "tn-repeated-mult-swapped": (_TN + "mult y u = y\n", "'mult y u = y'"),
+    "tn-repeated-scalar": (_TN + "scalar_action y = y\n", "'scalar_action y = y'"),
+    "tn-missing-free-basis": (_edit(_TN, "free_basis = u\n", ""), "free_basis"),
+    "ring-mult-i-above-j": (_RING + "mult[2][1] = 0 1\n", "mult[2][1]"),
+    "ring-mult-index-above-rank": (_RING + "mult[1][3] = 0 0\n", "mult[1][3]"),
+    "ring-mult-index-zero": (_RING + "mult[0][1] = 0 0\n", "mult[0][1]"),
+    "ring-repeated-mult": (_RING + "mult[1][2] = 0 1\n", "mult[1][2]"),
+    "ring-missing-one": (_edit(_RING, "one = 1 0\n", ""), "one"),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("suffix, doc", [(".tn", _TN), (".ring", _RING)])
+    def test_base_documents_are_accepted(self, capsys, tmp_path, suffix, doc):
+        path = tmp_path / f"ok{suffix}"
+        path.write_text(doc, encoding="utf-8")
+        argv = ["model"] if suffix == ".tn" else ["oracle", "finring"]
+        assert run(capsys, *argv, str(path))[0] == 0
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_rejected_with_exit_3(self, capsys, tmp_path, case):
+        doc, fragment = _MALFORMED[case]
+        tn = case.startswith("tn-")
+        path = tmp_path / ("bad.tn" if tn else "bad.ring")
+        path.write_text(doc, encoding="utf-8")
+        argv = ["model"] if tn else ["oracle", "finring"]
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 3 and out == ""
+        assert "Traceback" not in err and fragment in err, err
+
+
 class TestTable:
     def test_cyclic_table(self, capsys):
         code, doc = run_json(capsys, "table", "cyclic", "--max", "20")

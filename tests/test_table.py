@@ -1,0 +1,154 @@
+"""The compiled product kernel against the ``table_mul`` reference, and
+where kernels are compiled."""
+
+from __future__ import annotations
+
+import gc
+import random
+
+import pytest
+
+import fuchs.radical as rad
+import fuchs.table as table
+from fuchs.cli import main
+from fuchs.finring import build_corpus, unitalization, zn_ring
+from fuchs.radical import enumerate_radical_rings
+from fuchs.table import TableRing, compile_product, table_mul
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def _radical_classes():
+    out = []
+    for p in PRIMES:
+        k = 1
+        while p ** k <= 27:
+            out.extend(enumerate_radical_rings(p, k))
+            k += 1
+    return out
+
+
+def _finite_rings():
+    rings = build_corpus()
+    for p, k in ((3, 3), (5, 2)):
+        N = enumerate_radical_rings(p, k)[-1]
+        rings.append(unitalization(N, max(N.exponents) + 1))
+    return rings
+
+
+def _pairs(ring, rng):
+    """Every pair of basis vectors, then 200 random pairs of elements."""
+    basis = ring.basis()
+    orders = ring._orders
+    yield from ((x, y) for x in basis for y in basis)
+    for _ in range(200):
+        yield (tuple(rng.randrange(n) for n in orders),
+               tuple(rng.randrange(n) for n in orders))
+
+
+class TestKernelMatchesTableMul:
+    def test_radical_classes(self):
+        rng = random.Random(9)
+        rings = _radical_classes()
+        assert len(rings) > 100
+        for N in rings:
+            orders = N.orders()
+            for x, y in _pairs(N, rng):
+                xy = table_mul(orders, N.mult, x, y)
+                assert N.mul(x, y) == xy, (N, x, y)
+                assert N.circle(x, y) == N.add(N.add(x, y), xy), (N, x, y)
+
+    def test_corpus_and_unitalizations(self):
+        rng = random.Random(10)
+        for A in _finite_rings():
+            for x, y in _pairs(A, rng):
+                assert A.mul(x, y) == table_mul(A.basis_orders, A.mult, x, y), (A, x, y)
+
+    def test_rank_zero(self):
+        assert compile_product((), ())((), ()) == ()
+        assert compile_product((), (), circle=True)((), ()) == ()
+
+    def test_unreduced_coordinates_and_nesting(self):
+        # Z[i] with basis 1, i: the free coordinates stay unreduced
+        mul = compile_product(((1, 0), (0, 1), (-1, 0)), (None, None), shape=(2,))
+        assert mul(((3, 4),), ((3, -4),)) == ((25, 0),)
+
+
+class TestKernelInputs:
+    @pytest.mark.parametrize("bad", [1.0, "1", None])
+    def test_non_integer_constant_raises(self, bad):
+        with pytest.raises(TypeError):
+            compile_product(((bad,),), (4,))
+
+    @pytest.mark.parametrize("bad", [4.0, "4"])
+    def test_non_integer_modulus_raises(self, bad):
+        with pytest.raises(TypeError):
+            compile_product(((1,),), (bad,))
+
+    def test_wrong_table_size_raises(self):
+        with pytest.raises(ValueError):
+            compile_product(((1,), (0,)), (4,))
+        with pytest.raises(ValueError):
+            compile_product(((1, 0),), (4,))
+        with pytest.raises(ValueError):
+            compile_product(((1,),), (4,), shape=(1, 1))
+
+    def test_leaves_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            kernel = compile_product(((1, 0), (0, 1), (0, 0)), (4, 4), circle=True)
+            assert kernel((1, 1), (1, 1)) == (3, 0)
+            del kernel
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_kernel_is_not_a_field(self):
+        A = zn_ring(12)
+        assert A.mul((5,), (7,)) == (11,)
+        fresh = zn_ring(12)
+        assert A == fresh and hash(A) == hash(fresh)
+
+
+class TestWhereKernelsCompile:
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Every kernel compiled, as (ring type, circle) pairs; a compile that
+        does not come through ``TableRing._kernel`` fails the test."""
+        kinds, total = [], []
+        inner_kernel, inner_compile = TableRing._kernel, table.compile_product
+
+        def kernel(ring, circle):
+            kinds.append((type(ring).__name__, circle))
+            return inner_kernel(ring, circle)
+
+        def compile_(*args, **kwargs):
+            total.append(1)
+            return inner_compile(*args, **kwargs)
+
+        monkeypatch.setattr(TableRing, "_kernel", kernel)
+        monkeypatch.setattr(table, "compile_product", compile_)
+        yield kinds
+        assert len(total) == len(kinds)
+
+    def test_validation_compiles_no_kernel(self, compiled):
+        # enumerating validates hundreds of tables, building the corpus
+        # validates every unital ring in it
+        assert len(rad._enumerate_cached.__wrapped__(5, 3)) > 0
+        assert len(build_corpus()) > 40
+        assert compiled == []
+
+    @pytest.mark.parametrize("ring, expected", [
+        # local: the ring's product, then the circle of its maximal ideal
+        (zn_ring(9), [("FinCommRing", False), ("RadicalRing", True)]),
+        # not local: only the idempotent scan multiplies
+        (zn_ring(6), [("FinCommRing", False)]),
+    ], ids=["Z9", "Z6"])
+    def test_finring_file_compiles_one_per_ring(self, compiled, capsys,
+                                                tmp_path, ring, expected):
+        path = tmp_path / "a.ring"
+        path.write_text(ring.to_presentation(), encoding="utf-8")
+        assert main(["oracle", "finring", str(path)]) == 0
+        capsys.readouterr()
+        assert compiled == expected
