@@ -39,8 +39,16 @@ def _strip_lines(text: str):
             yield line
 
 
-def _intvec(s: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in s.split())
+def _int(token: str, where: str) -> int:
+    """``int(token)``, or a PresentationError that names ``where``."""
+    try:
+        return int(token)
+    except ValueError:
+        raise PresentationError(f"{where}: {token!r} is not an integer") from None
+
+
+def _intvec(s: str, key: str) -> tuple[int, ...]:
+    return tuple(_int(tok, key) for tok in s.split())
 
 
 _MULT_RE = re.compile(r"^mult\[(\d+)\]\[(\d+)\]$")
@@ -60,15 +68,15 @@ def parse_ring_document(text: str) -> dict:
             i, j = int(m.group(1)), int(m.group(2))
             if (i, j) in fields["mult"]:
                 raise PresentationError(f"repeated key {key!r}")
-            fields["mult"][(i, j)] = _intvec(value)
+            fields["mult"][(i, j)] = _intvec(value, key)
         elif key == "kind":
             fields["kind"] = value
         elif key == "prime":
-            fields["prime"] = int(value)
+            fields["prime"] = _int(value, key)
         elif key == "basis_orders":
-            fields["basis_orders"] = _intvec(value)
+            fields["basis_orders"] = _intvec(value, key)
         elif key == "one":
-            fields["one"] = _intvec(value)
+            fields["one"] = _intvec(value, key)
         elif key == "name":
             fields["name"] = value
         else:
@@ -266,7 +274,7 @@ def parse_tn_document(text: str) -> dict:
         elif key == "name":
             fields["name"] = value
         elif key == "conductor":
-            fields["conductor"] = int(value)
+            fields["conductor"] = _int(value, key)
             if fields["conductor"] < 1:
                 raise PresentationError(
                     f"conductor must be >= 1, got {fields['conductor']}")
@@ -276,7 +284,7 @@ def parse_tn_document(text: str) -> dict:
             pairs = []
             for tok in value.split():
                 nm, _, order = tok.partition(":")
-                order = int(order)
+                order = _int(order, f"torsion order of {nm}")
                 if order < 2:
                     raise PresentationError(f"torsion order of {nm} must be >= 2")
                 pairs.append((nm, order))

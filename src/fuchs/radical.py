@@ -26,7 +26,8 @@ from .abelian import (FinAbGroup, abelian_structure, pgroup_basis, prufer_rank,
                       row_reduce_mod)
 from .caps import RADICAL_ENUM_CAP, oracle_cap
 from .numtheory import factorize, is_prime_power
-from .table import InvalidRing, TableRing, associators, read_table_document, table_mul
+from .table import (InvalidRing, TableRing, associators, compile_transport,
+                    read_table_document, table_mul)
 
 
 class CapExceeded(ValueError):
@@ -205,15 +206,18 @@ def _candidate_tables_elementary(p: int, r: int):
             yield weights, tables
 
 
-def _filtration_exact(N: RadicalRing, weights) -> bool:
-    """Check N^i == span of positions with weight >= i, for all i: a rank
-    test mod p, as products of weights (a, b) only touch weights >= a + b."""
-    basis = N.basis()
+def _filtration_exact(p: int, table, weights) -> bool:
+    """Check N^i == span of positions with weight >= i, for all i, on the
+    candidate ``table`` of type (1,)*r: a rank test mod p, as products of
+    weights (a, b) only touch weights >= a + b.  The weights are the power
+    filtration's dimensions, so a table passes for at most one of them."""
+    r = len(weights)
+    orders = (p,) * r
+    basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
     gens = basis
-    orders, mult = N.orders(), N.mult
     for i in range(2, max(weights) + 1):
-        _, gens = row_reduce_mod([table_mul(orders, mult, b, g)
-                                  for b in basis for g in gens], N.p)
+        _, gens = row_reduce_mod([table_mul(orders, table, b, g)
+                                  for b in basis for g in gens], p)
         if len(gens) != sum(w >= i for w in weights):
             return False
     return True
@@ -261,57 +265,44 @@ def _symmetry_generators(p: int, exponents, weights=None):
     return gens
 
 
-def _apply_automorphism(orders, table, images, inverse):
-    """Transport a structure-constant table along an additive automorphism.
-
-    ``images[j]`` is the coordinate vector of the image of basis vector j and
-    ``inverse[j]`` that of its preimage.  Returns the table of the isomorphic
-    ring in which the new basis element i multiplies as the old images did:
-    each product images[i] * images[j] is pulled back through ``inverse``.
-    """
-    r = len(orders)
-    out = []
-    for i in range(r):
-        for j in range(i, r):
-            acc = [0] * r
-            for m, a in enumerate(table_mul(orders, table, images[i], images[j])):
-                if a:
-                    for t, b in enumerate(inverse[m]):
-                        acc[t] += a * b
-            out.append(tuple(x % n for x, n in zip(acc, orders)))
-    return tuple(out)
+def _transports(p: int, exponents, weights=None) -> list:
+    """The compiled transport (``table.compile_transport``) along each of
+    ``_symmetry_generators(p, exponents, weights)``."""
+    orders = tuple(p ** e for e in exponents)
+    return [compile_transport(orders, images, inverse)
+            for images, inverse in _symmetry_generators(p, exponents, weights)]
 
 
-def _orbit(orders, table, gens) -> set:
-    """The orbit of ``table`` under the group generated by ``gens``."""
+def _orbit(table, transports) -> set:
+    """The orbit of ``table`` under the group generated by the automorphisms
+    that ``transports`` carry tables along."""
     orbit = {table}
     frontier = [table]
     while frontier:
         t = frontier.pop()
-        for images, inverse in gens:
-            t2 = _apply_automorphism(orders, t, images, inverse)
+        for transport in transports:
+            t2 = transport(t)
             if t2 not in orbit:
                 orbit.add(t2)
                 frontier.append(t2)
     return orbit
 
 
-def _orbit_classes(p: int, exponents, tables, gens) -> list[RadicalRing]:
-    """One ring per orbit of ``tables`` under the group generated by
-    ``gens``, represented by the orbit's minimum table.  ``tables`` must be
+def _orbit_minima(tables, transports) -> list:
+    """The minimum table of each orbit of ``tables`` under the group
+    generated by ``transports``, in increasing order.  ``tables`` must be
     closed under that group."""
-    orders = [p ** e for e in exponents]
     unvisited = set(tables)
-    classes = []
+    minima = []
     for table in sorted(unvisited):
         if table not in unvisited:
             continue
         # every smaller table was visited, so this one is its orbit's minimum
-        orbit = _orbit(orders, table, gens)
+        orbit = _orbit(table, transports)
         assert orbit <= unvisited, "orbit left the candidate tables"
         unvisited -= orbit
-        classes.append(RadicalRing(p, tuple(exponents), table))
-    return classes
+        minima.append(table)
+    return minima
 
 
 def _valid_table(p, exponents, table) -> RadicalRing | None:
@@ -321,18 +312,24 @@ def _valid_table(p, exponents, table) -> RadicalRing | None:
         return None
 
 
-def _enumerate_type_elementary(p: int, r: int) -> list[RadicalRing]:
+# bounded; each rank's classes serve its own order and, through
+# _elementary_tables, every mixed type of that rank
+@lru_cache(maxsize=8)
+def _enumerate_type_elementary(p: int, r: int) -> tuple[RadicalRing, ...]:
     exponents = (1,) * r
     classes = []
     for weights, tables in _candidate_tables_elementary(p, r):
-        survivors = []
+        # the filtration test first: it passes for one weight vector only,
+        # so each table is validated once
+        survivors = {}
         for table in tables:
-            ring = _valid_table(p, exponents, table)
-            if ring is not None and _filtration_exact(ring, weights):
-                survivors.append(table)
-        classes += _orbit_classes(p, exponents, survivors,
-                                  _symmetry_generators(p, exponents, weights))
-    return classes
+            if _filtration_exact(p, table, weights):
+                ring = _valid_table(p, exponents, table)
+                if ring is not None:
+                    survivors[table] = ring
+        classes += [survivors[t] for t in
+                    _orbit_minima(survivors, _transports(p, exponents, weights))]
+    return tuple(classes)
 
 
 # bounded; the base tables of one type are reused by every type of that rank
@@ -340,8 +337,8 @@ def _enumerate_type_elementary(p: int, r: int) -> list[RadicalRing]:
 def _elementary_tables(p: int, r: int) -> tuple:
     """Every valid table of type (1,)*r, sorted: the orbits of the
     elementary classes under all additive automorphisms."""
-    gens = _symmetry_generators(p, (1,) * r)
-    orbits = [_orbit((p,) * r, N.mult, gens) for N in _enumerate_type_elementary(p, r)]
+    transports = _transports(p, (1,) * r)
+    orbits = [_orbit(N.mult, transports) for N in _enumerate_type_elementary(p, r)]
     return tuple(sorted(set().union(*orbits)))
 
 
@@ -404,10 +401,16 @@ def _enumerate_type_mixed(p: int, exponents) -> list[RadicalRing]:
     layer gives exactly the associative lifts.  Every lift is validated."""
     # the lifts are all the valid tables, so they are closed under every
     # additive automorphism
-    valid = [RadicalRing(p, exponents, t).mult
-             for base in _elementary_tables(p, len(exponents))
+    lifts = [t for base in _elementary_tables(p, len(exponents))
              for t in _lifts(p, exponents, base)]
-    return _orbit_classes(p, exponents, valid, _symmetry_generators(p, exponents))
+    classes = dict.fromkeys(_orbit_minima(lifts, _transports(p, exponents)))
+    for t in lifts:
+        ring = RadicalRing(p, exponents, t)
+        # only the representatives' rings are kept: one per lift took
+        # about 50 MB more at type (2,1,1) over p = 5
+        if t in classes:
+            classes[t] = ring
+    return list(classes.values())
 
 
 # bounded; a round of the benchmark's `oracles` workload enumerates 8 orders

@@ -7,18 +7,31 @@ element arithmetic, spans and the checks every table must pass;
 ``RadicalRing`` and ``FinCommRing`` add their own invariants on top.
 
 Two products read a table.  ``table_mul`` walks it on every call; it serves
-code that touches a table only a few times (validation, nilpotency and
-filtration checks, p-adic lifting, automorphisms) and is the reference.
-``compile_product`` turns a table into one straight-line function, which
-element-scale loops (unit groups, idempotent scans, adjoint groups, the TN
-torsion-unit sweep) call instead.  The kernel is exact: coordinate m is the
-same integer sum over the same nonzero constants as in ``table_mul``,
-reduced once at the end, so both give the same tuples.
+code that touches a table only a few times (nilpotency and filtration
+checks, the identity check) and is the reference.  ``compile_product``
+turns a table into one straight-line function, which element-scale loops
+(unit groups, idempotent scans, adjoint groups, the TN torsion-unit sweep)
+call instead.  The kernel is exact: coordinate m is the same integer sum
+over the same nonzero constants as in ``table_mul``, reduced once at the
+end, so both give the same tuples.
+
+Two more kernels take the table itself as input, and are compiled once per
+additive type (associators once per rank) rather than once per table,
+because radical enumeration runs them on thousands of tables of one type.
+``compile_transport`` carries a table along one additive automorphism; the
+orbit closure of ``radical._orbit`` calls it on every step.
+``associators`` evaluates one quadratic function of the table and its
+orders for every basis associator; ``check_table`` and each p-adic lifting
+solve call it.  Both reduce each coordinate once,
+where ``table_mul`` reduces x_i * x_j first.  Skipping that reduction is
+exact: for an additive map, orders[m] * inverse[m][t] = 0 mod orders[t], so
+a multiple of orders[m] in coordinate m contributes nothing to coordinate t;
+an associator is a difference of two such sums, reduced mod orders[t].
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import gcd, prod
 from operator import index
@@ -115,10 +128,15 @@ def compile_product(mult, moduli, shape=None, circle=False):
             parts.append(expr)
         total = " + ".join(parts) or "0"
         coords.append(total if n is None else f"({total}) % {n}")
-    name = "circle" if circle else "mul"
     lines.append(f"    return {_unpack(shape, None, iter(coords))}")
+    return _define("circle" if circle else "mul", "x, y", lines)
+
+
+def _define(name, params, lines):
+    """Exec ``def name(params):`` with the body ``lines``; the one place
+    a kernel's source is run."""
     namespace = {}
-    exec(f"def {name}(x, y):\n" + "\n".join(lines) + "\n", namespace)
+    exec(f"def {name}({params}):\n" + "\n".join(lines) + "\n", namespace)
     # the function refers to its namespace as globals; popping it from
     # there leaves no reference cycle for the collector to find
     return namespace.pop(name)
@@ -139,24 +157,108 @@ def _unpack(shape, prefix, items) -> str:
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
-def associators(orders, mult):
-    """Yield ((a, b, c), (x_a x_b) x_c - x_a (x_b x_c)) for a < c, all b, in
-    lexicographic order.  For a commutative table these decide associativity:
-    the associator is antisymmetric in a and c, so no earlier triple fails."""
+def compile_transport(orders, images, inverse):
+    """Transport of a pair table along an additive automorphism, as one
+    straight-line function of the table.
+
+    ``images[j]`` is the coordinate vector of the image of basis vector j
+    and ``inverse[j]`` that of its preimage.  The function maps a table in
+    the ``table_mul`` layout to the table of the isomorphic ring in which
+    new basis element i multiplies as the old images[i] did: entry (i, j),
+    coordinate t, is the sum of c * T[q][m] over the nonzero coefficients
+    c = images[i][a] * images[j][b] * inverse[m][t] (q the pair {a, b}),
+    reduced once mod orders[t].  Both maps must be additive, that is
+    orders[m] * row[m][t] = 0 mod orders[t] for every m and t, or
+    ``ValueError`` is raised; for ``inverse`` that is what makes skipping
+    the reduction of x_i * x_j mod orders[m] exact.  Kernels are compiled
+    once per (orders, images, inverse) and kept in a bounded cache.
+
+    Swapping the basis of (Z/2)^2 turns x_1^2 = x_2 into x_2^2 = x_1:
+
+    >>> swap = ((0, 1), (1, 0))
+    >>> compile_transport((2, 2), swap, swap)(((0, 1), (0, 0), (0, 0)))
+    ((0, 0), (0, 0), (1, 0))
+    """
+    def ints(rows):
+        return tuple(tuple(map(index, row)) for row in rows)
+
+    return _transport_kernel(tuple(map(index, orders)), ints(images), ints(inverse))
+
+
+# bounded; a round of the benchmark's `oracles` workload compiles 82
+@lru_cache(maxsize=512)
+def _transport_kernel(orders, images, inverse):
     r = len(orders)
-    basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
+    for what, rows in (("images", images), ("inverse", inverse)):
+        if len(rows) != r or any(len(row) != r for row in rows):
+            raise ValueError(f"{what} does not match the orders")
+        for m, row in enumerate(rows):
+            for t, v in enumerate(row):
+                if orders[m] * v % orders[t]:
+                    raise ValueError(f"{what} is not additive at ({m},{t})")
+    support = [[(a, u) for a, u in enumerate(row) if u] for row in images]
+    preimages = [[(m, inverse[m][t]) for m in range(r) if inverse[m][t]]
+                 for t in range(r)]
+    pairs = [(i, j) for i in range(r) for j in range(i, r)]
+    number = {pair: q for q, pair in enumerate(pairs)}
+    coords = []
+    for i, j in pairs:
+        for t, n in enumerate(orders):
+            coeffs = {}  # flat index q * r + m of T[q][m] -> coefficient
+            for a, u in support[i]:
+                for b, v in support[j]:
+                    q = number[min(a, b), max(a, b)]
+                    for m, w in preimages[t]:
+                        coeffs[q * r + m] = coeffs.get(q * r + m, 0) + u * v * w
+            terms = []
+            for k, c in sorted(coeffs.items()):
+                c %= n
+                if c:
+                    terms.append(f"t{k}" if c == 1 else f"{c}*t{k}")
+            coords.append(f"({' + '.join(terms)}) % {n}" if terms else "0")
+    shape = (r,) * len(pairs)
+    lines = [f"    {_unpack(shape, 't', iter(range(r * len(pairs))))} = table",
+             f"    return {_unpack(shape, None, iter(coords))}"]
+    return _define("transport", "table", lines)
 
-    def constant(i, j):
-        lo = min(i, j)
-        return mult[lo * r - lo * (lo - 1) // 2 + abs(i - j)]
 
+def associators(orders, mult):
+    """Iterate over ((a, b, c), (x_a x_b) x_c - x_a (x_b x_c)) for a < c,
+    all b, in lexicographic order.  For a commutative table these decide
+    associativity: the associator is antisymmetric in a and c, so no earlier
+    triple fails.  All of them come from one straight-line function of the
+    table and the orders, compiled once per rank and kept in a bounded
+    cache."""
+    orders = tuple(map(index, orders))
+    r = len(orders)
+    triples = ((a, b, c) for a in range(r) for b in range(r) for c in range(a + 1, r))
+    return zip(triples, _associator_kernel(r)(mult, orders))
+
+
+# bounded; keyed by rank, not orders, because unital rings of one-off
+# orders would each pay a compile
+@lru_cache(maxsize=16)
+def _associator_kernel(r: int):
+    """Coordinate t of associator (a, b, c) is
+    (sum_m T[ab][m] T[mc][t] - sum_m T[bc][m] T[am][t]) mod orders[t], the
+    ``table_mul`` sums reduced once instead of twice."""
+    pairs = r * (r + 1) // 2
+    entry = [[None] * r for _ in range(r)]  # entry[i][j]: names of T[ij]
+    for q, (i, j) in enumerate((i, j) for i in range(r) for j in range(i, r)):
+        entry[i][j] = entry[j][i] = [f"t{q * r + m}" for m in range(r)]
+    coords = []
     for a in range(r):
         for b in range(r):
-            ab = constant(a, b)
             for c in range(a + 1, r):
-                left = table_mul(orders, mult, ab, basis[c])
-                right = table_mul(orders, mult, basis[a], constant(b, c))
-                yield (a, b, c), tuple((u - v) % n for u, v, n in zip(left, right, orders))
+                ab, bc = entry[a][b], entry[b][c]
+                for t in range(r):
+                    left = " + ".join(f"{ab[m]}*{entry[m][c][t]}" for m in range(r))
+                    right = "".join(f" - {bc[m]}*{entry[a][m][t]}" for m in range(r))
+                    coords.append(f"({left}{right}) % n{t}")
+    lines = [f"    {_unpack((r,) * pairs, 't', iter(range(r * pairs)))} = mult",
+             f"    {_unpack(r, 'n', iter(range(r)))} = orders",
+             f"    return {_unpack((r,) * (r * r * (r - 1) // 2), None, iter(coords))}"]
+    return _define("associators", "mult, orders", lines)
 
 
 def read_table_document(text: str, kind: str, what: str):

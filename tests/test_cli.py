@@ -263,6 +263,19 @@ _MALFORMED = {
     "ring-mult-index-zero": (_RING + "mult[0][1] = 0 0\n", "mult[0][1]"),
     "ring-repeated-mult": (_RING + "mult[1][2] = 0 1\n", "mult[1][2]"),
     "ring-missing-one": (_edit(_RING, "one = 1 0\n", ""), "one"),
+    # a malformed number names its key or symbol
+    "tn-torsion-order-missing": (
+        _edit(_TN, "tors_basis = y:2", "tors_basis = y"), "torsion order of y"),
+    "tn-torsion-order-not-integer": (
+        _edit(_TN, "tors_basis = y:2", "tors_basis = y:two"), "torsion order of y"),
+    "tn-conductor-not-integer": (
+        _edit(_TN, "conductor = 4", "conductor = 4.0"), "conductor"),
+    "ring-basis-order-not-integer": (
+        _edit(_RING, "basis_orders = 4 4", "basis_orders = 4 x"), "basis_orders"),
+    "ring-one-not-integer": (_edit(_RING, "one = 1 0", "one = 1 o"), "one:"),
+    "ring-mult-not-integer": (
+        _edit(_RING, "mult[1][2] = 0 1", "mult[1][2] = 0 1/2"), "mult[1][2]"),
+    "ring-prime-not-integer": ("prime = p\n" + _RING, "prime"),
 }
 
 

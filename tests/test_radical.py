@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import gc
 import random
+from collections import Counter
+from itertools import combinations
 from itertools import product as iproduct
 from math import prod
 
@@ -17,7 +19,7 @@ from fuchs.radical import (CapExceeded, InvalidRing, RadicalRing, WrongOrder,
                            check_byott, check_small_theorem,
                            enumerate_radical_rings, power_ideal_chain,
                            radical_ring_from_mult)
-from fuchs.table import table_mul
+from fuchs.table import _associator_kernel, _transport_kernel, compile_transport, table_mul
 from fuchs.tnlab import _torsion_unit_data
 
 
@@ -256,6 +258,28 @@ def _brute_transport(p, exponents, table, images):
                  for i in range(r) for j in range(i, r))
 
 
+def _apply_automorphism(orders, table, images, inverse):
+    """Transport a structure-constant table along an additive automorphism,
+    one ``table_mul`` per entry: the reference for ``compile_transport``.
+
+    ``images[j]`` is the coordinate vector of the image of basis vector j and
+    ``inverse[j]`` that of its preimage.  Returns the table of the isomorphic
+    ring in which the new basis element i multiplies as the old images did:
+    each product images[i] * images[j] is pulled back through ``inverse``.
+    """
+    r = len(orders)
+    out = []
+    for i in range(r):
+        for j in range(i, r):
+            acc = [0] * r
+            for m, a in enumerate(table_mul(orders, table, images[i], images[j])):
+                if a:
+                    for t, b in enumerate(inverse[m]):
+                        acc[t] += a * b
+            out.append(tuple(x % n for x, n in zip(acc, orders)))
+    return tuple(out)
+
+
 def _compose(orders, f, g):
     """The basis images of f after g."""
     out = []
@@ -328,7 +352,7 @@ class TestLifting:
 
     def test_type_counts(self):
         for p, exponents, count in [(2, (2, 1, 1), 35), (2, (3, 1, 1), 57),
-                                    (3, (2, 2), 28)]:
+                                    (3, (2, 2), 28), (3, (2, 1, 1), 39)]:
             assert len(rad._enumerate_type_mixed(p, exponents)) == count
 
 
@@ -364,6 +388,92 @@ class TestSymmetryGenerators:
                         (p, weights)
 
 
+def _weight_vectors(r):
+    """The weight vectors of the flag-adapted candidates of rank r, one per
+    composition of r (as in ``_candidate_tables_elementary``)."""
+    for c in range(1, r + 1):
+        for cuts in combinations(range(1, r), c - 1):
+            yield tuple(1 + sum(cut <= m for cut in cuts) for m in range(r))
+
+
+def _sampled_tables(p, exponents, rng, count=6):
+    """Up to ``count`` valid tables of the type, sampled.  Where the valid
+    tables of (1,)*r are quick to list (r <= 3 or p^r <= 16) they are the
+    elementary tables or the lifts of a sample of them; above that, a valid
+    table of the type without its last coordinate is extended by a
+    coordinate that multiplies to zero, then moved by a random word in the
+    generators."""
+    r = len(exponents)
+    orders = [p ** e for e in exponents]
+    if r <= 3 or p ** r <= 16:
+        bases = rad._elementary_tables(p, r)
+        if exponents == (1,) * r:
+            pool = list(bases)
+        else:
+            pool = [t for base in rng.sample(bases, min(len(bases), 30))
+                    for t in rad._lifts(p, exponents, base)]
+        return rng.sample(pool, min(count, len(pool)))
+    gens = rad._symmetry_generators(p, exponents)
+    out = []
+    for smaller in _sampled_tables(p, exponents[:-1], rng, count):
+        rows = iter(smaller)
+        table = tuple(next(rows) + (0,) if j < r - 1 else (0,) * r
+                      for i in range(r) for j in range(i, r))
+        for _ in range(30):
+            table = _apply_automorphism(orders, table, *rng.choice(gens))
+        out.append(table)
+    return out
+
+
+class TestTransportKernels:
+    def test_every_generator_of_every_type_up_to_125(self):
+        rng = random.Random(12)
+        types = [(p, parts) for p in (2, 3, 5, 7, 11)
+                 for k in range(1, 8) if p ** k <= 125
+                 for parts in rad._partitions(k)]
+        assert len(types) == 52
+        for p, exponents in types:
+            orders = tuple(p ** e for e in exponents)
+            r = len(exponents)
+            gens = set(rad._symmetry_generators(p, exponents))
+            if exponents == (1,) * r:
+                # the flag-preserving generators are among the others
+                for weights in _weight_vectors(r):
+                    assert set(rad._symmetry_generators(p, exponents, weights)) <= gens
+            tables = _sampled_tables(p, exponents, rng)
+            assert tables and len(set(tables)) == len(tables), (p, exponents)
+            for images, inverse in gens:
+                transport = compile_transport(orders, images, inverse)
+                for k, table in enumerate(tables):
+                    moved = transport(table)
+                    assert moved == _apply_automorphism(orders, table, images, inverse), \
+                        (p, exponents, table, images)
+                    if k < 2:
+                        assert moved == _brute_transport(p, exponents, table, images), \
+                            (p, exponents, table, images)
+
+
+class TestValidatedOnce:
+    def test_no_table_validated_twice(self, monkeypatch):
+        # the radical orders of the benchmark's `oracles` workload, on cold
+        # caches: candidates, lifts and class minima are each validated once
+        seen = Counter()
+        inner = rad.validate_radical
+
+        def counting(N):
+            seen[N.p, N.exponents, N.mult] += 1
+            inner(N)
+
+        monkeypatch.setattr(rad, "validate_radical", counting)
+        for cached in (rad._enumerate_cached, rad._enumerate_type_elementary,
+                       rad._elementary_tables):
+            cached.cache_clear()
+        for p, k in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (5, 3)):
+            assert enumerate_radical_rings(p, k)
+        assert len(seen) > 500
+        assert max(seen.values()) == 1
+
+
 class TestEnumerationGarbage:
     def test_no_reference_cycles_left(self):
         # nothing the enumerator allocates may wait for the cycle collector
@@ -379,7 +489,8 @@ class TestEnumerationGarbage:
 
 class TestModuleCaches:
     def test_bounded(self):
-        caches = (rad._enumerate_cached, rad._elementary_tables,
+        caches = (rad._enumerate_cached, rad._enumerate_type_elementary,
+                  rad._elementary_tables, _transport_kernel, _associator_kernel,
                   cyclotomic_poly, _torsion_unit_data)
         for cached in caches:
             assert cached.cache_info().maxsize is not None, cached.__name__

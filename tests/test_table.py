@@ -1,5 +1,5 @@
-"""The compiled product kernel against the ``table_mul`` reference, and
-where kernels are compiled."""
+"""The compiled product, transport and associator kernels against their
+``table_mul`` references, and where product kernels are compiled."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ import fuchs.table as table
 from fuchs.cli import main
 from fuchs.finring import build_corpus, unitalization, zn_ring
 from fuchs.radical import enumerate_radical_rings
-from fuchs.table import TableRing, compile_product, table_mul
+from fuchs.table import (TableRing, associators, compile_product,
+                         compile_transport, table_mul)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -109,6 +110,81 @@ class TestKernelInputs:
         assert A.mul((5,), (7,)) == (11,)
         fresh = zn_ring(12)
         assert A == fresh and hash(A) == hash(fresh)
+
+
+def _reference_associators(orders, mult):
+    """The associators of ``table.associators``, two ``table_mul`` calls a
+    triple."""
+    r = len(orders)
+    basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
+
+    def constant(i, j):
+        lo = min(i, j)
+        return mult[lo * r - lo * (lo - 1) // 2 + abs(i - j)]
+
+    for a in range(r):
+        for b in range(r):
+            ab = constant(a, b)
+            for c in range(a + 1, r):
+                left = table_mul(orders, mult, ab, basis[c])
+                right = table_mul(orders, mult, basis[a], constant(b, c))
+                yield (a, b, c), tuple((u - v) % n for u, v, n in zip(left, right, orders))
+
+
+class TestAssociatorKernel:
+    def test_matches_table_mul_on_random_raw_tables(self):
+        rng = random.Random(13)
+        for r in range(6):
+            for _ in range(40):
+                orders = tuple(rng.choice((2, 3, 4, 5, 8, 9, 12, 27)) for _ in range(r))
+                mult = tuple(tuple(rng.randrange(n) for n in orders)
+                             for _ in range(r * (r + 1) // 2))
+                assert list(associators(orders, mult)) == \
+                    list(_reference_associators(orders, mult)), (orders, mult)
+
+    @pytest.mark.parametrize("bad", [4.0, "4"])
+    def test_non_integer_order_raises(self, bad):
+        with pytest.raises(TypeError):
+            associators((bad, 2), ((0, 0),) * 3)
+
+
+class TestTransportInputs:
+    SWAP = ((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("orders, images", [
+        ((2.0, 2), SWAP), (("2", 2), SWAP), ((2, 2), ((0, 1), (1.0, 0))),
+        ((2, 2), ((0, 1), (None, 0))),
+    ])
+    def test_non_integer_input_raises(self, orders, images):
+        with pytest.raises(TypeError):
+            compile_transport(orders, images, self.SWAP)
+        with pytest.raises(TypeError):
+            compile_transport(orders, self.SWAP, images)
+
+    def test_non_homomorphic_map_raises(self):
+        # x_2 has order 2, so it cannot map to x_1 + x_2 in Z/4 x Z/2
+        identity = ((1, 0), (0, 1))
+        with pytest.raises(ValueError, match="inverse"):
+            compile_transport((4, 2), identity, ((1, 0), (1, 1)))
+        with pytest.raises(ValueError, match="images"):
+            compile_transport((4, 2), ((1, 0), (1, 1)), identity)
+
+    def test_wrong_size_raises(self):
+        with pytest.raises(ValueError):
+            compile_transport((2, 2), ((1, 0),), ((1, 0), (0, 1)))
+        with pytest.raises(ValueError):
+            compile_transport((2, 2), ((1, 0), (0, 1)), ((1, 0), (0, 1, 0)))
+
+    def test_leaves_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            transport = compile_transport((3, 3), ((2, 0), (0, 1)), ((2, 0), (0, 1)))
+            assert transport(((1, 1), (0, 0), (0, 0))) == ((2, 1), (0, 0), (0, 0))
+            del transport
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestWhereKernelsCompile:
