@@ -478,8 +478,16 @@ def abelian_structure(elements, op, identity) -> FinAbGroup:
     and walked back from the identity, which counts the kernels G[p^j] of
     the powers of p.  The index |G[p^j] : G[p^(j-1)]| is p^a_j, where a_j
     is the number of cyclic factors of exponent at least j, so the counts
-    alone fix the Sylow p-part; no basis is built.  A set that is not a
-    group under ``op`` fails an assertion instead of getting a type.
+    alone fix the Sylow p-part; no basis is built.
+
+    After prime p, of exponent v in n, the set shrinks to its image under
+    x -> x^(p^v), read off the power map in v lookups per element with no
+    further products.  That is exact: the image is G_p', the part of G of
+    order prime to p, since the map kills G_p and is a bijection on G_p';
+    and every q-power kernel for q != p lies in G_p'.  So each prime's
+    power map runs on the elements that prime can still see.  A set that
+    is not a group under ``op`` fails an assertion instead of getting a
+    type.
 
     >>> units = [x for x in range(35) if x % 5 and x % 7]
     >>> print(abelian_structure(units, lambda a, b: a * b % 35, 1))
@@ -487,11 +495,13 @@ def abelian_structure(elements, op, identity) -> FinAbGroup:
     """
     elems = set(elements)
     n = len(elems)
+    primes = factorize(n).pairs
     factors = []
-    for p, v in factorize(n).pairs:
+    for k, (p, v) in enumerate(primes):
+        power = {x: _power(op, identity, x, p) for x in elems}
         roots: dict = {}
-        for x in elems:
-            roots.setdefault(_power(op, identity, x, p), []).append(x)
+        for x, y in power.items():
+            roots.setdefault(y, []).append(x)
         # after step j, level holds the elements of order exactly p^j,
         # size is |G[p^j]| and ranks[j - 1] is a_j
         ranks = []
@@ -514,6 +524,15 @@ def abelian_structure(elements, op, identity) -> FinAbGroup:
             mult = a - (ranks[j] if j < len(ranks) else 0)
             if mult:
                 factors.append((p, j, mult))
+        if k + 1 < len(primes):
+            image = elems
+            for _ in range(v):
+                image = {power[x] for x in image}
+                assert image <= elems, "p-th powers leave the set"
+            assert len(image) * p ** v == len(elems), \
+                f"the {p}^{v}-th powers are not a subgroup of index {p}^{v}"
+            elems = image
+        del power, roots
     return FinAbGroup(tuple(factors))
 
 

@@ -8,7 +8,8 @@ McDonald, *Finite Rings with Identity*, 1974).  Unit groups are then
 recovered from those elements by ``abelian_structure``, locality from the
 absence of nontrivial idempotents, and the local unit-structure identity
 A* = F* x (1 + m) is re-verified on every local instance rather than
-assumed.
+assumed.  Both sides come from the same compiled product of A: 1 + m is
+the set {1 + x : x in m} inside A*, whose group is the adjoint group of m.
 """
 
 from __future__ import annotations
@@ -192,19 +193,28 @@ def maximal_ideal_ring(A: FinCommRing, data: LocalData) -> RadicalRing:
         name=f"m({A.name})" if A.name else "")
 
 
+def _one_plus_m(A: FinCommRing, data: LocalData) -> FinAbGroup:
+    """The group 1 + m, recovered inside A* on the product ``unit_group``
+    already compiled.  It is the adjoint group of the maximal ideal, since
+    (1 + x)(1 + y) = 1 + (x o y), so m need not be rebuilt as a radical
+    ring (``maximal_ideal_ring`` does that for callers who want one)."""
+    return abelian_structure([A.add(A.one, x) for x in data.maximal_ideal],
+                             A.mul, A.one)
+
+
 def verify_local_formula(A: FinCommRing, cap: int | None = None,
                          data=None, group=None) -> bool:
     """Check A* = Z/(p^lam - 1) x (1 + m) for a local ring, with 1 + m
-    computed as the adjoint group of the maximal ideal.  A caller that
-    already has ``localize(A)`` and ``unit_group(A)`` passes them as
-    ``data`` and ``group``."""
+    computed inside A* (``_one_plus_m``).  A caller that already has
+    ``localize(A)`` and ``unit_group(A)`` passes them as ``data`` and
+    ``group``."""
     if data is None:
         data = localize(A, cap)
     if isinstance(data, NotLocal):
         raise NotLocalError(f"{A} splits at idempotent {data.idempotent}")
     if group is None:
         group = unit_group(A, units=data.units)
-    one_plus_m = maximal_ideal_ring(A, data).adjoint_group()
+    one_plus_m = _one_plus_m(A, data)
     expected = FinAbGroup.from_orders([data.residue_size - 1]) * one_plus_m \
         if data.residue_size > 2 else one_plus_m
     return group == expected
@@ -405,10 +415,7 @@ def build_corpus() -> list[FinCommRing]:
         for idx, N in enumerate(enumerate_radical_rings(2, k)):
             exp = max(N.exponents) if N.exponents else 1
             for c in range(exp, 5 - k):
-                named = RadicalRing(N.p, N.exponents, N.mult, name=f"N{2 ** k}.{idx}")
-                out.append(unitalization(named, c,
-                                         name=f"Z/{2 ** c}Z+N{2 ** k}.{idx}"))
+                out.append(unitalization(N, c, name=f"Z/{2 ** c}Z+N{2 ** k}.{idx}"))
     for idx, N in enumerate(enumerate_radical_rings(3, 1)):
-        named = RadicalRing(N.p, N.exponents, N.mult, name=f"N3.{idx}")
-        out.append(unitalization(named, 1, name=f"Z/3Z+N3.{idx}"))
+        out.append(unitalization(N, 1, name=f"Z/3Z+N3.{idx}"))
     return out

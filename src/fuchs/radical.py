@@ -122,16 +122,26 @@ def validate_radical(N: RadicalRing) -> None:
 
 
 def _is_nilpotent(N: RadicalRing) -> bool:
-    basis = N.basis()
-    gens = list(basis)
+    """Whether the table, already checked associative, is nilpotent, read
+    off its diagonal.  A finite commutative ring is nilpotent exactly when
+    every basis element is: a Z-combination of commuting nilpotents is
+    nilpotent, so the ring is nil, and a finite nil ring is nilpotent.
+    Conversely, when |N| = p^k the chain N > N^2 > ... drops by a factor of
+    at least p at each step until it reaches 0, so b^(k+1) = 0 for every b
+    in a nilpotent N.  Each b_i^2 is the diagonal entry T[i,i]; squaring it
+    until the exponent reaches 1 + sum(exponents) decides b_i."""
+    r = len(N.exponents)
     bound = 1 + sum(N.exponents)
     orders, mult = N.orders(), N.mult
-    for _ in range(bound):
-        gens = [table_mul(orders, mult, b, g) for b in basis for g in gens]
-        gens = sorted({g for g in gens if any(g)})
-        if not gens:
-            return True
-    return False
+    for i in range(r):
+        x = mult[i * r - i * (i - 1) // 2]
+        exponent = 2
+        while any(x) and exponent < bound:
+            x = table_mul(orders, mult, x, x)
+            exponent *= 2
+        if any(x):
+            return False
+    return True
 
 
 def power_ideal_chain(N: RadicalRing) -> list[frozenset]:
@@ -209,15 +219,17 @@ def _candidate_tables_elementary(p: int, r: int):
 def _filtration_exact(p: int, table, weights) -> bool:
     """Check N^i == span of positions with weight >= i, for all i, on the
     candidate ``table`` of type (1,)*r: a rank test mod p, as products of
-    weights (a, b) only touch weights >= a + b.  The weights are the power
+    weights (a, b) only touch weights >= a + b.  N^2 is spanned by the
+    products of basis pairs, which are the table's own rows; each further
+    N^(i+1) is spanned by the basis times N^i.  The weights are the power
     filtration's dimensions, so a table passes for at most one of them."""
     r = len(weights)
     orders = (p,) * r
     basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
-    gens = basis
     for i in range(2, max(weights) + 1):
-        _, gens = row_reduce_mod([table_mul(orders, table, b, g)
-                                  for b in basis for g in gens], p)
+        rows = table if i == 2 else [table_mul(orders, table, b, g)
+                                     for b in basis for g in gens]
+        _, gens = row_reduce_mod(rows, p)
         if len(gens) != sum(w >= i for w in weights):
             return False
     return True
@@ -500,7 +512,7 @@ def check_byott(N: RadicalRing) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# extraction from a black-box multiplication (used by finring and tnlab)
+# extraction from a black-box multiplication (finring.maximal_ideal_ring)
 
 
 def radical_ring_from_mult(elements, add, zero, mul, p: int, name: str = "") -> RadicalRing:

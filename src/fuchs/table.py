@@ -348,8 +348,8 @@ class TableRing:
                 for m, v in enumerate(c):
                     if (kill * v) % orders[m]:
                         raise InvalidRing(f"bilinearity fails at ({i},{j}) coord {m}")
-        basis = self.basis()
         if one is not None:
+            basis = self.basis()
             for i in range(r):
                 if table_mul(orders, self.mult, one, basis[i]) != basis[i]:
                     raise InvalidRing(f"identity fails on basis element {i}")

@@ -17,8 +17,9 @@ basis vectors is computed once with the table, and ``TnModel.mul`` is that
 pair table compiled by ``table.compile_product``: it sums the products over
 the coordinate pairs and reduces each torsion coordinate once at the end,
 which gives exactly the table's product.  The torsion x torsion block is a
-plain symmetric table over the torsion orders: N_tors is read off it with
-``table.table_mul``, and 1 + N_tors runs on its compiled circle operation.
+plain symmetric table over the torsion orders: each prime's part of N_tors
+is read off its rows and columns, and 1 + N_tors runs on its compiled
+circle operation.
 
 B*_tors is computed by embedding B into a product of cyclotomic rings, one
 component per root of unity annihilating the generator relation.  The
@@ -40,8 +41,8 @@ from .abelian import (FinAbGroup, abelian_structure, format_group,
                       smith_normal_form)
 from .numtheory import (NotCoprime, cyclotomic_poly, factor_cyclo_mod,
                         factorize, hensel_lift_factor, mult_order)
-from .radical import RadicalRing, radical_ring_from_mult
-from .table import compile_product, table_mul
+from .radical import RadicalRing
+from .table import compile_product
 from . import presentation
 
 
@@ -421,30 +422,36 @@ class TorsionIdeal:
 
 
 def nil_torsion(A: TnModel) -> TorsionIdeal:
-    """The torsion nilpotent ideal as per-prime radical rings."""
-    primes = sorted({p for o in A.tors_orders for p, _ in factorize(o).pairs})
+    """The torsion nilpotent ideal as per-prime radical rings, read from the
+    coordinates.  The torsion part is the direct sum of the Z/o_j, so its
+    p-part is spanned by the symbols t_j with p | o_j; sorted by decreasing
+    order they are a basis of the component, and its structure constants
+    are the ``_tors_mult`` entries on those rows and columns.  A product
+    with a coordinate outside its own prime raises InvalidModel
+    (bilinearity, checked before, already makes those coordinates 0).
+    Each component is built as a ``RadicalRing``, so ``validate_radical``
+    still checks it, nilpotency included."""
+    orders, t = A.tors_orders, A.ntors()
+    pairs = [factorize(o).pairs for o in orders]
     comps = []
-    for p in primes:
-        idx = [j for j, o in enumerate(A.tors_orders) if o % p == 0]
-        if any(factorize(A.tors_orders[j]).pairs[0][0] != p or
-               len(factorize(A.tors_orders[j]).pairs) != 1 for j in idx):
+    for p in sorted({p for pp in pairs for p, _ in pp}):
+        idx = [j for j, o in enumerate(orders) if o % p == 0]
+        if any(len(pairs[j]) != 1 for j in idx):
             raise InvalidModel("torsion orders must be prime powers")
-        elems = []
-        for coords in iproduct(*(range(A.tors_orders[j]) for j in idx)):
-            full = [0] * A.ntors()
-            for j, c in zip(idx, coords):
-                full[j] = c
-            elems.append(tuple(full))
-
-        def add(u, v):
-            return tuple((a + b) % n for a, b, n in zip(u, v, A.tors_orders))
-
-        def mul(u, v):
-            return table_mul(A.tors_orders, A._tors_mult, u, v)
-
-        comps.append(radical_ring_from_mult(
-            elems, add, (0,) * A.ntors(), mul, p,
-            name=f"{A.name or 'model'} torsion {p}-part"))
+        idx.sort(key=lambda j: -orders[j])
+        mult = []
+        for a, i in enumerate(idx):
+            for j in idx[a:]:
+                lo, hi = min(i, j), max(i, j)
+                vec = [v % n for v, n in zip(
+                    A._tors_mult[lo * t - lo * (lo - 1) // 2 + hi - lo], orders)]
+                if any(v and orders[m] % p for m, v in enumerate(vec)):
+                    raise InvalidModel(
+                        f"product of torsion symbols {i}, {j} leaves the {p}-part")
+                mult.append(tuple(vec[m] for m in idx))
+        exponents = tuple(pairs[j][0][1] for j in idx)
+        comps.append(RadicalRing(p, exponents, tuple(mult),
+                                 name=f"{A.name or 'model'} torsion {p}-part"))
     return TorsionIdeal(tuple(comps))
 
 
@@ -531,9 +538,10 @@ class TorsionUnitData:
 def _torsion_unit_data(A: TnModel) -> TorsionUnitData:
     B = _BaseAlgebra(A)
     f = A.nfree()
+    one = A.one()
 
     # (1) 1 + N_tors inside the model; its type is the adjoint group's
-    one_plus_n_elements = [(A.one()[0], t[1]) for t in A.torsion_elements()]
+    one_plus_n_elements = [(one[0], t[1]) for t in A.torsion_elements()]
     one_plus_n = _adjoint_group(A)
 
     # (2) torsion units of B through the cyclotomic embedding
@@ -552,13 +560,12 @@ def _torsion_unit_data(A: TnModel) -> TorsionUnitData:
         for n in one_plus_n_elements:
             lifted.add(A.mul(lift, n))
     assert len(lifted) == len(b_units) * len(one_plus_n_elements)
-    a_tors = abelian_structure(sorted(lifted), A.mul, A.one())
+    a_tors = abelian_structure(lifted, A.mul, one)
     # order bound: u^exp(B*_tors) lands in 1+N_tors, so the exponent of
     # A*_tors divides exp(B*_tors) * exp(1+N_tors)
     assert (b_tors.exponent() * one_plus_n.exponent()) % a_tors.exponent() == 0, \
         "torsion unit order exceeded the exact-sequence bound"
-    return TorsionUnitData(one_plus_n, b_tors, a_tors,
-                           sorted(b_units), sorted(lifted))
+    return TorsionUnitData(one_plus_n, b_tors, a_tors, b_units, list(lifted))
 
 
 def _b_torsion_units(A: TnModel, B: _BaseAlgebra) -> list:

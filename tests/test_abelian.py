@@ -391,6 +391,44 @@ def _peeled_structure(elements, op, identity):
     return total
 
 
+def _reference_structure(elements, op, identity):
+    """Independent reference for :func:`abelian_structure`: the same kernel
+    count, but with the p-power map of every prime taken on all n elements,
+    not on the part of G prime to the primes already done."""
+    elems = set(elements)
+    n = len(elems)
+    factors = []
+    for p, v in factorize(n).pairs:
+        roots: dict = {}
+        for x in elems:
+            roots.setdefault(_power(op, identity, x, p), []).append(x)
+        ranks = []
+        level = [identity]
+        size = 1
+        while True:
+            level = [x for y in level for x in roots.get(y, ()) if x != identity]
+            if not level:
+                break
+            index, rest = divmod(size + len(level), size)
+            a = 0
+            while p ** a < index:
+                a += 1
+            assert not rest and p ** a == index, "kernel index is not a power of p"
+            assert not ranks or a <= ranks[-1], "kernel indices grow"
+            ranks.append(a)
+            size *= index
+        assert size == p ** v, f"p-power kernels fill {size}, not {p}^{v}"
+        for j, a in enumerate(ranks, 1):
+            mult = a - (ranks[j] if j < len(ranks) else 0)
+            if mult:
+                factors.append((p, j, mult))
+    return FinAbGroup(tuple(factors))
+
+
+# the construction models the Sylow restriction is checked on, as (k, H)
+_CONSTRUCTIONS = [(2, [27]), (4, [9, 9]), (8, [13, 13]), (2, [3, 5, 7])]
+
+
 _PRIME_POWERS = [q for q in range(2, 2001) if len(factorize(q).pairs) == 1]
 
 
@@ -477,3 +515,49 @@ class TestStructureByCounting:
         # {0, 1, 2, 3} is not closed under addition mod 5
         with pytest.raises(AssertionError):
             abelian_structure(range(4), lambda a, b: (a + b) % 5, 0)
+
+    def test_two_prime_non_group_raises(self):
+        # Z/12 with 1 + 1 sent outside the set: the 2-power kernels still
+        # count 4 elements, but the 4th powers leave the set, which must be
+        # an assertion and not a failed lookup in the power map
+        def op(a, b):
+            return 12 if a == b == 1 else (a + b) % 12
+
+        with pytest.raises(AssertionError, match="leave the set"):
+            abelian_structure(range(12), op, 0)
+
+
+class TestSylowRestriction:
+    """``abelian_structure`` restricts each prime after the first to the
+    part of G prime to the primes already done; the reference takes every
+    power map on the whole group."""
+
+    def test_corpus_unit_groups(self):
+        from fuchs.finring import build_corpus, unit_elements
+        for A in build_corpus():
+            units = unit_elements(A)
+            assert abelian_structure(units, A.mul, A.one) \
+                == _reference_structure(units, A.mul, A.one), A.name
+
+    def test_adjoint_groups(self):
+        from fuchs.radical import enumerate_radical_rings
+        for (p, k) in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                       (5, 1), (5, 2), (5, 3)]:
+            for N in enumerate_radical_rings(p, k):
+                elems = list(N.elements())
+                assert abelian_structure(elems, N.circle, N.zero()) \
+                    == _reference_structure(elems, N.circle, N.zero()), N.mult
+
+    def test_tn_torsion_units(self):
+        from fuchs.tnlab import (EXAMPLE_NAMES, _torsion_unit_data,
+                                 build_construction_model, load_example)
+        models = [load_example(name) for name in EXAMPLE_NAMES]
+        models += [build_construction_model(k, FinAbGroup.from_orders(H))
+                   for k, H in _CONSTRUCTIONS]
+        for A in models:
+            data = _torsion_unit_data(A)
+            assert _reference_structure(data.a_tors_elements, A.mul, A.one()) \
+                == data.a_tors, A.name
+        # the construction models are the ones with several primes
+        assert all(len(_torsion_unit_data(A).a_tors.primes()) >= 2
+                   for A in models[len(EXAMPLE_NAMES):])

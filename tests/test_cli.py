@@ -109,22 +109,26 @@ class TestOracles:
         assert code == 0
         assert doc["rings"][0]["units"] == "Z/2Z x Z/3Z"
 
-    @pytest.mark.parametrize("n, local, structures", [(9, True, 1),
+    @pytest.mark.parametrize("n, local, structures", [(9, True, 2),
                                                       (6, False, 0)])
     def test_finring_searches_units_once_per_ring(self, capsys, tmp_path,
                                                   monkeypatch, n, local,
                                                   structures):
         # localize, unit_group and verify_local_formula share one unit
-        # search and one structure recovery instead of repeating them
+        # search; a local ring recovers two structures, A* and 1 + m,
+        # counted wherever they run (finring or the radical ring of m)
         import fuchs.finring as finring
+        import fuchs.radical as radical
         calls = {"unit_elements": 0, "abelian_structure": 0}
-        for name in calls:
-            inner = getattr(finring, name)
+        for module, name in ((finring, "unit_elements"),
+                             (finring, "abelian_structure"),
+                             (radical, "abelian_structure")):
+            inner = getattr(module, name)
 
             def counted(*args, _inner=inner, _name=name, **kwargs):
                 calls[_name] += 1
                 return _inner(*args, **kwargs)
-            monkeypatch.setattr(finring, name, counted)
+            monkeypatch.setattr(module, name, counted)
         path = tmp_path / f"z{n}.ring"
         path.write_text(finring.zn_ring(n).to_presentation(), encoding="utf-8")
         code, doc = run_json(capsys, "oracle", "finring", str(path))

@@ -16,6 +16,8 @@ from fuchs.finring import (EvenPrime, FinCommRing, LocalData, NotLocal,
                            product_ring, unit_elements, unitalization,
                            unit_group, verify_local_formula,
                            zn_ring, zn_with_nilpotent)
+import fuchs.radical as rad
+from fuchs.finring import _one_plus_m
 from fuchs.radical import CapExceeded, enumerate_radical_rings
 
 
@@ -194,6 +196,19 @@ class TestLocalFormula:
             if isinstance(localize(A), LocalData):
                 assert verify_local_formula(A), A.name
 
+    def test_one_plus_m_is_the_adjoint_group_of_m(self):
+        # 1 + m recovered inside A* against m rebuilt as a radical ring
+        rings = build_corpus() + [zn_ring(1024), galois_ring(2, 5, 4),
+                                  field_ring(907)]
+        local = 0
+        for A in rings:
+            data = localize(A)
+            if isinstance(data, LocalData):
+                local += 1
+                assert _one_plus_m(A, data) \
+                    == maximal_ideal_ring(A, data).adjoint_group(), A.name
+        assert local >= 40
+
     def test_maximal_ideal_is_radical_ring(self):
         A = zn_ring(9)
         data = localize(A)
@@ -336,6 +351,20 @@ class TestSpecWitnesses:
         for grp, p, lam in cases:
             if decide_local_small(grp, p, lam).is_realisable:
                 assert not decide_finite(grp).is_not_realisable, str(grp)
+
+
+class TestCorpusValidation:
+    def test_enumerated_classes_are_not_validated_again(self, monkeypatch):
+        # the corpus unitalizes the enumerated radical classes as they are
+        enumerate_radical_rings(2, 3)
+        enumerate_radical_rings(3, 1)
+        build_corpus()  # warms every enumeration cache the corpus reads
+        calls = []
+        inner = rad.validate_radical
+        monkeypatch.setattr(rad, "validate_radical",
+                            lambda N: calls.append(N) or inner(N))
+        build_corpus()
+        assert calls == []
 
 
 class TestCorpusFiles:

@@ -13,13 +13,14 @@ from math import prod
 import pytest
 
 import fuchs.radical as rad
-from fuchs.abelian import FinAbGroup
+from fuchs.abelian import FinAbGroup, row_reduce_mod
 from fuchs.numtheory import cyclotomic_poly
 from fuchs.radical import (CapExceeded, InvalidRing, RadicalRing, WrongOrder,
                            check_byott, check_small_theorem,
                            enumerate_radical_rings, power_ideal_chain,
                            radical_ring_from_mult)
-from fuchs.table import _associator_kernel, _transport_kernel, compile_transport, table_mul
+from fuchs.table import (_associator_kernel, _transport_kernel, associators,
+                         compile_transport, table_mul)
 from fuchs.tnlab import _torsion_unit_data
 
 
@@ -94,6 +95,96 @@ class TestArithmetic:
                 else:
                     assert message == "associativity fails at ({},{},{})".format(
                         *first), table
+
+
+class _RawTable:
+    """What the nilpotency check reads off a ring, for a table that is not
+    validated first (a ``RadicalRing`` would reject a non-nilpotent one)."""
+
+    def __init__(self, p, exponents, mult):
+        self.exponents, self.mult = exponents, mult
+        self._orders = tuple(p ** e for e in exponents)
+
+    def orders(self):
+        return self._orders
+
+    def basis(self):
+        r = len(self._orders)
+        return [tuple(int(m == i) for m in range(r)) for i in range(r)]
+
+
+def _reference_is_nilpotent(N) -> bool:
+    """Independent reference for ``radical._is_nilpotent``: multiply out
+    N, N^2, ... from the basis until the power is 0 or its bound is
+    passed."""
+    basis = N.basis()
+    gens = list(basis)
+    bound = 1 + sum(N.exponents)
+    orders, mult = N.orders(), N.mult
+    for _ in range(bound):
+        gens = [table_mul(orders, mult, b, g) for b in basis for g in gens]
+        gens = sorted({g for g in gens if any(g)})
+        if not gens:
+            return True
+    return False
+
+
+class TestNilpotency:
+    @staticmethod
+    def _compare(p, exponents, tables) -> Counter:
+        """Compare on the associative ``tables``; count the verdicts."""
+        orders = [p ** e for e in exponents]
+        verdicts = Counter()
+        for table in tables:
+            if any(any(v) for _, v in associators(orders, table)):
+                continue
+            N = _RawTable(p, exponents, table)
+            nilpotent = _reference_is_nilpotent(N)
+            assert rad._is_nilpotent(N) == nilpotent, (p, exponents, table)
+            verdicts[nilpotent] += 1
+        return verdicts
+
+    def test_every_associative_table_of_rank_two(self):
+        for p in (2, 3):
+            for exponents in ((1, 1), (2, 1)):
+                _, slots = _mixed_type_candidates(p, exponents)
+                raws = iproduct(*(iproduct(*pc) for pc in slots))
+                verdicts = self._compare(p, exponents, raws)
+                assert verdicts[True] and verdicts[False], (p, exponents)
+
+    def test_seeded_raw_tables_of_rank_three(self):
+        _, slots = _mixed_type_candidates(2, (1, 1, 1))
+        raws = list(iproduct(*(iproduct(*pc) for pc in slots)))
+        verdicts = self._compare(2, (1, 1, 1), random.Random(3).sample(raws, 3000))
+        assert verdicts[True] and verdicts[False]
+
+
+def _reference_filtration_exact(p, table, weights) -> bool:
+    """Independent reference for ``radical._filtration_exact``: every power
+    N^i, N^2 included, from products of the basis with N^(i-1)."""
+    r = len(weights)
+    orders = (p,) * r
+    basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
+    gens = basis
+    for i in range(2, max(weights) + 1):
+        _, gens = row_reduce_mod([table_mul(orders, table, b, g)
+                                  for b in basis for g in gens], p)
+        if len(gens) != sum(w >= i for w in weights):
+            return False
+    return True
+
+
+class TestFiltration:
+    def test_every_candidate_up_to_rank_four(self):
+        for p, r in ((2, 3), (3, 3), (2, 4)):
+            exact = 0
+            for weights, tables in rad._candidate_tables_elementary(p, r):
+                for table in tables:
+                    got = rad._filtration_exact(p, table, weights)
+                    assert got == _reference_filtration_exact(p, table, weights), \
+                        (p, weights, table)
+                    exact += got
+            assert exact, (p, r)
 
 
 class TestEnumeration:

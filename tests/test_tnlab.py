@@ -3,13 +3,17 @@ rank-zero construction."""
 
 from __future__ import annotations
 
+import copy
 import random
+from itertools import product as iproduct
 from math import gcd
 
 import pytest
 
 from fuchs.abelian import FinAbGroup, group_from_relations
-from fuchs.numtheory import NotCoprime, factor_cyclo_mod, mult_order
+from fuchs.numtheory import NotCoprime, factor_cyclo_mod, factorize, mult_order
+from fuchs.radical import radical_ring_from_mult
+from fuchs.table import table_mul
 from fuchs.tnlab import (CycloBase, HypothesisViolated, InvalidModel,
                          PrimePowerIdealQuotient, TnModel,
                          adjoint_of_nil_torsion, build_construction_model,
@@ -329,6 +333,64 @@ class TestConstruction:
         m = build_construction_model(4, G(9, 9))  # lam(3,4)=2, order 3^4
         assert nil_torsion(m).additive_group() == G(9, 9)
         assert torsion_units(m) == G(4) * G(9, 9)
+
+
+def _models_with_torsion():
+    """The shipped examples and construction models of one to three primes."""
+    models = [load_example(name) for name in EXAMPLE_NAMES]
+    return models + [build_construction_model(k, G(*H)) for k, H in
+                     [(2, [27]), (4, [9, 9]), (8, [13, 13]), (2, [3, 5, 7])]]
+
+
+def _peeled_component(A, p):
+    """The p-part of N_tors as the ``RadicalRing`` that
+    ``radical_ring_from_mult`` peels from its enumerated elements."""
+    idx = [j for j, o in enumerate(A.tors_orders) if o % p == 0]
+    elems = []
+    for coords in iproduct(*(range(A.tors_orders[j]) for j in idx)):
+        full = [0] * A.ntors()
+        for j, c in zip(idx, coords):
+            full[j] = c
+        elems.append(tuple(full))
+    return radical_ring_from_mult(
+        elems, lambda u, v: tuple((a + b) % n for a, b, n in
+                                  zip(u, v, A.tors_orders)),
+        (0,) * A.ntors(), lambda u, v: table_mul(A.tors_orders, A._tors_mult, u, v), p)
+
+
+class TestTorsionIdeal:
+    def test_components_match_the_peeled_rings(self):
+        for A in _models_with_torsion():
+            comps = nil_torsion(A).components
+            assert comps and all(len(set(factorize(c.order()).primes())) == 1
+                                 for c in comps), A.name
+            for c in comps:
+                peeled = _peeled_component(A, c.p)
+                assert c.additive_group() == peeled.additive_group(), A.name
+                assert c.adjoint_group() == peeled.adjoint_group(), A.name
+                assert c.order() == peeled.order(), A.name
+        assert len(comps) == 3  # the last model has primes 3, 5 and 7
+
+    def test_order_that_is_not_a_prime_power_raises(self):
+        base = CycloBase(1)
+        with pytest.raises(InvalidModel, match="prime powers"):
+            TnModel(1, ("u",), ("y",), (6,), ((1,),),
+                    (((base.one(),), (0,)), ((base.zero(),), (1,)),
+                     ((base.zero(),), (0,))))
+
+    def test_product_outside_its_prime_raises(self):
+        # a copy: the model itself is a key of the module's caches
+        A = copy.copy(build_construction_model(2, G(3, 5, 7)))
+        t = A.ntors()
+        # put a 5-part coordinate into the square of the order-3 symbol
+        three = A.tors_orders.index(3)
+        five = A.tors_orders.index(5)
+        q = three * t - three * (three - 1) // 2
+        bad = list(A._tors_mult)
+        bad[q] = tuple(1 if m == five else v for m, v in enumerate(bad[q]))
+        object.__setattr__(A, "_tors_mult", tuple(bad))
+        with pytest.raises(InvalidModel, match="leaves the 3-part"):
+            nil_torsion(A)
 
 
 class TestRankBookkeeping:
