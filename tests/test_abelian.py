@@ -425,10 +425,6 @@ def _reference_structure(elements, op, identity):
     return FinAbGroup(tuple(factors))
 
 
-# the construction models the Sylow restriction is checked on, as (k, H)
-_CONSTRUCTIONS = [(2, [27]), (4, [9, 9]), (8, [13, 13]), (2, [3, 5, 7])]
-
-
 _PRIME_POWERS = [q for q in range(2, 2001) if len(factorize(q).pairs) == 1]
 
 
@@ -553,7 +549,8 @@ class TestSylowRestriction:
                                  build_construction_model, load_example)
         models = [load_example(name) for name in EXAMPLE_NAMES]
         models += [build_construction_model(k, FinAbGroup.from_orders(H))
-                   for k, H in _CONSTRUCTIONS]
+                   for k, H in [(2, [27]), (4, [9, 9]), (8, [13, 13]),
+                                (2, [3, 5, 7])]]
         for A in models:
             data = _torsion_unit_data(A)
             assert _reference_structure(data.a_tors_elements, A.mul, A.one()) \
