@@ -39,6 +39,13 @@ QUERIES = (
     ("model", "tests/data/construction-k2-27.tn"),
     ("model", "tests/data/construction-k4-9-9.tn"),
     ("model", "tests/data/construction-k8-13-13.tn"),
+    ("decide", "--class", "finite", "Z/2Z x Z/4Z x Z/3Z"),
+    ("decide", "--class", "finite", "Z/3Z x Z/9Z"),
+    ("decide", "--class", "finite", "Z/2Z x Z/32Z"),
+    ("decide", "--class", "any", "Z/4Z x Z/8Z"),
+    ("decide", "--class", "tn", "Z/4Z x Z/4Z"),
+    ("decide", "--class", "any", "Z/3Z x Z/9Z"),
+    ("decide", "--class", "any", "Z/2Z x Z/8Z x Z"),
 )
 
 
