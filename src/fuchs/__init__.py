@@ -10,8 +10,8 @@ from .numtheory import (CycloPoly, Factorization, NotCoprime, PsFactor,
                         factorize, is_fermat_prime, mersenne_divisor_set,
                         mult_order, pearson_schneider_covers)
 from .radical import (CapExceeded, InvalidRing, RadicalRing, WrongOrder,
-                      adjoint_group, check_byott, check_small_theorem,
-                      circle, enumerate_radical_rings)
+                      check_byott, check_small_theorem,
+                      enumerate_radical_rings)
 from .finring import (EvenPrime, FinCommRing, LocalData, NotLocal,
                       build_corpus, decide_local_small, localize,
                       maximal_ideal_ring, unit_group, verify_local_formula)

@@ -144,27 +144,6 @@ class FinAbGroup:
     def without_prime(self, p: int) -> "FinAbGroup":
         return FinAbGroup(tuple(f for f in self.factors if f[0] != p))
 
-    def embeds_in(self, other: "FinAbGroup") -> bool:
-        """Whether this group is (isomorphic to) a subgroup of ``other``.
-
-        For abelian p-groups, H embeds in G iff the descending exponent
-        lists satisfy h_i <= g_i termwise; primes are handled independently.
-        """
-        for p in set(self.primes()) | set(other.primes()):
-            mine = sorted(self.sylow(p)._exponent_list(), reverse=True)
-            theirs = sorted(other.sylow(p)._exponent_list(), reverse=True)
-            if len(mine) > len(theirs):
-                return False
-            if any(a > b for a, b in zip(mine, theirs)):
-                return False
-        return True
-
-    def _exponent_list(self) -> list[int]:
-        out = []
-        for _, e, m in self.factors:
-            out.extend([e] * m)
-        return out
-
     def __str__(self) -> str:
         return format_group(FgAbGroup(self, 0))
 

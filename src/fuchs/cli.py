@@ -18,9 +18,9 @@ from .abelian import FgAbGroup, FinAbGroup, format_group, parse_group
 from .finring import FinCommRing, NotLocal, build_corpus, localize, \
     unit_group, verify_local_formula
 from .radical import check_byott, check_small_theorem, enumerate_radical_rings
-from .realize import (NonCyclicTwoPart, decide_any, decide_finite, decide_tn,
-                      ge_classify, g_value, r_value, verdict_to_json,
-                      mersenne_divisor_set, GeClass)
+from .realize import (decide_any, decide_finite, decide_tn, ge_classify,
+                      g_value, r_value, verdict_to_json, mersenne_divisor_set,
+                      GeClass)
 from .tnlab import (TnModel, adjoint_of_nil_torsion, load_example, sequence_splits,
                     torsion_units, quotient_torsion_units, EXAMPLE_NAMES)
 
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
         if args.command == "table":
             return _cmd_table_cyclic(args)
         raise AssertionError(args.command)
-    except (ValueError, NonCyclicTwoPart, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

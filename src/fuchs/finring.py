@@ -56,14 +56,6 @@ class FinCommRing(TableRing):
             raise InvalidRing("identity width does not match basis")
         validate_ring(self)
 
-    def characteristic(self) -> int:
-        n = 1
-        x = self.one
-        while any(x):
-            x = self.add(x, self.one)
-            n += 1
-        return n
-
     def to_presentation(self) -> str:
         return self.table_document("ring", one=self.one)
 

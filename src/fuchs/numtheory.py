@@ -90,9 +90,6 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
 
 def factorize(n: int) -> Factorization:
     """Full factorization of n >= 1; rejects inputs above 2**64."""
@@ -186,13 +183,6 @@ def is_fermat_prime(q: int) -> bool:
     return 2 ** u + 1 == q and is_prime(q)
 
 
-def moebius(n: int) -> int:
-    f = factorize(n)
-    if any(e > 1 for _, e in f.pairs):
-        return 0
-    return -1 if len(f.pairs) % 2 else 1
-
-
 # ---------------------------------------------------------------------------
 # integer polynomials, dense little-endian coefficient lists
 
@@ -268,37 +258,12 @@ def cyclotomic_poly(n: int) -> CycloPoly:
     return CycloPoly(n, coeffs)
 
 
-def cyclotomic_poly_mobius(n: int) -> CycloPoly:
-    """Phi_n by the Moebius product formula; an independent route for tests."""
-    num = [1]
-    den = [1]
-    for d in divisors(n):
-        mu = moebius(n // d)
-        f = [-1] + [0] * (d - 1) + [1]
-        if mu == 1:
-            num = poly_mul(num, f)
-        elif mu == -1:
-            den = poly_mul(den, f)
-    return CycloPoly(n, tuple(poly_divmod_exact(num, den)))
-
-
 # ---------------------------------------------------------------------------
-# polynomial arithmetic mod a prime q
+# polynomial arithmetic mod a prime q (mod q^b where the divisor is monic)
 
 
 def _pmod(a: list[int], q: int) -> list[int]:
     return poly_trim([c % q for c in a])
-
-
-def _pmul(a, b, q):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-    return poly_trim(out)
 
 
 def _pdivmod(a, b, q):
@@ -331,8 +296,8 @@ def _ppowmod(a, e, mod, q):
     base = _pdivmod(a, mod, q)[1]
     while e:
         if e & 1:
-            result = _pdivmod(_pmul(result, base, q), mod, q)[1]
-        base = _pdivmod(_pmul(base, base, q), mod, q)[1]
+            result = _pdivmod(poly_mul(result, base), mod, q)[1]
+        base = _pdivmod(poly_mul(base, base), mod, q)[1]
         e >>= 1
     return result
 
@@ -382,7 +347,7 @@ def factor_cyclo_mod(n: int, q: int) -> list[tuple[int, ...]]:
     factors.sort()
     check = [1]
     for f in factors:
-        check = _pmul(check, list(f), q)
+        check = _pmod(poly_mul(check, list(f)), q)
     assert check == target
     return factors
 
@@ -406,8 +371,8 @@ def hensel_lift_factor(n: int, f_mod_q: tuple[int, ...], q: int, b: int) -> tupl
         diff = [x - y for x, y in zip(_pad(list(phi), width), _pad(prodfg, width))]
         assert all(d % qk == 0 for d in diff)
         e = poly_trim([(d // qk) % q for d in diff])
-        df = _pdivmod(_pmul(t, e, q), f, q)[1]
-        dg = _pdivmod(_pmul(s, e, q), g, q)[1]
+        df = _pdivmod(poly_mul(t, e), f, q)[1]
+        dg = _pdivmod(poly_mul(s, e), g, q)[1]
         width = max(len(f), len(df))
         f = poly_trim([(a + qk * c) % mod for a, c in
                        zip(_pad(f, width), _pad(df, width))])
@@ -416,24 +381,13 @@ def hensel_lift_factor(n: int, f_mod_q: tuple[int, ...], q: int, b: int) -> tupl
                        zip(_pad(g, width), _pad(dg, width))])
         qk = mod
     assert f[-1] == 1 and len(f) == len(f_mod_q)
-    rem = _poly_rem_mod(phi, f, q ** b)
+    rem = _pdivmod(phi, f, q ** b)[1]
     assert not rem, "lift failed to divide Phi_n mod q^b"
     return tuple(f)
 
 
 def _pad(a, n):
     return a + [0] * max(0, n - len(a))
-
-
-def _poly_rem_mod(a, b, m):
-    a = [c % m for c in a]
-    inv = pow(b[-1], -1, m)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv % m
-        if c:
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % m
-    return poly_trim(a)
 
 
 def _bezout_poly(f, g, q):
@@ -443,8 +397,8 @@ def _bezout_poly(f, g, q):
     while r1:
         quo, rem = _pdivmod(r0, r1, q)
         r0, r1 = r1, rem
-        s0, s1 = s1, _psub(s0, _pmul(quo, s1, q), q)
-        t0, t1 = t1, _psub(t0, _pmul(quo, t1, q), q)
+        s0, s1 = s1, _psub(s0, poly_mul(quo, s1), q)
+        t0, t1 = t1, _psub(t0, poly_mul(quo, t1), q)
     inv = pow(r0[-1], -1, q)
     s = [c * inv % q for c in s0]
     t = [c * inv % q for c in t0]

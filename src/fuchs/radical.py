@@ -65,9 +65,6 @@ class RadicalRing(TableRing):
     def orders(self) -> tuple[int, ...]:
         return self._orders
 
-    def scale(self, c: int, x):
-        return tuple((c * a) % n for a, n in zip(x, self._orders))
-
     @cached_property
     def circle(self):
         """x o y = x + y + xy, the adjoint group operation, compiled into one
@@ -96,14 +93,6 @@ class RadicalRing(TableRing):
     def __str__(self):
         label = self.name or "radical ring"
         return f"{label} of order {self.order()} ({self.additive_group()})"
-
-
-def circle(N: RadicalRing, x, y):
-    return N.circle(x, y)
-
-
-def adjoint_group(N: RadicalRing) -> FinAbGroup:
-    return N.adjoint_group()
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +131,6 @@ def _is_nilpotent(N: RadicalRing) -> bool:
         if any(x):
             return False
     return True
-
-
-def power_ideal_chain(N: RadicalRing) -> list[frozenset]:
-    """[N^1, N^2, ...] as element sets, down to (and excluding) zero."""
-    basis = N.basis()
-    chain = []
-    gens = list(basis)
-    while True:
-        span = N.span(gens)
-        if len(span) == 1:
-            break
-        chain.append(span)
-        gens = sorted({N.mul(b, g) for b in basis for g in gens})
-    return chain
 
 
 # ---------------------------------------------------------------------------

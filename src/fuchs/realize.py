@@ -307,6 +307,29 @@ def _residue_shapes(exp: int) -> list[tuple[int, int]]:
     return sorted(pp for m in divisors(exp) if (pp := is_prime_power(m + 1)))
 
 
+def _group(d) -> FinAbGroup:
+    """The group of a multiset {(p, e): mult} of cyclic factors Z/p^e."""
+    return FinAbGroup(tuple(sorted((p, e, m) for (p, e), m in d.items())))
+
+
+def _splits(items):
+    """Every split of the multiset [((p, e), mult), ...] into two, as
+    (taken, rest) dicts without zero entries; the number taken of the first
+    item varies fastest."""
+    if not items:
+        yield {}, {}
+        return
+    (key, mult), tail = items[0], items[1:]
+    for taken, rest in _splits(tail):
+        for take in range(mult + 1):
+            lo, ro = dict(taken), dict(rest)
+            if take:
+                lo[key] = take
+            if mult - take:
+                ro[key] = mult - take
+            yield lo, ro
+
+
 def _local_factor_search(G: FinAbGroup):
     """Search assignments of G's cyclic factors to local unit shapes
     F_{p^lam}* x H. Returns (certificate | None, unknown branches, trace)."""
@@ -324,21 +347,6 @@ def _local_factor_search(G: FinAbGroup):
     trace: list[dict] = []
     unknown_branches: list[dict] = []
     solution: list | None = None
-
-    def sub_multisets(pool_items):
-        if not pool_items:
-            yield {}
-            return
-        (key, mult), rest = pool_items[0], pool_items[1:]
-        for tail in sub_multisets(rest):
-            for take in range(mult + 1):
-                out = dict(tail)
-                if take:
-                    out[key] = take
-                yield out
-
-    def grp(d):
-        return format_group(FinAbGroup(tuple(sorted((p, e, m) for (p, e), m in d.items()))))
 
     def search(remaining, start, chosen, has_unknown):
         nonlocal solution
@@ -360,13 +368,14 @@ def _local_factor_search(G: FinAbGroup):
                 after_cyclic[k] -= v
                 if not after_cyclic[k]:
                     del after_cyclic[k]
-            p_pool = [(k, v) for k, v in sorted(after_cyclic.items()) if k[0] == p]
-            for H in sub_multisets(p_pool):
+            others = {k: v for k, v in after_cyclic.items() if k[0] != p}
+            p_pool = sorted((k, v) for k, v in after_cyclic.items() if k[0] == p)
+            for H, p_rest in _splits(p_pool):
                 if not H and p ** lam == 2:
                     continue  # F_2 factor changes nothing
                 branch_unknown = has_unknown
+                hgroup = _group(H)
                 if H:
-                    hgroup = FinAbGroup(tuple(sorted((q, e, m) for (q, e), m in H.items())))
                     if p == 2:
                         branch_unknown = True
                     else:
@@ -383,21 +392,17 @@ def _local_factor_search(G: FinAbGroup):
                                               f"{word}, not {format_group(hgroup)}"})
                                 continue
                             branch_unknown = True
-                rest = dict(after_cyclic)
-                for k, v in H.items():
-                    rest[k] -= v
-                    if not rest[k]:
-                        del rest[k]
                 chosen.append({"p": p, "lam": lam,
                                "units": format_group(FinAbGroup.from_orders(
                                    [p ** lam - 1] if p ** lam > 2 else [])),
-                               "H": grp(H)})
-                search(rest, idx, chosen, branch_unknown)
+                               "H": format_group(hgroup)})
+                search(others | p_rest, idx, chosen, branch_unknown)
                 chosen.pop()
                 if solution is not None:
                     return
         if remaining:
-            trace.append({"reason": "uncovered remainder", "remaining": grp(remaining)})
+            trace.append({"reason": "uncovered remainder",
+                          "remaining": format_group(_group(remaining))})
 
     search(dict(factor_pool), 0, [], False)
     constraints = [e for e in trace if "p" in e]
@@ -463,35 +468,11 @@ def decide_any(G: FgAbGroup) -> Verdict:
 def _split_search(T: FinAbGroup, r: int, query: str, cls: str) -> Verdict:
     """Try all splits T = T_fin x T_tn with the free rank on the TN side."""
     pool = [((p, e), mult) for p, e, mult in T.factors]
-    seen = set()
     any_unknown = False
     failures = []
-
-    def assemble(d):
-        return FinAbGroup(tuple(sorted((p, e, m) for (p, e), m in d.items() if m)))
-
-    def splits(items):
-        if not items:
-            yield {}, {}
-            return
-        (key, mult), rest = items[0], items[1:]
-        for left, right in splits(rest):
-            for take in range(mult + 1):
-                lo = dict(left)
-                ro = dict(right)
-                if take:
-                    lo[key] = take
-                if mult - take:
-                    ro[key] = mult - take
-                yield lo, ro
-
-    for fin_part, tn_part in splits(pool):
-        key = tuple(sorted(fin_part.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        T_fin = assemble(fin_part)
-        T_tn = assemble(tn_part)
+    for fin_part, tn_part in _splits(pool):
+        T_fin = _group(fin_part)
+        T_tn = _group(tn_part)
         if T_tn.is_trivial() and r == 0:
             v_tn = None  # degenerate split: the ring is just the finite part
         else:
@@ -652,8 +633,8 @@ def _witness_construction(ge: GeClass, T: FgAbGroup) -> bool:
 
 
 def _witness_two_power(u: int) -> bool:
-    from .tnlab import example_two_model, torsion_units
-    model = example_two_model(2 ** (u - 1))
+    from .tnlab import load_example, torsion_units
+    model = load_example(f"paper-7-2-v{2 ** (u - 1)}")
     return torsion_units(model) == FinAbGroup.from_orders([4, 2 ** u])
 
 

@@ -39,8 +39,9 @@ from math import gcd, lcm, prod
 from .abelian import (FinAbGroup, abelian_structure, format_group,
                       group_from_relations, hermite_normal_form,
                       smith_normal_form)
-from .numtheory import (NotCoprime, cyclotomic_poly, factor_cyclo_mod,
-                        factorize, hensel_lift_factor, mult_order)
+from .numtheory import (NotCoprime, _pdivmod, cyclotomic_poly,
+                        factor_cyclo_mod, factorize, hensel_lift_factor,
+                        mult_order)
 from .radical import RadicalRing
 from .table import compile_product
 from . import presentation
@@ -176,11 +177,6 @@ class TnModel:
     def add(self, x, y):
         free = tuple(self.base.add(a, b) for a, b in zip(x[0], y[0]))
         tors = tuple((a + b) % n for a, b, n in zip(x[1], y[1], self.tors_orders))
-        return (free, tors)
-
-    def neg(self, x):
-        free = tuple(self.base.neg(a) for a in x[0])
-        tors = tuple((-a) % n for a, n in zip(x[1], self.tors_orders))
         return (free, tors)
 
     def _scalar_powers(self):
@@ -740,9 +736,10 @@ def cyclotomic_quotient_group(Q: PrimePowerIdealQuotient) -> FinAbGroup:
     base = CycloBase(k)
     deg = base.degree
     f_el = base.reduce(list(Q.factor))
-    # sanity: the factor must divide Phi_k mod q
-    from .numtheory import _poly_rem_mod
-    if _poly_rem_mod(list(base.phi), [c % q for c in Q.factor], q):
+    # sanity: the factor must have degree len - 1 and divide Phi_k mod q
+    if not Q.factor or Q.factor[-1] % q == 0:
+        raise ValueError(f"factor {Q.factor} has leading coefficient 0 mod {q}")
+    if _pdivmod(list(base.phi), Q.factor, q)[1]:
         raise ValueError("factor does not divide Phi_k mod q")
     lam = len(Q.factor) - 1
 
@@ -864,69 +861,3 @@ def load_example(name: str) -> TnModel:
     from importlib.resources import files
     text = files("fuchs.data").joinpath(f"{name}.tn").read_text(encoding="utf-8")
     return TnModel.from_presentation(text)
-
-
-def example_one_model() -> TnModel:
-    """The order-2^7 model with N = (Z/2)^4 but 1+N = Z/2 x Z/2 x Z/4:
-    base Z[i], free {1, x} with x^2 = 1 + y, torsion {y, xy, y2, xy2}."""
-    text = """\
-name = paper-7-1
-kind = tn
-conductor = 4
-free_basis = u x
-tors_basis = y:2 xy:2 y2:2 xy2:2
-scalar_action y = y
-scalar_action xy = xy
-scalar_action y2 = y2
-scalar_action xy2 = xy2
-mult u u = u
-mult u x = x
-mult u y = y
-mult u xy = xy
-mult u y2 = y2
-mult u xy2 = xy2
-mult x x = u + y
-mult x y = xy
-mult x xy = y + y2
-mult x y2 = xy2
-mult x xy2 = y2
-mult y y = y2
-mult y xy = xy2
-mult y y2 = 0
-mult y xy2 = 0
-mult xy xy = y2
-mult xy y2 = 0
-mult xy xy2 = 0
-mult y2 y2 = 0
-mult y2 xy2 = 0
-mult xy2 xy2 = 0
-"""
-    return TnModel.from_presentation(text)
-
-
-def example_two_model(v: int) -> TnModel:
-    """The Z/4 x Z/2v family: base Z[i], free power basis of x with
-    x^v = 1 + y, a single torsion symbol y of order 2 killed by (x - 1)."""
-    if v not in (2, 4):
-        raise ValueError("the shipped family uses v in {2, 4}")
-    free = ["u"] + [f"x{i}" if i > 1 else "x" for i in range(1, v)]
-    lines = [f"name = paper-7-2-v{v}", "kind = tn", "conductor = 4",
-             "free_basis = " + " ".join(free), "tors_basis = y:2",
-             "scalar_action y = y"]
-    def sym(i):
-        return free[i]
-    for i in range(v):
-        for j in range(i, v):
-            s = i + j
-            if s == 0:
-                val = "u"
-            elif s < v:
-                val = sym(s)
-            else:
-                wrapped = sym(s - v)
-                val = f"{wrapped} + y"
-            lines.append(f"mult {sym(i)} {sym(j)} = {val}")
-    for i in range(v):
-        lines.append(f"mult {sym(i)} y = y")
-    lines.append("mult y y = 0")
-    return TnModel.from_presentation("\n".join(lines) + "\n")

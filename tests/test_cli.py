@@ -165,9 +165,10 @@ class TestModels:
         assert doc["sequence_splits"] is False
 
     def test_model_file_flags(self, capsys, tmp_path):
-        from fuchs.tnlab import example_two_model
+        from fuchs.tnlab import load_example
         path = tmp_path / "m.tn"
-        path.write_text(example_two_model(4).to_presentation(), encoding="utf-8")
+        path.write_text(load_example("paper-7-2-v4").to_presentation(),
+                        encoding="utf-8")
         code, doc = run_json(capsys, "model", str(path), "--torsion-units")
         assert code == 0 and doc["torsion_units"] == "Z/4Z x Z/8Z"
         code, doc = run_json(capsys, "model", str(path), "--sequence")

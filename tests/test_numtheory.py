@@ -6,12 +6,35 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuchs.numtheory import (FactorTooLarge, NotCoprime, admissible_ps_factors,
-                             cyclotomic_poly, cyclotomic_poly_mobius,
+from fuchs.numtheory import (CycloPoly, FactorTooLarge, NotCoprime,
+                             admissible_ps_factors, cyclotomic_poly,
                              divisors, euler_phi, factor_cyclo_mod, factorize,
                              hensel_lift_factor, is_fermat_prime, is_prime,
-                             mersenne_divisor_set, moebius, mult_order,
-                             pearson_schneider_covers, poly_mul)
+                             mersenne_divisor_set, mult_order,
+                             pearson_schneider_covers, poly_divmod_exact,
+                             poly_mul)
+
+
+def moebius(n: int) -> int:
+    f = factorize(n)
+    if any(e > 1 for _, e in f.pairs):
+        return 0
+    return -1 if len(f.pairs) % 2 else 1
+
+
+def cyclotomic_poly_mobius(n: int) -> CycloPoly:
+    """Phi_n by the Moebius product formula, the independent reference for
+    ``cyclotomic_poly``'s recursive division."""
+    num = [1]
+    den = [1]
+    for d in divisors(n):
+        mu = moebius(n // d)
+        f = [-1] + [0] * (d - 1) + [1]
+        if mu == 1:
+            num = poly_mul(num, f)
+        elif mu == -1:
+            den = poly_mul(den, f)
+    return CycloPoly(n, tuple(poly_divmod_exact(num, den)))
 
 
 class TestFactorization:

@@ -7,7 +7,7 @@ from fuchs.presentation import (PresentationError, format_combination,
                                 parse_tn_document)
 from fuchs.radical import RadicalRing
 from fuchs.finring import FinCommRing, zn_with_nilpotent, zn_ring
-from fuchs.tnlab import TnModel, example_one_model, example_two_model
+from fuchs.tnlab import TnModel, load_example
 
 
 class TestRingDocuments:
@@ -60,8 +60,8 @@ class TestCombinations:
 
 class TestTnDocuments:
     def test_round_trip_shipped(self):
-        for model in (example_one_model(), example_two_model(2),
-                      example_two_model(4)):
+        for model in (load_example("paper-7-1"), load_example("paper-7-2-v2"),
+                      load_example("paper-7-2-v4")):
             text = model.to_presentation()
             assert TnModel.from_presentation(text) == model
 

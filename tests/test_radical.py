@@ -17,8 +17,7 @@ from fuchs.abelian import FinAbGroup, row_reduce_mod
 from fuchs.numtheory import cyclotomic_poly
 from fuchs.radical import (CapExceeded, InvalidRing, RadicalRing, WrongOrder,
                            check_byott, check_small_theorem,
-                           enumerate_radical_rings, power_ideal_chain,
-                           radical_ring_from_mult)
+                           enumerate_radical_rings, radical_ring_from_mult)
 from fuchs.table import (_associator_kernel, _transport_kernel, associators,
                          compile_transport, table_mul)
 from fuchs.tnlab import _torsion_unit_data
@@ -185,6 +184,20 @@ class TestFiltration:
                         (p, weights, table)
                     exact += got
             assert exact, (p, r)
+
+
+def power_ideal_chain(N: RadicalRing) -> list[frozenset]:
+    """[N^1, N^2, ...] as element sets, down to (and excluding) zero."""
+    basis = N.basis()
+    chain = []
+    gens = list(basis)
+    while True:
+        span = N.span(gens)
+        if len(span) == 1:
+            break
+        chain.append(span)
+        gens = sorted({N.mul(b, g) for b in basis for g in gens})
+    return chain
 
 
 class TestEnumeration:

@@ -73,7 +73,8 @@ def _even_subgroup_types(T):
     per_prime = []
     primes = T.primes()
     for p in primes:
-        exps = sorted(T.sylow(p)._exponent_list(), reverse=True)
+        exps = sorted((e for _, e, m in T.sylow(p).factors for _ in range(m)),
+                      reverse=True)
         choices = []
         for mask in iproduct(*(range(e + 1) for e in exps)):
             sub = tuple(sorted((m for m in mask if m), reverse=True))

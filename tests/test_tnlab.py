@@ -17,8 +17,7 @@ from fuchs.table import table_mul
 from fuchs.tnlab import (CycloBase, HypothesisViolated, InvalidModel,
                          PrimePowerIdealQuotient, TnModel,
                          adjoint_of_nil_torsion, build_construction_model,
-                         cyclotomic_quotient_group, example_one_model,
-                         example_two_model, load_example, nil_torsion,
+                         cyclotomic_quotient_group, load_example, nil_torsion,
                          quotient_torsion_units, rank_bookkeeping,
                          sequence_splits, torsion_units, EXAMPLE_NAMES)
 
@@ -145,9 +144,80 @@ class TestCycloBase:
         assert acc == z8.neg(z8.one())  # zeta_8^4 = -1
 
 
+# ---------------------------------------------------------------------------
+# the shipped examples built from their definitions, the reference that the
+# files under fuchs/data are compared against
+
+
+def _example_one_model() -> TnModel:
+    """The order-2^7 model with N = (Z/2)^4 but 1+N = Z/2 x Z/2 x Z/4:
+    base Z[i], free {1, x} with x^2 = 1 + y, torsion {y, xy, y2, xy2}."""
+    text = """\
+name = paper-7-1
+kind = tn
+conductor = 4
+free_basis = u x
+tors_basis = y:2 xy:2 y2:2 xy2:2
+scalar_action y = y
+scalar_action xy = xy
+scalar_action y2 = y2
+scalar_action xy2 = xy2
+mult u u = u
+mult u x = x
+mult u y = y
+mult u xy = xy
+mult u y2 = y2
+mult u xy2 = xy2
+mult x x = u + y
+mult x y = xy
+mult x xy = y + y2
+mult x y2 = xy2
+mult x xy2 = y2
+mult y y = y2
+mult y xy = xy2
+mult y y2 = 0
+mult y xy2 = 0
+mult xy xy = y2
+mult xy y2 = 0
+mult xy xy2 = 0
+mult y2 y2 = 0
+mult y2 xy2 = 0
+mult xy2 xy2 = 0
+"""
+    return TnModel.from_presentation(text)
+
+
+def _example_two_model(v: int) -> TnModel:
+    """The Z/4 x Z/2v family: base Z[i], free power basis of x with
+    x^v = 1 + y, a single torsion symbol y of order 2 killed by (x - 1)."""
+    if v not in (2, 4):
+        raise ValueError("the shipped family uses v in {2, 4}")
+    free = ["u"] + [f"x{i}" if i > 1 else "x" for i in range(1, v)]
+    lines = [f"name = paper-7-2-v{v}", "kind = tn", "conductor = 4",
+             "free_basis = " + " ".join(free), "tors_basis = y:2",
+             "scalar_action y = y"]
+    def sym(i):
+        return free[i]
+    for i in range(v):
+        for j in range(i, v):
+            s = i + j
+            if s == 0:
+                val = "u"
+            elif s < v:
+                val = sym(s)
+            else:
+                wrapped = sym(s - v)
+                val = f"{wrapped} + y"
+            lines.append(f"mult {sym(i)} {sym(j)} = {val}")
+    for i in range(v):
+        lines.append(f"mult {sym(i)} y = y")
+    lines.append("mult y y = 0")
+    return TnModel.from_presentation("\n".join(lines) + "\n")
+
+
 class TestShippedModels:
     def test_first_model_values(self):
-        A = example_one_model()
+        A = load_example("paper-7-1")
         assert nil_torsion(A).additive_group() == G(2, 2, 2, 2)
         assert adjoint_of_nil_torsion(A) == G(2, 2, 4)
         assert quotient_torsion_units(A) == G(2, 4)
@@ -155,39 +225,39 @@ class TestShippedModels:
         assert sequence_splits(A) is False
 
     def test_family_values(self):
-        A = example_two_model(4)
+        A = load_example("paper-7-2-v4")
         assert nil_torsion(A).additive_group() == G(2)
         assert adjoint_of_nil_torsion(A) == G(2)
         assert torsion_units(A) == G(4, 8)
         assert sequence_splits(A) is False
 
-        A = example_two_model(2)
+        A = load_example("paper-7-2-v2")
         assert torsion_units(A) == G(4, 4)
         assert sequence_splits(A) is False
 
     def test_golden_files_frozen(self):
-        for name, builder in [("paper-7-1", example_one_model),
-                              ("paper-7-2-v2", lambda: example_two_model(2)),
-                              ("paper-7-2-v4", lambda: example_two_model(4))]:
+        for name, builder in [("paper-7-1", _example_one_model),
+                              ("paper-7-2-v2", lambda: _example_two_model(2)),
+                              ("paper-7-2-v4", lambda: _example_two_model(4))]:
             assert load_example(name) == builder()
         assert set(EXAMPLE_NAMES) == {"paper-7-1", "paper-7-2-v2", "paper-7-2-v4"}
 
     def test_exact_sequence_cardinality(self):
-        for A in (example_one_model(), example_two_model(2),
-                  example_two_model(4)):
+        for A in (load_example("paper-7-1"), load_example("paper-7-2-v2"),
+                  load_example("paper-7-2-v4")):
             n = nil_torsion(A).order()
             assert torsion_units(A).order() == n * quotient_torsion_units(A).order()
 
     def test_epsilon_bound_spot_check(self):
         # models with finite torsion units keep epsilon <= 2
         from fuchs.abelian import epsilon
-        for A in (example_one_model(), example_two_model(2),
-                  example_two_model(4)):
+        for A in (load_example("paper-7-1"), load_example("paper-7-2-v2"),
+                  load_example("paper-7-2-v4")):
             assert epsilon(torsion_units(A)) <= 2
 
     def test_base_root_keeps_its_order(self):
         # the distinguished root of unity of the base stays of full order in B
-        for A in (example_one_model(), example_two_model(4)):
+        for A in (load_example("paper-7-1"), load_example("paper-7-2-v4")):
             base = A.base
             f = A.nfree()
             i_elem = tuple(base.zeta() if e == 0 else base.zero() for e in range(f))
@@ -202,7 +272,7 @@ class TestShippedModels:
             assert order == A.conductor
 
     def test_validation_rejects_broken_tables(self):
-        A = example_one_model()
+        A = load_example("paper-7-1")
         text = A.to_presentation().replace("mult x xy = y + y2",
                                            "mult x xy = y")
         with pytest.raises(InvalidModel):
@@ -283,6 +353,13 @@ class TestCyclotomicQuotients:
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             cyclotomic_quotient_group(PrimePowerIdealQuotient(4, 2, (0, 1), 1))
+
+    def test_rejects_a_bad_factor(self):
+        # 2 + 5x is 2 mod 5, not a degree-1 factor of x^2 + 1
+        with pytest.raises(ValueError, match=r"factor \(2, 5\) has leading"):
+            cyclotomic_quotient_group(PrimePowerIdealQuotient(4, 5, (2, 5), 1))
+        with pytest.raises(ValueError, match="does not divide"):
+            cyclotomic_quotient_group(PrimePowerIdealQuotient(4, 5, (1, 1), 1))
 
     def test_acceptance_slice(self):
         # k in {3,4,5,8,12}, primes q <= 50 coprime to k, b <= 2
