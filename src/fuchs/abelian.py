@@ -6,9 +6,9 @@ formula downstream (Prüfer ranks, lambda-power tests, Sylow decompositions)
 is stated prime-locally, so this is the native representation; invariant
 factors are available as a derived view.
 
-The module also houses exact integer-matrix normal forms (Smith and
-Hermite) used to recover group structure from relation matrices, row
-reduction over F_p for the linear tests of the ring oracles, plus
+The module also houses the exact Smith normal form used to recover group
+structure from relation matrices, row reduction over F_p for the linear
+tests of the ring oracles, plus
 black-box structure recovery for a finite abelian group given only its
 multiplication: the type is read off the sizes of the p-power kernels
 G[p^j], and a basis is peeled off only where a caller needs one.
@@ -21,11 +21,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from math import gcd, prod
 
-from .numtheory import factorize, is_prime
-
-
-class NotAPGroup(ValueError):
-    """Raised when an operation requires a p-group but gets mixed primes."""
+from .numtheory import HypothesisViolated, factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -72,10 +68,6 @@ class FinAbGroup:
     @classmethod
     def trivial(cls) -> "FinAbGroup":
         return cls(())
-
-    @classmethod
-    def cyclic(cls, n: int) -> "FinAbGroup":
-        return cls.from_orders([n])
 
     # -- basic queries -----------------------------------------------------
 
@@ -160,7 +152,7 @@ def prufer_rank(G: FinAbGroup, p: int) -> int:
 def is_lambda_small(G: FinAbGroup, p: int, lam: int) -> bool:
     """True iff the p-group G has Prüfer rank strictly below lam*(p-1)."""
     if any(q != p for q, _, _ in G.factors):
-        raise NotAPGroup(f"group has a factor with prime != {p}")
+        raise HypothesisViolated(f"group has a factor with prime != {p}")
     if lam < 1:
         raise ValueError("lambda must be positive")
     return prufer_rank(G, p) < lam * (p - 1)
@@ -260,7 +252,7 @@ def format_group(G: "FgAbGroup | FinAbGroup") -> str:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices: Smith and Hermite normal forms, exact over Z
+# integer matrices: Smith normal form, exact over Z
 
 
 def smith_normal_form(
@@ -271,7 +263,10 @@ def smith_normal_form(
     Returns the diagonal entries ``d_1 | d_2 | ...`` (nonnegative), or
     ``(diag, U, V)`` with ``U * A * V = S`` when ``want_transforms`` is set.
     Pivoting picks the smallest nonzero absolute value with a deterministic
-    tie-break (lowest row, then column), so outputs are reproducible.
+    tie-break (lowest row, then column), so outputs are reproducible.  The
+    pivot's column, then its row, is cleared by reducing every entry by the
+    smallest one in it, again and again: small quotients keep the other
+    entries small, even for many more relations than generators.
     """
     m = [list(r) for r in rows]
     nr = len(m)
@@ -312,23 +307,20 @@ def smith_normal_form(
         swap_rows(t, best[0])
         swap_cols(t, best[1])
         while True:
-            done = True
-            for i in range(t + 1, nr):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    row_op(i, t, q)
+            while any(m[i][t] for i in range(t + 1, nr)):
+                swap_rows(t, min((i for i in range(t, nr) if m[i][t]),
+                                 key=lambda i: abs(m[i][t])))
+                for i in range(t + 1, nr):
                     if m[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, nc):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    col_op(j, t, q)
-                    if m[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
+                        row_op(i, t, m[i][t] // m[t][t])
+            if not any(m[t][j] for j in range(t + 1, nc)):
                 break
+            while any(m[t][j] for j in range(t + 1, nc)):
+                swap_cols(t, min((j for j in range(t, nc) if m[t][j]),
+                                 key=lambda j: abs(m[t][j])))
+                for j in range(t + 1, nc):
+                    if m[t][j]:
+                        col_op(j, t, m[t][j] // m[t][t])
         # divisibility fix-up: pivot must divide the rest of the block
         stray = None
         for i in range(t + 1, nr):
@@ -369,47 +361,6 @@ def group_from_relations(rows: list[list[int]], n_generators: int) -> FgAbGroup:
     orders = [d for d in diag if d not in (0, 1)]
     rank = n_generators - sum(1 for d in diag if d != 0)
     return FgAbGroup(FinAbGroup.from_orders(orders), rank)
-
-
-def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style HNF basis of the lattice spanned by integer row vectors.
-
-    Rows of the result are a canonical basis (pivots positive, entries above
-    a pivot reduced into [0, pivot)); zero rows are dropped.
-    """
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return []
-    nc = len(m[0])
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                piv = i if piv is None or abs(m[i][c]) < abs(m[piv][c]) else piv
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        improved = True
-        while improved:
-            improved = False
-            for i in range(r + 1, len(m)):
-                if m[i][c]:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    if m[i][c]:
-                        m[r], m[i] = m[i], m[r]
-                        improved = True
-        if m[r][c] < 0:
-            m[r] = [-a for a in m[r]]
-        for i in range(r):
-            q = m[i][c] // m[r][c]
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return [row for row in m[:r] if any(row)]
 
 
 def row_reduce_mod(rows, p: int) -> tuple[list[int], list[list[int]]]:

@@ -1,4 +1,5 @@
-"""Enumeration caps, overridable through the FUCHS_ORACLE_CAP env var.
+"""Enumeration caps, overridable through the FUCHS_ORACLE_CAP env var, and
+``CapExceeded``, which every cap raises.
 
 One value replaces both caps: setting FUCHS_ORACLE_CAP to limit radical
 enumeration (default 625) also sets the unit-group cap (default 4096), so a
@@ -8,6 +9,12 @@ value of 100 makes ``unit_group`` refuse every ring of order above 100.
 from __future__ import annotations
 
 import os
+
+
+class CapExceeded(ValueError):
+    """The work asked for lies beyond a fixed cap (an enumeration or
+    unit-group cap, the 2**64 factorization bound, or a witness rebuild)."""
+
 
 RADICAL_ENUM_CAP = 625
 UNIT_GROUP_CAP = 2 ** 12

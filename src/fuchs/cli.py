@@ -19,7 +19,7 @@ from .finring import FinCommRing, NotLocal, build_corpus, localize, \
     unit_group, verify_local_formula
 from .radical import check_byott, check_small_theorem, enumerate_radical_rings
 from .realize import (decide_any, decide_finite, decide_tn, ge_classify,
-                      g_value, r_value, verdict_to_json, mersenne_divisor_set,
+                      g_value, r_value, verdict_to_json, mersenne_split,
                       GeClass)
 from .tnlab import (TnModel, adjoint_of_nil_torsion, load_example, sequence_splits,
                     torsion_units, quotient_torsion_units, EXAMPLE_NAMES)
@@ -252,9 +252,7 @@ def _cyclic_row(n: int) -> dict:
     if fin.is_realisable:
         min_rank = 0
     elif n % 2 == 0:
-        min_rank = min(
-            r_value(ge_classify(FinAbGroup.from_orders([n // d])))[0]
-            for d in mersenne_divisor_set(n))
+        min_rank = mersenne_split(n)[0]
     else:
         min_rank = None
     return {"n": n, "finite": fin.kind, "tn_rank0": tn.kind,

@@ -19,19 +19,11 @@ from itertools import product as iproduct
 
 from .abelian import FinAbGroup, abelian_structure, is_lambda_small, \
     lambda_power_decompose, prufer_rank, format_group, row_reduce_mod
-from .caps import UNIT_GROUP_CAP, oracle_cap
-from .numtheory import factorize, is_prime, is_prime_power
-from .radical import RadicalRing, radical_ring_from_mult, CapExceeded
+from .caps import UNIT_GROUP_CAP, CapExceeded, oracle_cap
+from .numtheory import HypothesisViolated, factorize, is_prime, is_prime_power
+from .radical import RadicalRing, radical_ring_from_mult
 from .table import InvalidRing, TableRing, read_table_document
 from .verdict import Verdict, realisable, not_realisable, unknown
-
-
-class NotLocalError(ValueError):
-    pass
-
-
-class EvenPrime(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -203,7 +195,7 @@ def verify_local_formula(A: FinCommRing, cap: int | None = None,
     if data is None:
         data = localize(A, cap)
     if isinstance(data, NotLocal):
-        raise NotLocalError(f"{A} splits at idempotent {data.idempotent}")
+        raise HypothesisViolated(f"{A} splits at idempotent {data.idempotent}")
     if group is None:
         group = unit_group(A, units=data.units)
     one_plus_m = _one_plus_m(A, data)
@@ -217,7 +209,7 @@ def decide_local_small(G: FinAbGroup, p: int, lam: int) -> Verdict:
     commutative ring with residue field of size p^lam, for odd p, under the
     small-Sylow hypothesis."""
     if p == 2:
-        raise EvenPrime("the classification requires an odd prime")
+        raise HypothesisViolated("the classification requires an odd prime")
     if lam < 1:
         raise ValueError("lam must be positive")
     query = format_group(G)

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-
-class NotCoprime(ValueError):
-    """Arguments were required to be coprime but are not."""
+from .caps import CapExceeded
 
 
-class FactorTooLarge(ValueError):
-    """Inputs above 2**64 are out of scope for the factorization backend."""
+class HypothesisViolated(ValueError):
+    """The input lies outside a theorem's hypotheses: an even prime, a
+    non-coprime pair, a group that is not a p-group or of the wrong order,
+    a non-local ring, a non-cyclic Sylow 2-subgroup, or a model whose
+    torsion units are not finite."""
 
 
 _MAX_FACTOR_INPUT = 2 ** 64
@@ -96,7 +97,7 @@ def factorize(n: int) -> Factorization:
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     if n > _MAX_FACTOR_INPUT:
-        raise FactorTooLarge(f"{n} exceeds the 2**64 factorization cap")
+        raise CapExceeded(f"{n} exceeds the 2**64 factorization cap")
     out: dict[int, int] = {}
     for p in (2, 3, 5, 7, 11, 13):
         while n % p == 0:
@@ -150,7 +151,7 @@ def mult_order(a: int, n: int) -> int:
         return 1
     a %= n
     if gcd(a, n) != 1:
-        raise NotCoprime(f"gcd({a}, {n}) != 1")
+        raise HypothesisViolated(f"gcd({a}, {n}) != 1")
     order = euler_phi(n)
     for p, e in factorize(order).pairs:
         for _ in range(e):
@@ -319,7 +320,7 @@ def factor_cyclo_mod(n: int, q: int) -> list[tuple[int, ...]]:
     if q == 2 or not is_prime(q):
         raise ValueError("q must be an odd prime")
     if gcd(q, n) != 1:
-        raise NotCoprime(f"gcd({q}, {n}) != 1")
+        raise HypothesisViolated(f"gcd({q}, {n}) != 1")
     lam = mult_order(q, n)
     phi = euler_phi(n)
     target = _pmod(list(cyclotomic_poly(n).coefficients), q)

@@ -24,18 +24,10 @@ from itertools import product as iproduct
 
 from .abelian import (FinAbGroup, abelian_structure, pgroup_basis, prufer_rank,
                       row_reduce_mod)
-from .caps import RADICAL_ENUM_CAP, oracle_cap
-from .numtheory import factorize, is_prime_power
+from .caps import RADICAL_ENUM_CAP, CapExceeded, oracle_cap
+from .numtheory import HypothesisViolated, factorize, is_prime_power
 from .table import (InvalidRing, TableRing, associators, compile_transport,
                     read_table_document, table_mul)
-
-
-class CapExceeded(ValueError):
-    pass
-
-
-class WrongOrder(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -480,7 +472,7 @@ def check_byott(N: RadicalRing) -> bool:
     """Cyclicity implication on a 2-power radical ring of order >= 8:
     if the adjoint group is cyclic then so is the additive group."""
     if N.p != 2 or N.order() < 8:
-        raise WrongOrder("requires order 2^v with v >= 3")
+        raise HypothesisViolated("requires order 2^v with v >= 3")
     if not N.adjoint_group().is_cyclic():
         return True
     return N.additive_group().is_cyclic()

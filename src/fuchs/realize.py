@@ -17,15 +17,11 @@ from math import gcd, prod
 from .abelian import (FgAbGroup, FinAbGroup, epsilon, format_group,
                       is_lambda_small, lambda_power_decompose, parse_group,
                       prufer_rank)
-from .numtheory import (divisors, euler_phi, factorize, is_prime,
-                        is_prime_power,
-                        mersenne_divisor_set, mult_order,
-                        pearson_schneider_covers)
+from .caps import CapExceeded
+from .numtheory import (HypothesisViolated, divisors, euler_phi, factorize,
+                        is_prime, is_prime_power, mersenne_divisor_set,
+                        mult_order, pearson_schneider_covers)
 from .verdict import Verdict, not_realisable, realisable, unknown
-
-
-class NonCyclicTwoPart(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +40,10 @@ def g_value(T: FinAbGroup) -> int:
     0
     """
     if T.order() % 2:
-        raise NonCyclicTwoPart("g is defined for groups of even order")
+        raise HypothesisViolated("g is defined for groups of even order")
     twos = [f for f in T.factors if f[0] == 2]
     if len(twos) != 1 or twos[0][2] != 1:
-        raise NonCyclicTwoPart("the Sylow 2-subgroup must be cyclic")
+        raise HypothesisViolated("the Sylow 2-subgroup must be cyclic")
     eps = twos[0][1]
     total = 0
     odd_primes = set()
@@ -155,6 +151,22 @@ def r_value(ge: GeClass) -> tuple[int, str]:
     if case == CASE_SPORADIC:
         return g_value(base) + g_value(two_part), case
     return g_value(base), case
+
+
+def mersenne_split(m: int) -> tuple[int, int, str]:
+    """(r, d, case) for the cheapest split Z/m = Z/d x Z/(m/d) over the
+    Mersenne divisors d of an even m: the least TN rank r of Z/(m/d), ties
+    broken by the smaller d.
+
+    >>> mersenne_split(8)
+    (1, 1, 'C1')
+    """
+    options = []
+    for d in mersenne_divisor_set(m):
+        # cyclic groups of even order always fall in the threshold class
+        need, case = r_value(ge_classify(FinAbGroup.from_orders([m // d])))
+        options.append((need, d, case))
+    return min(options)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +444,7 @@ def decide_any(G: FgAbGroup) -> Verdict:
                               {"clause": "finite-cover", "m": m,
                                "cover": _cover_payload(covers[0])})
         if m % 2 == 0:
-            options = []
-            for d in mersenne_divisor_set(m):
-                ge = ge_classify(FinAbGroup.from_orders([m // d]))
-                assert isinstance(ge, GeClass)  # cyclic groups always qualify
-                need, case = r_value(ge)
-                options.append((need, d, case))
-            options.sort()
-            need, d, case = options[0]
+            need, d, case = mersenne_split(m)
             payload = {"clause": "mersenne-split", "m": m, "d": d,
                        "r_required": need, "case": case, "r": r}
             if r >= need:
@@ -512,10 +517,6 @@ def _split_search(T: FinAbGroup, r: int, query: str, cls: str) -> Verdict:
 # certificates
 
 
-class UncheckableAtScale(Exception):
-    pass
-
-
 WITNESS_CAP = 700
 
 
@@ -526,7 +527,7 @@ def certificate_check_status(V: Verdict) -> str:
         raise ValueError("Unknown verdicts carry no certificate")
     try:
         ok = _recheck(V)
-    except UncheckableAtScale:
+    except CapExceeded:
         return "uncheckable"
     return "pass" if ok else "fail"
 
@@ -611,8 +612,7 @@ def _recheck_cyclic(V, T, payload) -> bool:
             return False
         ge = ge_classify(FinAbGroup.from_orders([m // d]))
         need, _ = r_value(ge)
-        best = min(r_value(ge_classify(FinAbGroup.from_orders([m // dd])))[0]
-                   for dd in mersenne_divisor_set(m))
+        best = mersenne_split(m)[0]
         if pearson_schneider_covers(m):
             return False  # the cover clause should have fired instead
         if V.is_realisable:
@@ -626,7 +626,7 @@ def _witness_construction(ge: GeClass, T: FgAbGroup) -> bool:
     H = _good_part(ge)
     k = 2 ** ge.eps
     if H.order() * k > WITNESS_CAP:
-        raise UncheckableAtScale(f"construction witness of order {H.order()}")
+        raise CapExceeded(f"construction witness of order {H.order()}")
     from .tnlab import build_construction_model, torsion_units
     model = build_construction_model(k, H)
     return torsion_units(model) == T.torsion
@@ -671,7 +671,7 @@ def _recheck_local_small(V, T) -> bool:
     if lam == 1 and Vg.is_cyclic() and not Vg.is_trivial():
         a = Vg.cyclic_orders()[0]
         if p * a > WITNESS_CAP:
-            raise UncheckableAtScale("unit witness beyond the ring cap")
+            raise CapExceeded("unit witness beyond the ring cap")
         from .finring import unit_group, zn_ring
         return unit_group(zn_ring(p * a)) == T.torsion
     return True

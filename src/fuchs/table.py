@@ -3,7 +3,7 @@
 A commutative ring of rank r is stored as the additive orders of its basis
 x_1, ..., x_r and, for every pair i <= j, the coordinate vector of
 x_i * x_j, flattened row by row.  :class:`TableRing` turns such a table into
-element arithmetic, spans and the checks every table must pass;
+element arithmetic and the checks every table must pass;
 ``RadicalRing`` and ``FinCommRing`` add their own invariants on top.
 
 Two products read a table.  ``table_mul`` walks it on every call; it serves
@@ -41,7 +41,9 @@ from . import presentation
 
 
 class InvalidRing(ValueError):
-    pass
+    """Structure constants that do not define the ring asked for: a ring
+    table or a TN model that fails a shape, range, bilinearity, identity,
+    associativity, nilpotency or closure check."""
 
 
 def table_mul(orders, mult, x, y):
@@ -302,9 +304,6 @@ class TableRing:
     def add(self, x, y):
         return tuple((a + b) % n for a, b, n in zip(x, y, self._orders))
 
-    def neg(self, x):
-        return tuple((-a) % n for a, n in zip(x, self._orders))
-
     @cached_property
     def mul(self):
         return self._kernel(circle=False)
@@ -317,20 +316,6 @@ class TableRing:
 
     def additive_group(self) -> FinAbGroup:
         return FinAbGroup.from_orders(self._orders)
-
-    def span(self, gens) -> frozenset:
-        """The additive subgroup generated by ``gens``."""
-        seen = {self.zero()}
-        frontier = [self.zero()]
-        gens = [g for g in gens if any(g)]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
 
     def check_table(self, one=None) -> None:
         """Raise InvalidRing unless every constant is in range, the product

@@ -37,26 +37,13 @@ from itertools import product as iproduct
 from math import gcd, lcm, prod
 
 from .abelian import (FinAbGroup, abelian_structure, format_group,
-                      group_from_relations, hermite_normal_form,
-                      smith_normal_form)
-from .numtheory import (NotCoprime, _pdivmod, cyclotomic_poly,
+                      group_from_relations, smith_normal_form)
+from .numtheory import (HypothesisViolated, _pdivmod, cyclotomic_poly,
                         factor_cyclo_mod, factorize, hensel_lift_factor,
                         mult_order)
 from .radical import RadicalRing
-from .table import compile_product
+from .table import InvalidRing, compile_product
 from . import presentation
-
-
-class InvalidModel(ValueError):
-    pass
-
-
-class NonFiniteTorsion(ValueError):
-    pass
-
-
-class HypothesisViolated(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +214,7 @@ class TnModel:
         for nm in tors_names:
             row = doc["scalar_action"].get(nm)
             if row is None:
-                raise InvalidModel(f"missing scalar_action for {nm}")
+                raise InvalidRing(f"missing scalar_action for {nm}")
             scalar.append(tuple(row.get(m, 0) for m in tors_names))
         names = list(free_names) + list(tors_names)
         entries = []
@@ -235,10 +222,10 @@ class TnModel:
             for b in names[ai:]:
                 key = (a, b) if (a, b) in doc["mult"] else (b, a)
                 if key not in doc["mult"]:
-                    raise InvalidModel(f"missing mult {a} {b}")
+                    raise InvalidRing(f"missing mult {a} {b}")
                 fmap, tmap = doc["mult"][key]
                 if (a in tors_names or b in tors_names) and fmap:
-                    raise InvalidModel(f"product {a}*{b} leaves the torsion ideal")
+                    raise InvalidRing(f"product {a}*{b} leaves the torsion ideal")
                 free = tuple(base.reduce(fmap.get(nm, ()))
                              for nm in free_names)
                 tors = tuple(tmap.get(nm, 0) % o
@@ -249,20 +236,20 @@ class TnModel:
 
 
 def _check_layout(A: TnModel) -> None:
-    """Raise InvalidModel unless every table, order and action has the shape
+    """Raise InvalidRing unless every table, order and action has the shape
     the product is compiled from; runs before anything else is derived."""
     f, t, deg = A.nfree(), A.ntors(), A.base.degree
     if f < 1:
-        raise InvalidModel("need at least the identity free basis element")
+        raise InvalidRing("need at least the identity free basis element")
     if len(A.tors_orders) != t or any(o < 2 for o in A.tors_orders):
-        raise InvalidModel("every torsion symbol needs an order >= 2")
+        raise InvalidRing("every torsion symbol needs an order >= 2")
     if len(A.mult) != (f + t) * (f + t + 1) // 2:
-        raise InvalidModel("multiplication table size mismatch")
+        raise InvalidRing("multiplication table size mismatch")
     if any(len(e) != 2 or len(e[0]) != f or len(e[1]) != t
            or any(len(c) != deg for c in e[0]) for e in A.mult):
-        raise InvalidModel("multiplication table entry has wrong shape")
+        raise InvalidRing("multiplication table entry has wrong shape")
     if len(A.scalar_action) != t or any(len(col) != t for col in A.scalar_action):
-        raise InvalidModel("scalar action has wrong shape")
+        raise InvalidRing("scalar action has wrong shape")
 
 
 def _scalar_apply(A: TnModel, coeff, tors_vec):
@@ -325,7 +312,7 @@ def _flat_table(A: TnModel):
 
 
 def validate_model(A: TnModel) -> "TorsionIdeal":
-    """Raise InvalidModel unless A is a TN model; returns N_tors, which the
+    """Raise InvalidRing unless A is a TN model; returns N_tors, which the
     nilpotency check computes.  The shapes were checked by ``_check_layout``
     before the product was compiled; the checks here run through it."""
     f, t = A.nfree(), A.ntors()
@@ -335,7 +322,7 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
         oj = A.tors_orders[j]
         for m, v in enumerate(col):
             if (oj * v) % A.tors_orders[m]:
-                raise InvalidModel("scalar action does not respect orders")
+                raise InvalidRing("scalar action does not respect orders")
     # Phi_k(S) must annihilate the torsion part
     for j in range(t):
         vec = [0] * t
@@ -344,13 +331,13 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
                 for m, v in enumerate(A._spow[d][j]):
                     vec[m] += c * v
         if any(v % o for v, o in zip(vec, A.tors_orders)):
-            raise InvalidModel("Phi_k(scalar action) is nonzero on the torsion part")
+            raise InvalidRing("Phi_k(scalar action) is nonzero on the torsion part")
     # identity
     one = A.one()
     basis = _basis_elements(A)
     for b in basis:
         if A.mul(one, b) != b:
-            raise InvalidModel("first free basis element is not an identity")
+            raise InvalidRing("first free basis element is not an identity")
     # torsion entries stay torsion and respect the additive orders
     entries = iter(A.mult)
     for a in range(n):
@@ -358,13 +345,13 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
             entry_free, entry_tors = next(entries)
             if a >= f or b >= f:
                 if any(any(c) for c in entry_free):
-                    raise InvalidModel("torsion ideal is not closed")
+                    raise InvalidRing("torsion ideal is not closed")
                 kill = A.tors_orders[max(a, b) - f]
                 if a >= f and b >= f:
                     kill = gcd(A.tors_orders[a - f], A.tors_orders[b - f])
                 for m, v in enumerate(entry_tors):
                     if (kill * v) % A.tors_orders[m]:
-                        raise InvalidModel(
+                        raise InvalidRing(
                             f"product entry ({a},{b}) breaks bilinearity")
     # zeta-compatibility: (zeta t_j) * b = zeta * (t_j * b) on torsion coords
     zeta = base.zeta()
@@ -375,13 +362,13 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
             lhs = A.mul(ztj, b)[1]
             rhs = _scalar_apply(A, zeta, A.mul(tj, b)[1])
             if lhs != rhs:
-                raise InvalidModel("scalar action is incompatible with the table")
+                raise InvalidRing("scalar action is incompatible with the table")
     # associativity on basis triples
     for x in basis:
         for y in basis:
             for z in basis:
                 if A.mul(A.mul(x, y), z) != A.mul(x, A.mul(y, z)):
-                    raise InvalidModel("associativity fails on a basis triple")
+                    raise InvalidRing("associativity fails on a basis triple")
     # nilpotency of the torsion ideal via the extracted radical components
     return nil_torsion(A)
 
@@ -423,7 +410,7 @@ def nil_torsion(A: TnModel) -> TorsionIdeal:
     p-part is spanned by the symbols t_j with p | o_j; sorted by decreasing
     order they are a basis of the component, and its structure constants
     are the ``_tors_mult`` entries on those rows and columns.  A product
-    with a coordinate outside its own prime raises InvalidModel
+    with a coordinate outside its own prime raises InvalidRing
     (bilinearity, checked before, already makes those coordinates 0).
     Each component is built as a ``RadicalRing``, so ``validate_radical``
     still checks it, nilpotency included."""
@@ -433,7 +420,7 @@ def nil_torsion(A: TnModel) -> TorsionIdeal:
     for p in sorted({p for pp in pairs for p, _ in pp}):
         idx = [j for j, o in enumerate(orders) if o % p == 0]
         if any(len(pairs[j]) != 1 for j in idx):
-            raise InvalidModel("torsion orders must be prime powers")
+            raise InvalidRing("torsion orders must be prime powers")
         idx.sort(key=lambda j: -orders[j])
         mult = []
         for a, i in enumerate(idx):
@@ -442,7 +429,7 @@ def nil_torsion(A: TnModel) -> TorsionIdeal:
                 vec = [v % n for v, n in zip(
                     A._tors_mult[lo * t - lo * (lo - 1) // 2 + hi - lo], orders)]
                 if any(v and orders[m] % p for m, v in enumerate(vec)):
-                    raise InvalidModel(
+                    raise InvalidRing(
                         f"product of torsion symbols {i}, {j} leaves the {p}-part")
                 mult.append(tuple(vec[m] for m in idx))
         exponents = tuple(pairs[j][0][1] for j in idx)
@@ -515,7 +502,7 @@ def _power_basis_relation(B: _BaseAlgebra):
         ei = tuple(base.one() if e == i else base.zero() for e in range(f))
         expected = tuple(base.one() if e == i + 1 else base.zero() for e in range(f))
         if B.mul(gen, ei) != expected:
-            raise InvalidModel("free part is not a power basis of one generator")
+            raise InvalidRing("free part is not a power basis of one generator")
     last = tuple(base.one() if e == f - 1 else base.zero() for e in range(f))
     return list(B.mul(gen, last))
 
@@ -579,7 +566,7 @@ def _b_torsion_units(A: TnModel, B: _BaseAlgebra) -> list:
         acc = B.mul(acc, gen)
         order += 1
         if order > _ORDER_SEARCH_CAP:
-            raise NonFiniteTorsion("generator has no small multiplicative order")
+            raise HypothesisViolated("generator has no small multiplicative order")
     M = order
 
     # components: x -> zeta_M^j for every j with h(zeta_M^j) = 0
@@ -595,7 +582,7 @@ def _b_torsion_units(A: TnModel, B: _BaseAlgebra) -> list:
         if not any(val):
             components.append((j, L, big, zk, rho))
     if not components:
-        raise NonFiniteTorsion("generator relation has no root-of-unity roots")
+        raise HypothesisViolated("generator relation has no root-of-unity roots")
 
     # embedding matrix: B basis zeta^d x^e -> stacked Z[zeta_L] coordinates
     cols = []
@@ -722,9 +709,12 @@ class PrimePowerIdealQuotient:
 
 
 def cyclotomic_quotient_group(Q: PrimePowerIdealQuotient) -> FinAbGroup:
-    """Additive group of Z[zeta_k]/P^b via the relation lattice of the ideal
-    power (computed by repeated ideal products, HNF-reduced), then checked
-    against (Z/q^b)^lam.
+    """Additive group of Z[zeta_k]/P^b, read off the relation lattice of the
+    ideal power, then checked against (Z/q^b)^lam.  P^b = (q, f(zeta))^b is
+    generated by the b + 1 products q^i f(zeta)^(b - i), so as a lattice it
+    is spanned by those generators times zeta^j, j < phi(k).  The ones for
+    i = b are the q^b zeta^j, so the others are reduced mod q^b, which keeps
+    the entries of the relation matrix below q^b.
 
     >>> Q = PrimePowerIdealQuotient(4, 3, (1, 0, 1), 1)
     >>> str(cyclotomic_quotient_group(Q))
@@ -732,7 +722,7 @@ def cyclotomic_quotient_group(Q: PrimePowerIdealQuotient) -> FinAbGroup:
     """
     k, q, b = Q.conductor, Q.q, Q.b
     if gcd(q, k) != 1:
-        raise NotCoprime(f"gcd({q}, {k}) != 1")
+        raise HypothesisViolated(f"gcd({q}, {k}) != 1")
     base = CycloBase(k)
     deg = base.degree
     f_el = base.reduce(list(Q.factor))
@@ -743,25 +733,16 @@ def cyclotomic_quotient_group(Q: PrimePowerIdealQuotient) -> FinAbGroup:
         raise ValueError("factor does not divide Phi_k mod q")
     lam = len(Q.factor) - 1
 
-    def ideal_lattice(gens):
-        rows = []
-        z = base.one()
-        for _ in range(deg):
-            for g in gens:
-                rows.append(list(base.mul(g, z)))
-            z = base.mul(z, base.zeta())
-        return hermite_normal_form(rows)
-
-    q_el = tuple(q if i == 0 else 0 for i in range(deg))
-    lattice = ideal_lattice([q_el, f_el])
-    for _ in range(b - 1):
-        gens = [tuple(row) for row in lattice]
-        prods = []
-        for g in gens:
-            for h in ([q_el, f_el]):
-                prods.append(base.mul(g, h))
-        lattice = ideal_lattice(prods)
-    result = group_from_relations(lattice, deg)
+    f_pows = [base.one()]
+    for _ in range(b):
+        f_pows.append(base.mul(f_pows[-1], f_el))
+    gens = [base.scale(q ** i, f_pows[b - i]) for i in range(b)]
+    rows = [[q ** b * (i == j) for i in range(deg)] for j in range(deg)]
+    z = base.one()
+    for _ in range(deg):
+        rows.extend([c % q ** b for c in base.mul(g, z)] for g in gens)
+        z = base.mul(z, base.zeta())
+    result = group_from_relations(rows, deg)
     assert result.free_rank == 0
     expected = FinAbGroup.from_orders([q ** b] * lam)
     assert result.torsion == expected, \

@@ -15,13 +15,12 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuchs.abelian import (FgAbGroup, FinAbGroup, NotAPGroup,
-                           abelian_structure, epsilon, format_group,
-                           group_from_relations, hermite_normal_form,
+from fuchs.abelian import (FgAbGroup, FinAbGroup, abelian_structure, epsilon,
+                           format_group, group_from_relations,
                            is_lambda_small, lambda_power_decompose,
                            parse_group, pgroup_basis, prufer_rank,
                            smith_normal_form)
-from fuchs.numtheory import factorize
+from fuchs.numtheory import HypothesisViolated, factorize
 
 
 def G(*orders):
@@ -146,7 +145,7 @@ class TestLambdaTools:
         assert not is_lambda_small(G(3, 3), 3, 1)
 
     def test_small_needs_p_group(self):
-        with pytest.raises(NotAPGroup):
+        with pytest.raises(HypothesisViolated):
             is_lambda_small(G(6), 2, 1)
 
     def test_power_decompose(self):
@@ -339,10 +338,20 @@ class TestNormalForms:
                 if diag[i]:
                     assert diag[i + 1] % diag[i] == 0
 
-    def test_hnf_is_lattice_basis(self):
-        rows = [[4, 0], [0, 4], [2, 2]]
-        h = hermite_normal_form(rows)
-        assert h == [[2, 2], [0, 4]]
+    def test_snf_of_many_relations(self):
+        # the relations of Z[zeta_8]/P^3 for q = 23, f = x^2 + 18x + 1: the
+        # q^3 zeta^j, then q^i f(zeta)^(3 - i) zeta^j mod q^3 for i < 3.
+        # Swapping in each remainder as the pivot at once grew entries past
+        # 10^280000 within two seconds
+        rows = [[12167, 0, 0, 0], [0, 12167, 0, 0], [0, 0, 12167, 0],
+                [0, 0, 0, 12167], [11193, 0, 974, 5940], [0, 828, 7498, 828],
+                [529, 9522, 529, 0], [6227, 11193, 0, 974],
+                [11339, 0, 828, 7498], [0, 529, 9522, 529],
+                [11193, 6227, 11193, 0], [4669, 11339, 0, 828],
+                [11638, 0, 529, 9522], [0, 11193, 6227, 11193],
+                [11339, 4669, 11339, 0], [2645, 11638, 0, 529]]
+        assert smith_normal_form(rows) == [1, 1, 12167, 12167]
+        assert group_from_relations(rows, 4) == FgAbGroup(G(12167, 12167), 0)
 
 
 class TestBlackBoxStructure:

@@ -53,6 +53,16 @@ class TestDecide:
         code, doc = run_json(capsys, "decide", "--class", "tn", "Z/328Z x Z")
         assert code == 0 and doc["theorem"] == "tn-rank-threshold"
 
+    def test_witness_rebuild_beyond_the_cap_is_unchecked(self, capsys,
+                                                          monkeypatch):
+        # rebuilding the F_5 witness needs the unit group of a ring of
+        # order 5 > 4: the verdict stands, unchecked, instead of exit 3
+        monkeypatch.setenv("FUCHS_ORACLE_CAP", "4")
+        code, doc = run_json(capsys, "decide", "--class", "finite",
+                             "Z/4Z x Z/16Z")
+        assert code == 0 and doc["verdict"] == "realisable"
+        assert doc["checked"] is False
+
     def test_parser_is_reused_after_a_usage_error(self, capsys):
         query = ("decide", "--class", "any", "Z/4Z x Z/16Z", "--json")
         _parser.cache_clear()

@@ -15,10 +15,11 @@ import pytest
 import fuchs.radical as rad
 from fuchs.abelian import FinAbGroup, row_reduce_mod
 from fuchs.numtheory import cyclotomic_poly
-from fuchs.radical import (CapExceeded, InvalidRing, RadicalRing, WrongOrder,
-                           check_byott, check_small_theorem,
+from fuchs.caps import CapExceeded
+from fuchs.numtheory import HypothesisViolated
+from fuchs.radical import (RadicalRing, check_byott, check_small_theorem,
                            enumerate_radical_rings, radical_ring_from_mult)
-from fuchs.table import (_associator_kernel, _transport_kernel, associators,
+from fuchs.table import (InvalidRing, _associator_kernel, _transport_kernel, associators,
                          compile_transport, table_mul)
 from fuchs.tnlab import _torsion_unit_data
 
@@ -186,16 +187,31 @@ class TestFiltration:
             assert exact, (p, r)
 
 
+def span(N: RadicalRing, gens) -> frozenset:
+    """The additive subgroup of N generated by ``gens``."""
+    seen = {N.zero()}
+    frontier = [N.zero()]
+    gens = [g for g in gens if any(g)]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = N.add(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
 def power_ideal_chain(N: RadicalRing) -> list[frozenset]:
     """[N^1, N^2, ...] as element sets, down to (and excluding) zero."""
     basis = N.basis()
     chain = []
     gens = list(basis)
     while True:
-        span = N.span(gens)
-        if len(span) == 1:
+        ideal = span(N, gens)
+        if len(ideal) == 1:
             break
-        chain.append(span)
+        chain.append(ideal)
         gens = sorted({N.mul(b, g) for b in basis for g in gens})
     return chain
 
@@ -643,9 +659,9 @@ class TestByott:
         assert check_byott(zero_2cubed)
 
     def test_wrong_order(self):
-        with pytest.raises(WrongOrder):
+        with pytest.raises(HypothesisViolated):
             check_byott(TWO_Z8)  # order 4 < 8
-        with pytest.raises(WrongOrder):
+        with pytest.raises(HypothesisViolated):
             check_byott(THREE_Z27)
 
     def test_holds_across_enumeration(self):

@@ -11,11 +11,11 @@ from math import gcd
 import pytest
 
 from fuchs.abelian import FinAbGroup, group_from_relations
-from fuchs.numtheory import NotCoprime, factor_cyclo_mod, factorize, mult_order
+from fuchs.numtheory import (HypothesisViolated, factor_cyclo_mod, factorize,
+                             mult_order)
 from fuchs.radical import radical_ring_from_mult
-from fuchs.table import table_mul
-from fuchs.tnlab import (CycloBase, HypothesisViolated, InvalidModel,
-                         PrimePowerIdealQuotient, TnModel,
+from fuchs.table import InvalidRing, table_mul
+from fuchs.tnlab import (CycloBase, PrimePowerIdealQuotient, TnModel,
                          adjoint_of_nil_torsion, build_construction_model,
                          cyclotomic_quotient_group, load_example, nil_torsion,
                          quotient_torsion_units, rank_bookkeeping,
@@ -275,7 +275,7 @@ class TestShippedModels:
         A = load_example("paper-7-1")
         text = A.to_presentation().replace("mult x xy = y + y2",
                                            "mult x xy = y")
-        with pytest.raises(InvalidModel):
+        with pytest.raises(InvalidRing):
             TnModel.from_presentation(text)
 
     def test_validation_rejects_cross_order_products(self):
@@ -295,7 +295,23 @@ mult y y = 0
 mult y w = w
 mult w w = 0
 """
-        with pytest.raises(InvalidModel):
+        with pytest.raises(InvalidRing):
+            TnModel.from_presentation(text)
+
+    def test_validation_rejects_non_nilpotent_torsion(self):
+        # y^2 = y: the torsion ideal is not nil, so no TN model
+        text = """\
+name = idempotent
+kind = tn
+conductor = 4
+free_basis = u
+tors_basis = y:2
+scalar_action y = y
+mult u u = u
+mult u y = y
+mult y y = y
+"""
+        with pytest.raises(InvalidRing, match="not nilpotent"):
             TnModel.from_presentation(text)
 
 
@@ -334,7 +350,7 @@ class TestCompiledProduct:
             fields[:4] + (((1, 0),),) + fields[5:],        # action shape
         ]
         for args in broken:
-            with pytest.raises(InvalidModel):
+            with pytest.raises(InvalidRing):
                 TnModel(*args)
 
 
@@ -351,7 +367,7 @@ class TestCyclotomicQuotients:
             PrimePowerIdealQuotient(4, 3, f, 1)) == G(3, 3)
 
     def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
+        with pytest.raises(HypothesisViolated):
             cyclotomic_quotient_group(PrimePowerIdealQuotient(4, 2, (0, 1), 1))
 
     def test_rejects_a_bad_factor(self):
@@ -450,7 +466,7 @@ class TestTorsionIdeal:
 
     def test_order_that_is_not_a_prime_power_raises(self):
         base = CycloBase(1)
-        with pytest.raises(InvalidModel, match="prime powers"):
+        with pytest.raises(InvalidRing, match="prime powers"):
             TnModel(1, ("u",), ("y",), (6,), ((1,),),
                     (((base.one(),), (0,)), ((base.zero(),), (1,)),
                      ((base.zero(),), (0,))))
@@ -466,7 +482,7 @@ class TestTorsionIdeal:
         bad = list(A._tors_mult)
         bad[q] = tuple(1 if m == five else v for m, v in enumerate(bad[q]))
         object.__setattr__(A, "_tors_mult", tuple(bad))
-        with pytest.raises(InvalidModel, match="leaves the 3-part"):
+        with pytest.raises(InvalidRing, match="leaves the 3-part"):
             nil_torsion(A)
 
 
