@@ -17,15 +17,16 @@ G[p^j], and a basis is peeled off only where a caller needs one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import zip_longest
 from math import gcd, prod
 
 from .numtheory import HypothesisViolated, factorize, is_prime
+from .record import Frozen
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Frozen):
     """A finite abelian group as a canonical multiset of prime-power factors.
 
     ``factors`` is a tuple of ``(p, e, mult)`` triples, sorted by ``(p, e)``
@@ -37,11 +38,12 @@ class FinAbGroup:
     False
     """
 
-    factors: tuple[tuple[int, int, int], ...] = ()
+    _repr_fields = ("factors",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, factors: tuple[tuple[int, int, int], ...] = ()):
+        _set(self, "factors", factors)
         seen = set()
-        for p, e, mult in self.factors:
+        for p, e, mult in factors:
             if e < 1 or mult < 1:
                 raise ValueError(f"bad factor (Z/{p}^{e})^{mult}")
             if not is_prime(p):
@@ -49,8 +51,16 @@ class FinAbGroup:
             if (p, e) in seen:
                 raise ValueError(f"duplicate factor key ({p}, {e})")
             seen.add((p, e))
-        if list(self.factors) != sorted(self.factors):
+        if list(factors) != sorted(factors):
             raise ValueError("factors not in canonical order")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.factors,))
 
     # -- constructors ------------------------------------------------------
 
@@ -187,16 +197,25 @@ def epsilon(G: "FinAbGroup | FgAbGroup") -> int | None:
     return min(twos) if twos else None
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Frozen):
     """A finitely generated abelian group: torsion part plus a free rank."""
 
-    torsion: FinAbGroup
-    free_rank: int = 0
+    _repr_fields = ("torsion", "free_rank")
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __init__(self, torsion: FinAbGroup, free_rank: int = 0):
+        _set(self, "torsion", torsion)
+        _set(self, "free_rank", free_rank)
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.torsion, self.free_rank) == \
+                (other.torsion, other.free_rank)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.torsion, self.free_rank))
 
     def __str__(self) -> str:
         return format_group(self)

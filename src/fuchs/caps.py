@@ -21,5 +21,16 @@ UNIT_GROUP_CAP = 2 ** 12
 
 
 def oracle_cap(default: int) -> int:
+    """FUCHS_ORACLE_CAP when it is set, else ``default``.  A value that is
+    not an integer of at least 1 raises ValueError naming the variable."""
     value = os.environ.get("FUCHS_ORACLE_CAP")
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        cap = int(value)
+    except ValueError:
+        raise ValueError(
+            f"FUCHS_ORACLE_CAP must be an integer, got {value!r}") from None
+    if cap < 1:
+        raise ValueError(f"FUCHS_ORACLE_CAP must be at least 1, got {cap}")
+    return cap

@@ -23,6 +23,7 @@ from .realize import (decide_any, decide_finite, decide_tn, ge_classify,
                       GeClass)
 from .tnlab import (TnModel, adjoint_of_nil_torsion, load_example, sequence_splits,
                     torsion_units, quotient_torsion_units, EXAMPLE_NAMES)
+from .verdict import Verdict
 
 EXIT_REALISABLE = 0
 EXIT_NOT_REALISABLE = 1
@@ -92,9 +93,10 @@ def _cmd_decide(args) -> int:
         return EXIT_USAGE
     v = decide(G)
     if not v.is_unknown:
-        from dataclasses import replace
         from .realize import certificate_check_status
-        v = replace(v, checked=certificate_check_status(v) == "pass")
+        v = Verdict(v.kind, v.theorem, v.query, v.ring_class, v.certificate,
+                    v.obstruction, v.gap,
+                    checked=certificate_check_status(v) == "pass")
     _emit(args, verdict_to_json(v),
           f"{format_group(G)} [{args.ring_class}]: {v.kind} ({v.theorem})\n"
           f"  {json.dumps(v.payload(), sort_keys=True)}")

@@ -14,7 +14,6 @@ the set {1 + x : x in m} inside A*, whose group is the adjoint group of m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .abelian import FinAbGroup, abelian_structure, is_lambda_small, \
@@ -22,31 +21,47 @@ from .abelian import FinAbGroup, abelian_structure, is_lambda_small, \
 from .caps import UNIT_GROUP_CAP, CapExceeded, oracle_cap
 from .numtheory import HypothesisViolated, factorize, is_prime, is_prime_power
 from .radical import RadicalRing, radical_ring_from_mult
+from .record import Frozen
 from .table import InvalidRing, TableRing, read_table_document
 from .verdict import Verdict, realisable, not_realisable, unknown
 
 
-@dataclass(frozen=True)
-class FinCommRing(TableRing):
+_set = object.__setattr__
+
+
+class FinCommRing(TableRing, Frozen):
     """Finite commutative unital ring: additive orders, structure constants,
     identity coordinates.  Orders need not be prime powers (Z/6Z is one
-    basis element of order 6)."""
+    basis element of order 6).  ``name`` takes no part in equality or
+    hashing."""
 
-    basis_orders: tuple[int, ...]
-    mult: tuple[tuple[int, ...], ...]  # pairs (i, j), i <= j
-    one: tuple[int, ...]
-    name: str = field(default="", compare=False)
+    _repr_fields = ("basis_orders", "mult", "one", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_orders", self.basis_orders)
-        r = len(self.basis_orders)
-        if any(n < 2 for n in self.basis_orders):
+    def __init__(self, basis_orders: tuple[int, ...],
+                 mult: tuple[tuple[int, ...], ...],  # pairs (i, j), i <= j
+                 one: tuple[int, ...], name: str = ""):
+        _set(self, "basis_orders", basis_orders)
+        _set(self, "mult", mult)
+        _set(self, "one", one)
+        _set(self, "name", name)
+        _set(self, "_orders", basis_orders)
+        r = len(basis_orders)
+        if any(n < 2 for n in basis_orders):
             raise InvalidRing("basis orders must be >= 2")
-        if len(self.mult) != r * (r + 1) // 2:
+        if len(mult) != r * (r + 1) // 2:
             raise InvalidRing("structure constant count does not match basis")
-        if len(self.one) != r:
+        if len(one) != r:
             raise InvalidRing("identity width does not match basis")
         validate_ring(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.basis_orders, self.mult, self.one) == \
+                (other.basis_orders, other.mult, other.one)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.basis_orders, self.mult, self.one))
 
     def to_presentation(self) -> str:
         return self.table_document("ring", one=self.one)
@@ -121,18 +136,48 @@ def unit_group(A: FinCommRing, cap: int | None = None,
     return abelian_structure(units, A.mul, A.one)
 
 
-@dataclass(frozen=True)
-class LocalData:
-    p: int
-    lam: int
-    maximal_ideal: tuple[tuple[int, ...], ...]
-    residue_size: int
-    units: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+class LocalData(Frozen):
+    """A local ring's residue characteristic p, residue degree lam, maximal
+    ideal and residue field size.  ``units`` keeps the unit elements for
+    later steps; it is neither printed nor compared."""
+
+    _repr_fields = ("p", "lam", "maximal_ideal", "residue_size")
+
+    def __init__(self, p: int, lam: int,
+                 maximal_ideal: tuple[tuple[int, ...], ...],
+                 residue_size: int, units: tuple[tuple[int, ...], ...]):
+        _set(self, "p", p)
+        _set(self, "lam", lam)
+        _set(self, "maximal_ideal", maximal_ideal)
+        _set(self, "residue_size", residue_size)
+        _set(self, "units", units)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.lam, self.maximal_ideal, self.residue_size) \
+                == (other.p, other.lam, other.maximal_ideal,
+                    other.residue_size)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.lam, self.maximal_ideal, self.residue_size))
 
 
-@dataclass(frozen=True)
-class NotLocal:
-    idempotent: tuple[int, ...]
+class NotLocal(Frozen):
+    """A nontrivial idempotent, which splits the ring."""
+
+    _repr_fields = ("idempotent",)
+
+    def __init__(self, idempotent: tuple[int, ...]):
+        _set(self, "idempotent", idempotent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.idempotent == other.idempotent
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.idempotent,))
 
 
 def localize(A: FinCommRing, cap: int | None = None):

@@ -13,11 +13,13 @@ emitted certificates are byte-reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
 from .caps import CapExceeded
+from .record import Frozen
+
+_set = object.__setattr__
 
 
 class HypothesisViolated(ValueError):
@@ -73,16 +75,24 @@ def _pollard_rho(n: int) -> int:
             return d
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Frozen):
     """Prime factorization as strictly increasing (prime, exponent) pairs."""
 
-    pairs: tuple[tuple[int, int], ...]
+    _repr_fields = ("pairs",)
 
-    def __post_init__(self):
-        ps = [p for p, _ in self.pairs]
-        if ps != sorted(set(ps)) or any(e < 1 for _, e in self.pairs):
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        _set(self, "pairs", pairs)
+        ps = [p for p, _ in pairs]
+        if ps != sorted(set(ps)) or any(e < 1 for _, e in pairs):
             raise ValueError("malformed factorization")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs == other.pairs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pairs,))
 
     @property
     def n(self) -> int:
@@ -224,12 +234,22 @@ def poly_divmod_exact(a: list[int], b: list[int]) -> list[int]:
     return poly_trim(q)
 
 
-@dataclass(frozen=True)
-class CycloPoly:
+class CycloPoly(Frozen):
     """The n-th cyclotomic polynomial with exact integer coefficients."""
 
-    n: int
-    coefficients: tuple[int, ...]
+    _repr_fields = ("n", "coefficients")
+
+    def __init__(self, n: int, coefficients: tuple[int, ...]):
+        _set(self, "n", n)
+        _set(self, "coefficients", coefficients)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.coefficients) == (other.n, other.coefficients)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.coefficients))
 
     @property
     def degree(self) -> int:
@@ -415,23 +435,32 @@ def _psub(a, b, q):
 # Pearson-Schneider covers
 
 
-@dataclass(frozen=True)
-class PsFactor:
+class PsFactor(Frozen):
     """One admissible factor: p**lam - 1, or (p-1)*p**k with p odd, k >= 1."""
 
-    value: int
-    kind: str  # "prime_power_minus_one" | "totient_times_power"
-    p: int
-    exp: int  # lam, or k
+    _repr_fields = ("value", "kind", "p", "exp")
 
-    def __post_init__(self):
-        if self.kind == "prime_power_minus_one":
-            assert self.p ** self.exp - 1 == self.value
-        elif self.kind == "totient_times_power":
-            assert self.p % 2 == 1 and self.exp >= 1
-            assert (self.p - 1) * self.p ** self.exp == self.value
+    def __init__(self, value: int, kind: str, p: int, exp: int):
+        _set(self, "value", value)
+        _set(self, "kind", kind)  # "prime_power_minus_one" | "totient_times_power"
+        _set(self, "p", p)
+        _set(self, "exp", exp)  # lam, or k
+        if kind == "prime_power_minus_one":
+            assert p ** exp - 1 == value
+        elif kind == "totient_times_power":
+            assert p % 2 == 1 and exp >= 1
+            assert (p - 1) * p ** exp == value
         else:
-            raise ValueError(f"bad factor kind {self.kind}")
+            raise ValueError(f"bad factor kind {kind}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.kind, self.p, self.exp) == \
+                (other.value, other.kind, other.p, other.exp)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value, self.kind, self.p, self.exp))
 
 
 PsCover = tuple[PsFactor, ...]

@@ -17,7 +17,6 @@ of the table is affine over F_p, so every lifted table is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from itertools import product as iproduct
@@ -25,30 +24,46 @@ from itertools import product as iproduct
 from .abelian import (FinAbGroup, abelian_structure, pgroup_basis, prufer_rank,
                       row_reduce_mod)
 from .caps import RADICAL_ENUM_CAP, CapExceeded, oracle_cap
-from .numtheory import HypothesisViolated, factorize, is_prime_power
+from .numtheory import HypothesisViolated, factorize, is_prime, is_prime_power
+from .record import Frozen, Record
 from .table import (InvalidRing, TableRing, associators, compile_transport,
                     read_table_document, table_mul)
 
 
-@dataclass(frozen=True)
-class RadicalRing(TableRing):
+_set = object.__setattr__
+
+
+class RadicalRing(TableRing, Frozen):
     """Structure constants of a commutative nilpotent ring of order p^k.
 
     ``exponents`` are the additive orders' exponents (non-increasing), so
     basis element i has additive order p**exponents[i].  ``mult[(i, j)]``
-    for i <= j is the coordinate vector of x_i * x_j.
+    for i <= j is the coordinate vector of x_i * x_j.  ``name`` takes no
+    part in equality or hashing.
     """
 
-    p: int
-    exponents: tuple[int, ...]
-    mult: tuple[tuple[int, ...], ...]  # flattened over pairs (i, j), i <= j
-    name: str = field(default="", compare=False)
+    _repr_fields = ("p", "exponents", "mult", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_orders", tuple(self.p ** e for e in self.exponents))
-        if len(self.mult) != len(self.pairs()):
+    def __init__(self, p: int, exponents: tuple[int, ...],
+                 mult: tuple[tuple[int, ...], ...],  # pairs (i, j), i <= j
+                 name: str = ""):
+        _set(self, "p", p)
+        _set(self, "exponents", exponents)
+        _set(self, "mult", mult)
+        _set(self, "name", name)
+        _set(self, "_orders", tuple(p ** e for e in exponents))
+        if len(mult) != len(self.pairs()):
             raise InvalidRing("structure constant count does not match basis")
         validate_radical(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.exponents, self.mult) == \
+                (other.p, other.exponents, other.mult)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.exponents, self.mult))
 
     def pairs(self) -> list[tuple[int, int]]:
         r = len(self.exponents)
@@ -407,13 +422,18 @@ def _enumerate_cached(p: int, k: int) -> tuple[RadicalRing, ...]:
 
 def enumerate_radical_rings(p: int, k: int, cap: int | None = None) -> list[RadicalRing]:
     """One representative per isomorphism class of commutative radical rings
-    of order p**k, sorted by additive type and table.
+    of order p**k, sorted by additive type and table.  p must be prime
+    and k at least 1 (HypothesisViolated otherwise).
 
     >>> len(enumerate_radical_rings(3, 1))
     1
     >>> len(enumerate_radical_rings(2, 2))
     4
     """
+    if not is_prime(p):
+        raise HypothesisViolated(f"p = {p} is not a prime")
+    if k < 1:
+        raise HypothesisViolated(f"exponent k = {k} must be at least 1")
     if cap is None:
         cap = oracle_cap(RADICAL_ENUM_CAP)
     if p ** k > cap:
@@ -425,13 +445,21 @@ def enumerate_radical_rings(p: int, k: int, cap: int | None = None) -> list[Radi
 # theorem oracles
 
 
-@dataclass
-class SmallTheoremReport:
+class SmallTheoremReport(Record):
     """Per-class comparison of additive and adjoint group structure."""
 
-    p: int
-    k: int
-    entries: list[dict] = field(default_factory=list)
+    _repr_fields = ("p", "k", "entries")
+
+    def __init__(self, p: int, k: int, entries: list[dict] | None = None):
+        self.p = p
+        self.k = k
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.k, self.entries) == \
+                (other.p, other.k, other.entries)
+        return NotImplemented
 
     @property
     def violations(self) -> list[dict]:

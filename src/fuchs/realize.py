@@ -11,7 +11,6 @@ caps allow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
 from .abelian import (FgAbGroup, FinAbGroup, epsilon, format_group,
@@ -21,6 +20,7 @@ from .caps import CapExceeded
 from .numtheory import (HypothesisViolated, divisors, euler_phi, factorize,
                         is_prime, is_prime_power, mersenne_divisor_set,
                         mult_order, pearson_schneider_covers)
+from .record import Frozen
 from .verdict import Verdict, not_realisable, realisable, unknown
 
 
@@ -62,22 +62,53 @@ def g_value(T: FinAbGroup) -> int:
 # the class of groups the TN threshold theorem covers
 
 
-@dataclass(frozen=True)
-class GeClass:
+_set = object.__setattr__
+
+
+class GeClass(Frozen):
     """Even-order T with cyclic Sylow-2 of order 2^epsilon whose odd Sylow
     q-parts are each a lam(q, 2^epsilon)-power (good) or fail that but have
     Prüfer rank < lam (bad)."""
 
-    torsion: FinAbGroup
-    eps: int
-    bad_primes: tuple[tuple[int, FinAbGroup], ...]
-    good_primes: tuple[tuple[int, FinAbGroup, int], ...]  # (q, V_q, lam_q)
+    _repr_fields = ("torsion", "eps", "bad_primes", "good_primes")
+
+    def __init__(self, torsion: FinAbGroup, eps: int,
+                 bad_primes: tuple[tuple[int, FinAbGroup], ...],
+                 good_primes: tuple[tuple[int, FinAbGroup, int], ...]):
+        _set(self, "torsion", torsion)
+        _set(self, "eps", eps)
+        _set(self, "bad_primes", bad_primes)
+        _set(self, "good_primes", good_primes)  # (q, V_q, lam_q)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.torsion, self.eps, self.bad_primes,
+                    self.good_primes) == (other.torsion, other.eps,
+                                          other.bad_primes, other.good_primes)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.torsion, self.eps, self.bad_primes,
+                     self.good_primes))
 
 
-@dataclass(frozen=True)
-class NotInClass:
-    prime: int | None
-    reason: str
+class NotInClass(Frozen):
+    """Why T is outside that class, and the prime that blocks (None when
+    no single prime does)."""
+
+    _repr_fields = ("prime", "reason")
+
+    def __init__(self, prime: int | None, reason: str):
+        _set(self, "prime", prime)
+        _set(self, "reason", reason)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.prime, self.reason) == (other.prime, other.reason)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.prime, self.reason))
 
 
 def ge_classify(T: FinAbGroup):

@@ -278,8 +278,8 @@ class TableRing:
 
     Subclasses provide ``mult`` (the flattened pair table), ``name`` and
     ``_orders`` (the additive orders of the basis).  ``mul`` is compiled on
-    first use, after validation, and kept on the instance; it is not a
-    dataclass field, so equality and hashing do not see it.
+    first use, after validation, and kept on the instance; equality and
+    hashing compare only the subclass's fields, so they do not see it.
     """
 
     def rank(self) -> int:

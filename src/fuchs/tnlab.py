@@ -31,7 +31,6 @@ classical fact is hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd, lcm, prod
@@ -42,6 +41,7 @@ from .numtheory import (HypothesisViolated, _pdivmod, cyclotomic_poly,
                         factor_cyclo_mod, factorize, hensel_lift_factor,
                         mult_order)
 from .radical import RadicalRing
+from .record import Frozen, Record
 from .table import InvalidRing, compile_product
 from . import presentation
 
@@ -110,35 +110,56 @@ class CycloBase:
 # models
 
 
-@dataclass(frozen=True)
-class TnModel:
+_set = object.__setattr__
+
+
+class TnModel(Frozen):
     """TN ring model: free power basis over Z[zeta_k] plus torsion symbols.
 
     ``free_names[0]`` is the multiplicative identity.  ``mult`` maps basis
     name pairs to (free coefficients, torsion coordinates); products that
     touch a torsion symbol must stay inside the torsion ideal.  ``mul`` is
     the product compiled from that table when the model is built (module
-    docstring); it is not a dataclass field.
+    docstring); like ``name``, it takes no part in equality or hashing.
     """
 
-    conductor: int
-    free_names: tuple[str, ...]
-    tors_names: tuple[str, ...]
-    tors_orders: tuple[int, ...]
-    scalar_action: tuple[tuple[int, ...], ...]  # column j: coords of zeta*t_j
-    mult: tuple  # pairs a <= b of free then torsion indices, row by row
-    name: str = field(default="", compare=False)
+    _repr_fields = ("conductor", "free_names", "tors_names", "tors_orders",
+                    "scalar_action", "mult", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", CycloBase(self.conductor))
+    def __init__(self, conductor: int, free_names: tuple[str, ...],
+                 tors_names: tuple[str, ...], tors_orders: tuple[int, ...],
+                 scalar_action: tuple[tuple[int, ...], ...],
+                 mult: tuple, name: str = ""):
+        _set(self, "conductor", conductor)
+        _set(self, "free_names", free_names)
+        _set(self, "tors_names", tors_names)
+        _set(self, "tors_orders", tors_orders)
+        # column j: coords of zeta*t_j
+        _set(self, "scalar_action", scalar_action)
+        # pairs a <= b of free then torsion indices, row by row
+        _set(self, "mult", mult)
+        _set(self, "name", name)
+        _set(self, "base", CycloBase(conductor))
         _check_layout(self)
-        object.__setattr__(self, "_spow", self._scalar_powers())
+        _set(self, "_spow", self._scalar_powers())
         flat, tors_mult = _flat_table(self)
         shape = ((self.base.degree,) * self.nfree(), self.ntors())
-        moduli = (None,) * (self.nfree() * self.base.degree) + self.tors_orders
-        object.__setattr__(self, "mul", compile_product(flat, moduli, shape))
-        object.__setattr__(self, "_tors_mult", tors_mult)
-        object.__setattr__(self, "n_tors", validate_model(self))
+        moduli = (None,) * (self.nfree() * self.base.degree) + tors_orders
+        _set(self, "mul", compile_product(flat, moduli, shape))
+        _set(self, "_tors_mult", tors_mult)
+        _set(self, "n_tors", validate_model(self))
+
+    def _key(self):
+        return (self.conductor, self.free_names, self.tors_names,
+                self.tors_orders, self.scalar_action, self.mult)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     # layout ----------------------------------------------------------------
 
@@ -388,11 +409,21 @@ def _basis_elements(A: TnModel):
 # torsion ideal
 
 
-@dataclass(frozen=True)
-class TorsionIdeal:
+class TorsionIdeal(Frozen):
     """N_tors of a model, split into single-prime radical rings."""
 
-    components: tuple[RadicalRing, ...]
+    _repr_fields = ("components",)
+
+    def __init__(self, components: tuple[RadicalRing, ...]):
+        _set(self, "components", components)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.components == other.components
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.components,))
 
     def additive_group(self) -> FinAbGroup:
         g = FinAbGroup.trivial()
@@ -507,13 +538,29 @@ def _power_basis_relation(B: _BaseAlgebra):
     return list(B.mul(gen, last))
 
 
-@dataclass
-class TorsionUnitData:
-    one_plus_n: FinAbGroup
-    b_tors: FinAbGroup
-    a_tors: FinAbGroup
-    b_tors_elements: list
-    a_tors_elements: list
+class TorsionUnitData(Record):
+    """1 + N_tors and the torsion unit groups of B = A/N_tors and of the
+    model A, each of the last two with its elements."""
+
+    _repr_fields = ("one_plus_n", "b_tors", "a_tors", "b_tors_elements",
+                    "a_tors_elements")
+
+    def __init__(self, one_plus_n: FinAbGroup, b_tors: FinAbGroup,
+                 a_tors: FinAbGroup, b_tors_elements: list,
+                 a_tors_elements: list):
+        self.one_plus_n = one_plus_n
+        self.b_tors = b_tors
+        self.a_tors = a_tors
+        self.b_tors_elements = b_tors_elements
+        self.a_tors_elements = a_tors_elements
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.one_plus_n, self.b_tors, self.a_tors,
+                    self.b_tors_elements, self.a_tors_elements) == \
+                (other.one_plus_n, other.b_tors, other.a_tors,
+                 other.b_tors_elements, other.a_tors_elements)
+        return NotImplemented
 
 
 # bounded; a round of the benchmark's `oracles` workload sweeps 23 models
@@ -697,15 +744,27 @@ def sequence_splits(A: TnModel) -> bool:
 # cyclotomic prime-power quotients, from first principles
 
 
-@dataclass(frozen=True)
-class PrimePowerIdealQuotient:
+class PrimePowerIdealQuotient(Frozen):
     """Z[zeta_k] / P^b for the prime P = (q, f(zeta)) picked by one
     irreducible factor f of Phi_k mod q."""
 
-    conductor: int
-    q: int
-    factor: tuple[int, ...]
-    b: int
+    _repr_fields = ("conductor", "q", "factor", "b")
+
+    def __init__(self, conductor: int, q: int, factor: tuple[int, ...],
+                 b: int):
+        _set(self, "conductor", conductor)
+        _set(self, "q", q)
+        _set(self, "factor", factor)
+        _set(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.conductor, self.q, self.factor, self.b) == \
+                (other.conductor, other.q, other.factor, other.b)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.conductor, self.q, self.factor, self.b))
 
 
 def cyclotomic_quotient_group(Q: PrimePowerIdealQuotient) -> FinAbGroup:

@@ -2,40 +2,60 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Frozen
 
 REALISABLE = "realisable"
 NOT_REALISABLE = "not_realisable"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
+_set = object.__setattr__
+
+
+class Verdict(Frozen):
     """Outcome of one realisability decision.
 
     Exactly one of ``certificate``, ``obstruction``, ``gap`` is populated,
     matching ``kind``; ``theorem`` names the classification rule that
     produced the outcome.  Certificates and obstructions carry enough data
-    to re-derive the verdict by arithmetic alone.
+    to re-derive the verdict by arithmetic alone.  ``checked`` (whether the
+    payload re-checked) takes no part in equality or hashing.
     """
 
-    kind: str
-    theorem: str
-    query: str
-    ring_class: str
-    certificate: dict | None = None
-    obstruction: dict | None = None
-    gap: dict | None = None
-    checked: bool = field(default=False, compare=False)
+    _repr_fields = ("kind", "theorem", "query", "ring_class", "certificate",
+                    "obstruction", "gap", "checked")
 
-    def __post_init__(self):
-        if self.kind not in (REALISABLE, NOT_REALISABLE, UNKNOWN):
-            raise ValueError(f"bad verdict kind {self.kind}")
-        payloads = [self.certificate, self.obstruction, self.gap]
-        expected = {REALISABLE: 0, NOT_REALISABLE: 1, UNKNOWN: 2}[self.kind]
+    def __init__(self, kind: str, theorem: str, query: str, ring_class: str,
+                 certificate: dict | None = None,
+                 obstruction: dict | None = None, gap: dict | None = None,
+                 checked: bool = False):
+        _set(self, "kind", kind)
+        _set(self, "theorem", theorem)
+        _set(self, "query", query)
+        _set(self, "ring_class", ring_class)
+        _set(self, "certificate", certificate)
+        _set(self, "obstruction", obstruction)
+        _set(self, "gap", gap)
+        _set(self, "checked", checked)
+        if kind not in (REALISABLE, NOT_REALISABLE, UNKNOWN):
+            raise ValueError(f"bad verdict kind {kind}")
+        payloads = [certificate, obstruction, gap]
+        expected = {REALISABLE: 0, NOT_REALISABLE: 1, UNKNOWN: 2}[kind]
         for idx, payload in enumerate(payloads):
             if (payload is not None) != (idx == expected):
                 raise ValueError("verdict payload does not match its kind")
+
+    def _key(self):
+        return (self.kind, self.theorem, self.query, self.ring_class,
+                self.certificate, self.obstruction, self.gap)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def is_realisable(self) -> bool:

@@ -4,6 +4,9 @@ round-trip of printed group literals."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,6 +107,16 @@ class TestOracles:
                              "--exp", "2")
         assert code == 0
         assert doc["mismatches"] == [] and doc["violations"] == []
+
+    @pytest.mark.parametrize("prime, exp, named", [
+        ("2", "0", "exponent k = 0"), ("2", "-2", "exponent k = -2"),
+        ("6", "2", "p = 6"), ("1", "2", "p = 1")])
+    def test_radical_oracle_bad_arguments_exit_3(self, capsys, prime, exp,
+                                                 named):
+        code, out, err = run(capsys, "oracle", "radical", "--prime", prime,
+                             "--exp", exp)
+        assert code == 3 and out == ""
+        assert "Traceback" not in err and named in err
 
     def test_finring_corpus(self, capsys):
         code, doc = run_json(capsys, "oracle", "finring", "--corpus")
@@ -335,3 +348,16 @@ class TestRoundTrip:
             grp = parse_group(text)
             printed = format_group(grp)
             assert parse_group(printed) == grp
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # start-up cost: ``dataclasses`` pulls in inspect, ast, dis and
+    # tokenize, which nothing the CLI runs needs; -S keeps site hooks out
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys, fuchs.cli; print(sorted(m for m in sys.modules "
+             "if m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -269,12 +269,27 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             enumerate_radical_rings(2, 4, cap=8)
 
+    @pytest.mark.parametrize("p, k, named", [
+        (2, 0, "k = 0"), (2, -2, "k = -2"), (6, 2, "p = 6"), (1, 2, "p = 1")])
+    def test_rejects_a_non_prime_or_an_exponent_below_1(self, p, k, named):
+        with pytest.raises(HypothesisViolated, match=named):
+            enumerate_radical_rings(p, k)
+
     def test_env_var_overrides_cap(self, monkeypatch):
         monkeypatch.setenv("FUCHS_ORACLE_CAP", "8")
         with pytest.raises(CapExceeded):
             enumerate_radical_rings(3, 2)
         monkeypatch.setenv("FUCHS_ORACLE_CAP", "100")
         assert len(enumerate_radical_rings(3, 2)) == 4
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "must be an integer"), ("2.5", "must be an integer"),
+        ("-3", "must be at least 1"), ("0", "must be at least 1")])
+    def test_env_var_that_is_no_cap_names_the_variable(self, monkeypatch,
+                                                      value, message):
+        monkeypatch.setenv("FUCHS_ORACLE_CAP", value)
+        with pytest.raises(ValueError, match=f"FUCHS_ORACLE_CAP {message}"):
+            enumerate_radical_rings(2, 1)
 
 
 def _mixed_type_candidates(p, exponents):
