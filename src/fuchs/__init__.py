@@ -21,8 +21,8 @@ from .finring import (FinCommRing, LocalData, NotLocal, build_corpus,
 from .tnlab import (CycloBase, PrimePowerIdealQuotient, TnModel,
                     adjoint_of_nil_torsion, build_construction_model,
                     cyclotomic_quotient_group, load_example, nil_torsion,
-                    quotient_torsion_units, rank_bookkeeping,
-                    sequence_splits, torsion_units)
+                    quotient_torsion_units, sequence_splits,
+                    torsion_units)
 from .realize import (GeClass, NotInClass, certificate_check,
                       certificate_check_status, decide_any, decide_finite,
                       decide_tn, g_value, ge_classify, r_value,

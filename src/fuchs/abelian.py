@@ -3,8 +3,7 @@
 Groups are kept in a canonical prime-power form: a finite abelian group is
 a sorted tuple of ``(p, e, mult)`` entries meaning ``(Z/p^e)^mult``.  Every
 formula downstream (Prüfer ranks, lambda-power tests, Sylow decompositions)
-is stated prime-locally, so this is the native representation; invariant
-factors are available as a derived view.
+is stated prime-locally, so this is the native representation.
 
 The module also houses the exact Smith normal form used to recover group
 structure from relation matrices, row reduction over F_p for the linear
@@ -17,7 +16,7 @@ G[p^j], and a basis is peeled off only where a caller needs one.
 from __future__ import annotations
 
 import re
-from itertools import zip_longest
+from functools import lru_cache
 from math import gcd, prod
 
 from .numtheory import HypothesisViolated, factorize, is_prime
@@ -102,15 +101,6 @@ class FinAbGroup(Frozen):
         for p, e, m in self.factors:
             out.extend([p ** e] * m)
         return tuple(out)
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Derived view: invariant factors d_1 | d_2 | ... (largest last)."""
-        per_prime: dict[int, list[int]] = {}
-        for p, e, m in self.factors:
-            per_prime.setdefault(p, []).extend([p ** e] * m)
-        cols = [sorted(v, reverse=True) for v in per_prime.values()]
-        merged = [prod(t) for t in zip_longest(*cols, fillvalue=1)]
-        return tuple(reversed(merged))
 
     def is_cyclic(self) -> bool:
         return all(m == 1 for _, _, m in self.factors) and (
@@ -227,6 +217,9 @@ class FgAbGroup(Frozen):
 _FACTOR_RE = re.compile(r"^Z/(\d+)Z?$|^Z(?:\^(\d+))?$|^(1)$")
 
 
+# bounded; a seed-5 round of the benchmark's `decide-stream` workload leaves
+# 131 entries, and `cli` and the certificate re-check parse the same literal
+@lru_cache(maxsize=512)
 def parse_group(text: str) -> FgAbGroup:
     """Parse a group literal like ``Z/4Z x Z/8Z x Z^2``.
 

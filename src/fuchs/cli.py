@@ -97,9 +97,11 @@ def _cmd_decide(args) -> int:
         v = Verdict(v.kind, v.theorem, v.query, v.ring_class, v.certificate,
                     v.obstruction, v.gap,
                     checked=certificate_check_status(v) == "pass")
-    _emit(args, verdict_to_json(v),
-          f"{format_group(G)} [{args.ring_class}]: {v.kind} ({v.theorem})\n"
-          f"  {json.dumps(v.payload(), sort_keys=True)}")
+    # the human line serialises the payload, so build it only to print it
+    human = "" if args.json else (
+        f"{format_group(G)} [{args.ring_class}]: {v.kind} ({v.theorem})\n"
+        f"  {json.dumps(v.payload(), sort_keys=True)}")
+    _emit(args, verdict_to_json(v), human)
     return {"realisable": EXIT_REALISABLE,
             "not_realisable": EXIT_NOT_REALISABLE,
             "unknown": EXIT_UNKNOWN}[v.kind]

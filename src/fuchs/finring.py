@@ -95,11 +95,7 @@ def unit_elements(A: FinCommRing, cap: int | None = None) -> list[tuple[int, ...
     Identity*, 1974).  That matrix is sum_k x_k M(b_k) mod p, which depends
     only on the residue of x, so each residue class of A/pA is tested once.
     """
-    if cap is None:
-        cap = oracle_cap(UNIT_GROUP_CAP)
-    n = A.order()
-    if n > cap:
-        raise CapExceeded(f"ring order {n} exceeds the unit-group cap {cap}")
+    n = _check_unit_cap(A, cap)
     tests = []
     for p in factorize(n).primes():
         idx = [i for i, m in enumerate(A.basis_orders) if m % p == 0]
@@ -120,6 +116,16 @@ def unit_elements(A: FinCommRing, cap: int | None = None) -> list[tuple[int, ...
     return [x for x in A.elements()
             if all(tuple(x[i] % p for i in idx) in invertible
                    for p, idx, invertible in tests)]
+
+
+def _check_unit_cap(A: FinCommRing, cap: int | None) -> int:
+    """|A|, after raising CapExceeded when it exceeds the unit-group cap."""
+    if cap is None:
+        cap = oracle_cap(UNIT_GROUP_CAP)
+    n = A.order()
+    if n > cap:
+        raise CapExceeded(f"ring order {n} exceeds the unit-group cap {cap}")
+    return n
 
 
 def unit_group(A: FinCommRing, cap: int | None = None,
@@ -185,12 +191,13 @@ def localize(A: FinCommRing, cap: int | None = None):
     nontrivial idempotent in element order, which splits the ring.  A finite
     commutative ring is local exactly when it has no nontrivial idempotent.
     LocalData keeps the unit elements, so later steps need not search
-    again."""
-    units = unit_elements(A, cap)
+    again; a non-local ring is split before its units are searched."""
+    _check_unit_cap(A, cap)
     zero = A.zero()
     for e in A.elements():
         if e != zero and e != A.one and A.mul(e, e) == e:
             return NotLocal(e)
+    units = unit_elements(A, cap)
     unit_set = set(units)
     nonunits = [x for x in A.elements() if x not in unit_set]
     residue = A.order() // len(nonunits) if nonunits else A.order()

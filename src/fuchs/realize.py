@@ -11,6 +11,7 @@ caps allow.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, prod
 
 from .abelian import (FgAbGroup, FinAbGroup, epsilon, format_group,
@@ -658,9 +659,16 @@ def _witness_construction(ge: GeClass, T: FgAbGroup) -> bool:
     k = 2 ** ge.eps
     if H.order() * k > WITNESS_CAP:
         raise CapExceeded(f"construction witness of order {H.order()}")
+    return _construction_torsion_units(k, H) == T.torsion
+
+
+# bounded; a seed-5 round of the benchmark's `decide-stream` workload leaves 8
+# entries.  Only the rebuilt witness's group is kept: the comparison with
+# the query still runs on every re-check.
+@lru_cache(maxsize=32)
+def _construction_torsion_units(k: int, H: FinAbGroup) -> FinAbGroup:
     from .tnlab import build_construction_model, torsion_units
-    model = build_construction_model(k, H)
-    return torsion_units(model) == T.torsion
+    return torsion_units(build_construction_model(k, H))
 
 
 def _witness_two_power(u: int) -> bool:

@@ -878,15 +878,6 @@ def build_construction_model(k: int, H: FinAbGroup, name: str = "") -> TnModel:
     return model
 
 
-def rank_bookkeeping(B_tors: FinAbGroup, laurent_vars: int) -> int:
-    """Unit rank after adjoining laurent_vars invertible free variables to a
-    torsion-free ring with torsion units B_tors: g(B_tors) + r."""
-    from .realize import g_value
-    if laurent_vars < 0:
-        raise ValueError("rank increment must be nonnegative")
-    return g_value(B_tors) + laurent_vars
-
-
 # ---------------------------------------------------------------------------
 # shipped example models
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from itertools import zip_longest
 from math import prod
 
 import pytest
@@ -25,6 +26,17 @@ from fuchs.numtheory import HypothesisViolated, factorize
 
 def G(*orders):
     return FinAbGroup.from_orders(orders)
+
+
+def invariant_factors(group: FinAbGroup) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... (largest last) of the canonical
+    prime-power form."""
+    per_prime: dict[int, list[int]] = {}
+    for p, e, m in group.factors:
+        per_prime.setdefault(p, []).extend([p ** e] * m)
+    cols = [sorted(v, reverse=True) for v in per_prime.values()]
+    merged = [prod(t) for t in zip_longest(*cols, fillvalue=1)]
+    return tuple(reversed(merged))
 
 
 def rank_over_q(rows):
@@ -60,8 +72,8 @@ class TestCanonicalForm:
     def test_orders_and_exponent(self):
         assert G(4, 6).order() == 24
         assert G(4, 6).exponent() == 12
-        assert G(2, 3).invariant_factors() == (6,)
-        assert G(2, 4, 8, 3, 9, 5).invariant_factors() == (2, 12, 360)
+        assert invariant_factors(G(2, 3)) == (6,)
+        assert invariant_factors(G(2, 4, 8, 3, 9, 5)) == (2, 12, 360)
 
     @given(st.lists(st.integers(2, 64), min_size=0, max_size=6),
            st.randoms())

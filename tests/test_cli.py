@@ -138,8 +138,9 @@ class TestOracles:
                                                   monkeypatch, n, local,
                                                   structures):
         # localize, unit_group and verify_local_formula share one unit
-        # search; a local ring recovers two structures, A* and 1 + m,
-        # counted wherever they run (finring or the radical ring of m)
+        # search, and a non-local ring is split before any; a local ring
+        # recovers two structures, A* and 1 + m, counted wherever they run
+        # (finring or the radical ring of m)
         import fuchs.finring as finring
         import fuchs.radical as radical
         calls = {"unit_elements": 0, "abelian_structure": 0}
@@ -156,7 +157,8 @@ class TestOracles:
         path.write_text(finring.zn_ring(n).to_presentation(), encoding="utf-8")
         code, doc = run_json(capsys, "oracle", "finring", str(path))
         assert code == 0 and doc["rings"][0]["local"] is local
-        assert calls == {"unit_elements": 1, "abelian_structure": structures}
+        assert calls == {"unit_elements": int(local),
+                         "abelian_structure": structures}
 
 
 class TestModels:

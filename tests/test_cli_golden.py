@@ -65,6 +65,16 @@ def test_cli_json_matches_golden():
         assert _run(expected["argv"]) == expected, expected["argv"]
 
 
+def test_cli_json_is_the_same_with_cold_and_warm_caches():
+    from test_memos import _lru_caches
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for cache in _lru_caches().values():
+        cache.cache_clear()
+    cold = [_run(g["argv"]) for g in golden]
+    warm = [_run(g["argv"]) for g in golden]
+    assert cold == warm == golden
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--regenerate"]:
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([_run(q) for q in QUERIES], indent=1) + "\n",

