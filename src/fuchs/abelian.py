@@ -20,9 +20,7 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .numtheory import HypothesisViolated, factorize, is_prime
-from .record import Frozen
-
-_set = object.__setattr__
+from .record import Frozen, _set
 
 
 class FinAbGroup(Frozen):
@@ -52,14 +50,6 @@ class FinAbGroup(Frozen):
             seen.add((p, e))
         if list(factors) != sorted(factors):
             raise ValueError("factors not in canonical order")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.factors,))
 
     # -- constructors ------------------------------------------------------
 
@@ -197,15 +187,6 @@ class FgAbGroup(Frozen):
         _set(self, "free_rank", free_rank)
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.torsion, self.free_rank) == \
-                (other.torsion, other.free_rank)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.torsion, self.free_rank))
 
     def __str__(self) -> str:
         return format_group(self)

@@ -264,6 +264,8 @@ def _cyclic_row(n: int) -> dict:
 
 
 def _cmd_table_cyclic(args) -> int:
+    if args.max < 2:
+        raise ValueError(f"--max must be at least 2, got {args.max}")
     rows = [_cyclic_row(n) for n in range(2, args.max + 1)]
     payload = {"kind": "table-cyclic", "max": args.max, "rows": rows}
     lines = [f"{'n':>5}  {'finite':<16}{'tn (r=0)':<16}{'min rank (any)'}"]

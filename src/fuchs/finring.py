@@ -21,12 +21,9 @@ from .abelian import FinAbGroup, abelian_structure, is_lambda_small, \
 from .caps import UNIT_GROUP_CAP, CapExceeded, oracle_cap
 from .numtheory import HypothesisViolated, factorize, is_prime, is_prime_power
 from .radical import RadicalRing, radical_ring_from_mult
-from .record import Frozen
+from .record import Frozen, _set
 from .table import InvalidRing, TableRing, read_table_document
 from .verdict import Verdict, realisable, not_realisable, unknown
-
-
-_set = object.__setattr__
 
 
 class FinCommRing(TableRing, Frozen):
@@ -36,6 +33,7 @@ class FinCommRing(TableRing, Frozen):
     hashing."""
 
     _repr_fields = ("basis_orders", "mult", "one", "name")
+    _uncompared = ("name",)
 
     def __init__(self, basis_orders: tuple[int, ...],
                  mult: tuple[tuple[int, ...], ...],  # pairs (i, j), i <= j
@@ -53,15 +51,6 @@ class FinCommRing(TableRing, Frozen):
         if len(one) != r:
             raise InvalidRing("identity width does not match basis")
         validate_ring(self)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.basis_orders, self.mult, self.one) == \
-                (other.basis_orders, other.mult, other.one)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.basis_orders, self.mult, self.one))
 
     def to_presentation(self) -> str:
         return self.table_document("ring", one=self.one)
@@ -158,16 +147,6 @@ class LocalData(Frozen):
         _set(self, "residue_size", residue_size)
         _set(self, "units", units)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.lam, self.maximal_ideal, self.residue_size) \
-                == (other.p, other.lam, other.maximal_ideal,
-                    other.residue_size)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.lam, self.maximal_ideal, self.residue_size))
-
 
 class NotLocal(Frozen):
     """A nontrivial idempotent, which splits the ring."""
@@ -176,14 +155,6 @@ class NotLocal(Frozen):
 
     def __init__(self, idempotent: tuple[int, ...]):
         _set(self, "idempotent", idempotent)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.idempotent == other.idempotent
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.idempotent,))
 
 
 def localize(A: FinCommRing, cap: int | None = None):

@@ -17,9 +17,7 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .caps import CapExceeded
-from .record import Frozen
-
-_set = object.__setattr__
+from .record import Frozen, _set
 
 
 class HypothesisViolated(ValueError):
@@ -88,14 +86,6 @@ class Factorization(Frozen):
         ps = [p for p, _ in pairs]
         if ps != sorted(set(ps)) or any(e < 1 for _, e in pairs):
             raise ValueError("malformed factorization")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pairs == other.pairs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.pairs,))
 
     @property
     def n(self) -> int:
@@ -248,14 +238,6 @@ class CycloPoly(Frozen):
     def __init__(self, n: int, coefficients: tuple[int, ...]):
         _set(self, "n", n)
         _set(self, "coefficients", coefficients)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.coefficients) == (other.n, other.coefficients)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.coefficients))
 
     @property
     def degree(self) -> int:
@@ -458,15 +440,6 @@ class PsFactor(Frozen):
             assert (p - 1) * p ** exp == value
         else:
             raise ValueError(f"bad factor kind {kind}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value, self.kind, self.p, self.exp) == \
-                (other.value, other.kind, other.p, other.exp)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.kind, self.p, self.exp))
 
 
 PsCover = tuple[PsFactor, ...]

@@ -25,12 +25,9 @@ from .abelian import (FinAbGroup, abelian_structure, pgroup_basis, prufer_rank,
                       row_reduce_mod)
 from .caps import RADICAL_ENUM_CAP, CapExceeded, oracle_cap
 from .numtheory import HypothesisViolated, factorize, is_prime, is_prime_power
-from .record import Frozen, Record
+from .record import Frozen, Record, _set
 from .table import (InvalidRing, TableRing, associators, compile_transport,
                     read_table_document, table_mul)
-
-
-_set = object.__setattr__
 
 
 class RadicalRing(TableRing, Frozen):
@@ -43,6 +40,7 @@ class RadicalRing(TableRing, Frozen):
     """
 
     _repr_fields = ("p", "exponents", "mult", "name")
+    _uncompared = ("name",)
 
     def __init__(self, p: int, exponents: tuple[int, ...],
                  mult: tuple[tuple[int, ...], ...],  # pairs (i, j), i <= j
@@ -55,15 +53,6 @@ class RadicalRing(TableRing, Frozen):
         if len(mult) != len(self.pairs()):
             raise InvalidRing("structure constant count does not match basis")
         validate_radical(self)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.exponents, self.mult) == \
-                (other.p, other.exponents, other.mult)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.exponents, self.mult))
 
     def pairs(self) -> list[tuple[int, int]]:
         r = len(self.exponents)
@@ -454,12 +443,6 @@ class SmallTheoremReport(Record):
         self.p = p
         self.k = k
         self.entries = [] if entries is None else entries
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.k, self.entries) == \
-                (other.p, other.k, other.entries)
-        return NotImplemented
 
     @property
     def violations(self) -> list[dict]:

@@ -21,7 +21,7 @@ from .caps import CapExceeded
 from .numtheory import (HypothesisViolated, divisors, euler_phi, factorize,
                         is_prime, is_prime_power, mersenne_divisor_set,
                         mult_order, pearson_schneider_covers)
-from .record import Frozen
+from .record import Frozen, _set
 from .verdict import Verdict, not_realisable, realisable, unknown
 
 
@@ -63,9 +63,6 @@ def g_value(T: FinAbGroup) -> int:
 # the class of groups the TN threshold theorem covers
 
 
-_set = object.__setattr__
-
-
 class GeClass(Frozen):
     """Even-order T with cyclic Sylow-2 of order 2^epsilon whose odd Sylow
     q-parts are each a lam(q, 2^epsilon)-power (good) or fail that but have
@@ -81,17 +78,6 @@ class GeClass(Frozen):
         _set(self, "bad_primes", bad_primes)
         _set(self, "good_primes", good_primes)  # (q, V_q, lam_q)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.torsion, self.eps, self.bad_primes,
-                    self.good_primes) == (other.torsion, other.eps,
-                                          other.bad_primes, other.good_primes)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.torsion, self.eps, self.bad_primes,
-                     self.good_primes))
-
 
 class NotInClass(Frozen):
     """Why T is outside that class, and the prime that blocks (None when
@@ -102,14 +88,6 @@ class NotInClass(Frozen):
     def __init__(self, prime: int | None, reason: str):
         _set(self, "prime", prime)
         _set(self, "reason", reason)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.prime, self.reason) == (other.prime, other.reason)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.prime, self.reason))
 
 
 def ge_classify(T: FinAbGroup):
@@ -268,26 +246,18 @@ def decide_tn(G: FgAbGroup) -> Verdict:
         return not_realisable("two-power-family-tn", query, cls,
                               {"u": u, "bound": 3})
     if two_sylow == FinAbGroup.from_orders([4]) and r == 0:
-        blockers = []
-        for p in T.primes():
-            if p % 4 == 3:
-                Tp = T.sylow(p)
-                if not is_lambda_small(Tp, p, 2):
-                    return unknown(
-                        "square-of-small-sylows-tn", query, cls,
-                        {"hypothesis": f"Sylow {p}-part is not 2-small"})
-                V = lambda_power_decompose(Tp, 2)
-                if V is None or not is_lambda_small(V, p, 1):
-                    blockers.append(p)
-        if blockers:
-            return not_realisable(
+        # T is outside the threshold class, so some Sylow part at a prime
+        # = 3 mod 4 is not a square: this rule never finds T realisable
+        wide, blockers = _square_blockers(T)
+        if wide is not None:
+            return unknown(
                 "square-of-small-sylows-tn", query, cls,
-                {"primes": blockers,
-                 "reason": "each Sylow part at a prime = 3 mod 4 must be the "
-                           "square of a 1-small group"})
-        return realisable(
+                {"hypothesis": f"Sylow {wide}-part is not 2-small"})
+        return not_realisable(
             "square-of-small-sylows-tn", query, cls,
-            {"conductor": 4, "adjoined_torsion": format_group(T.without_prime(2))})
+            {"primes": blockers,
+             "reason": "each Sylow part at a prime = 3 mod 4 must be the "
+                       "square of a 1-small group"})
     if r == 0 and eps is not None and eps >= 3:
         return not_realisable(
             "finite-units-epsilon-bound", query, cls,
@@ -677,19 +647,27 @@ def _witness_two_power(u: int) -> bool:
     return torsion_units(model) == FinAbGroup.from_orders([4, 2 ** u])
 
 
+def _square_blockers(T: FinAbGroup) -> tuple[int | None, list[int]]:
+    """The first prime p = 3 mod 4 whose Sylow part T_p is not 2-small
+    (None when there is none), and the primes p = 3 mod 4 before it whose
+    T_p is not a square.  A 2-small square V^2 has a 1-small V, since
+    rank V^2 = 2 rank V, so squareness is the whole test."""
+    blockers = []
+    for p in T.primes():
+        if p % 4 == 3:
+            Tp = T.sylow(p)
+            if not is_lambda_small(Tp, p, 2):
+                return p, blockers
+            if lambda_power_decompose(Tp, 2) is None:
+                blockers.append(p)
+    return None, blockers
+
+
 def _recheck_squares(V, T) -> bool:
     if T.torsion.sylow(2) != FinAbGroup.from_orders([4]) or T.free_rank:
         return False
-    bad = []
-    for p in T.torsion.primes():
-        if p % 4 == 3:
-            Tp = T.torsion.sylow(p)
-            if not is_lambda_small(Tp, p, 2):
-                return False
-            V2 = lambda_power_decompose(Tp, 2)
-            if V2 is None or not is_lambda_small(V2, p, 1):
-                bad.append(p)
-    return bool(bad) != V.is_realisable
+    wide, blockers = _square_blockers(T.torsion)
+    return wide is None and bool(blockers) != V.is_realisable
 
 
 def _recheck_local_small(V, T) -> bool:

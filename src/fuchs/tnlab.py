@@ -41,7 +41,7 @@ from .numtheory import (HypothesisViolated, _pdivmod, cyclotomic_poly,
                         factor_cyclo_mod, factorize, hensel_lift_factor,
                         mult_order)
 from .radical import RadicalRing
-from .record import Frozen, Record
+from .record import Frozen, Record, _set
 from .table import InvalidRing, compile_product
 from . import presentation
 
@@ -50,14 +50,16 @@ from . import presentation
 # base ring Z[zeta_k]
 
 
-class CycloBase:
+class CycloBase(Frozen):
     """Exact arithmetic in Z[zeta_k] = Z[x]/Phi_k; elements are integer
-    tuples of length phi(k)."""
+    tuples of length phi(k).  The conductor k is the whole value."""
+
+    _repr_fields = ("conductor",)
 
     def __init__(self, conductor: int):
-        self.conductor = conductor
-        self.phi = list(cyclotomic_poly(conductor).coefficients)
-        self.degree = len(self.phi) - 1
+        _set(self, "conductor", conductor)
+        _set(self, "phi", list(cyclotomic_poly(conductor).coefficients))
+        _set(self, "degree", len(self.phi) - 1)
 
     def zero(self):
         return (0,) * self.degree
@@ -99,18 +101,9 @@ class CycloBase:
     def scale(self, c: int, a):
         return tuple(c * x for x in a)
 
-    def __eq__(self, other):
-        return isinstance(other, CycloBase) and other.conductor == self.conductor
-
-    def __hash__(self):
-        return hash(("CycloBase", self.conductor))
-
 
 # ---------------------------------------------------------------------------
 # models
-
-
-_set = object.__setattr__
 
 
 class TnModel(Frozen):
@@ -125,6 +118,7 @@ class TnModel(Frozen):
 
     _repr_fields = ("conductor", "free_names", "tors_names", "tors_orders",
                     "scalar_action", "mult", "name")
+    _uncompared = ("name",)
 
     def __init__(self, conductor: int, free_names: tuple[str, ...],
                  tors_names: tuple[str, ...], tors_orders: tuple[int, ...],
@@ -148,18 +142,6 @@ class TnModel(Frozen):
         _set(self, "mul", compile_product(flat, moduli, shape))
         _set(self, "_tors_mult", tors_mult)
         _set(self, "n_tors", validate_model(self))
-
-    def _key(self):
-        return (self.conductor, self.free_names, self.tors_names,
-                self.tors_orders, self.scalar_action, self.mult)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     # layout ----------------------------------------------------------------
 
@@ -417,14 +399,6 @@ class TorsionIdeal(Frozen):
     def __init__(self, components: tuple[RadicalRing, ...]):
         _set(self, "components", components)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.components == other.components
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.components,))
-
     def additive_group(self) -> FinAbGroup:
         g = FinAbGroup.trivial()
         for c in self.components:
@@ -553,14 +527,6 @@ class TorsionUnitData(Record):
         self.a_tors = a_tors
         self.b_tors_elements = b_tors_elements
         self.a_tors_elements = a_tors_elements
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.one_plus_n, self.b_tors, self.a_tors,
-                    self.b_tors_elements, self.a_tors_elements) == \
-                (other.one_plus_n, other.b_tors, other.a_tors,
-                 other.b_tors_elements, other.a_tors_elements)
-        return NotImplemented
 
 
 # bounded; a round of the benchmark's `oracles` workload sweeps 23 models
@@ -756,15 +722,6 @@ class PrimePowerIdealQuotient(Frozen):
         _set(self, "q", q)
         _set(self, "factor", factor)
         _set(self, "b", b)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.conductor, self.q, self.factor, self.b) == \
-                (other.conductor, other.q, other.factor, other.b)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.conductor, self.q, self.factor, self.b))
 
 
 def cyclotomic_quotient_group(Q: PrimePowerIdealQuotient) -> FinAbGroup:

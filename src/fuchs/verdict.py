@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from .record import Frozen
+from .record import Frozen, _set
 
 REALISABLE = "realisable"
 NOT_REALISABLE = "not_realisable"
 UNKNOWN = "unknown"
-
-
-_set = object.__setattr__
 
 
 class Verdict(Frozen):
@@ -24,6 +21,7 @@ class Verdict(Frozen):
 
     _repr_fields = ("kind", "theorem", "query", "ring_class", "certificate",
                     "obstruction", "gap", "checked")
+    _uncompared = ("checked",)
 
     def __init__(self, kind: str, theorem: str, query: str, ring_class: str,
                  certificate: dict | None = None,
@@ -44,18 +42,6 @@ class Verdict(Frozen):
         for idx, payload in enumerate(payloads):
             if (payload is not None) != (idx == expected):
                 raise ValueError("verdict payload does not match its kind")
-
-    def _key(self):
-        return (self.kind, self.theorem, self.query, self.ring_class,
-                self.certificate, self.obstruction, self.gap)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def is_realisable(self) -> bool:

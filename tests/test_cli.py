@@ -340,6 +340,13 @@ class TestTable:
         assert rows[8]["min_rank_any"] == 0   # 8 = 3^2 - 1 covers it
         assert rows[9]["min_rank_any"] is None
 
+    @pytest.mark.parametrize("bound", ["1", "0", "-5"])
+    def test_max_below_two_exits_3(self, capsys, bound):
+        code, out, err = run(capsys, "table", "cyclic", "--max", bound)
+        assert code == 3 and out == ""
+        assert "Traceback" not in err
+        assert f"--max must be at least 2, got {bound}" in err
+
     def test_jobs_flag_is_gone(self, capsys):
         assert run(capsys, "table", "cyclic", "--max", "12", "--jobs", "2")[0] == 3
 

@@ -3,22 +3,18 @@
 from __future__ import annotations
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import fuchs.abelian
-import fuchs.finring
-import fuchs.numtheory
-import fuchs.radical
-import fuchs.realize
-import fuchs.table
-import fuchs.tnlab
+import fuchs
+
+MODULES = [importlib.import_module(f"fuchs.{info.name}")
+           for info in pkgutil.iter_modules(fuchs.__path__)]
 
 
-@pytest.mark.parametrize("module", [
-    fuchs.abelian, fuchs.numtheory, fuchs.radical,
-    fuchs.finring, fuchs.realize, fuchs.table, fuchs.tnlab,
-])
+@pytest.mark.parametrize("module", MODULES)
 def test_module_doctests(module):
     failed, attempted = doctest.testmod(module)
     assert failed == 0

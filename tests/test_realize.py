@@ -4,6 +4,7 @@ certificate soundness."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import compress
 from math import isqrt
 
@@ -11,6 +12,7 @@ import pytest
 
 from fuchs.abelian import FgAbGroup, FinAbGroup, parse_group
 from fuchs.numtheory import HypothesisViolated, factorize
+from fuchs.radical import _partitions
 from fuchs.realize import (CASE_PLAIN, CASE_SPORADIC, GeClass, NotInClass,
                            certificate_check, certificate_check_status,
                            decide_any, decide_finite, decide_tn, g_value,
@@ -88,6 +90,22 @@ def _even_subgroup_types(T):
         twos = [f for f in H.factors if f[0] == 2]
         if len(twos) == 1 and twos[0][2] == 1:
             yield H
+
+
+def _groups_over(primes, bound):
+    """Cyclic orders of every abelian group of order <= bound built from
+    the given primes."""
+    groups = [((), 1)]
+    for p in primes:
+        grown = []
+        for orders, n in groups:
+            k = 0
+            while n * p ** k <= bound:
+                grown.extend((orders + tuple(p ** e for e in part), n * p ** k)
+                             for part in _partitions(k))
+                k += 1
+        groups = grown
+    return [orders for orders, _ in groups]
 
 
 class TestGeClassify:
@@ -181,6 +199,24 @@ class TestDecideTn:
         # threshold theorem: realisable at rank 0 with no smallness needed
         v = decide_tn(FG([4, 3, 3, 3, 3]))
         assert v.is_realisable and v.theorem == "tn-rank-threshold"
+
+    def test_square_rule_never_finds_realisable(self):
+        # with Sylow-2 = Z/4 every p = 1 mod 4 is good (lam = 1), so the
+        # rule runs only when ge_classify met a p = 3 mod 4 whose Sylow part
+        # is neither a square nor of rank < 2: that p is 2-small, and then
+        # a blocker, or it is not, and the verdict is unknown
+        kinds = Counter()
+        for odd in _groups_over((3, 5, 7, 11, 19, 23), 200_000):
+            v = decide_tn(FG([4, *odd]))
+            if v.theorem != "square-of-small-sylows-tn":
+                continue
+            kinds[v.kind] += 1
+            bad = ge_classify(G(4, *odd))
+            assert isinstance(bad, NotInClass) and bad.prime % 4 == 3
+            if v.is_not_realisable:
+                assert bad.prime in v.obstruction["primes"]
+                assert certificate_check_status(v) == "pass"
+        assert set(kinds) == {"not_realisable", "unknown"}, kinds
 
     def test_monotone_in_rank(self):
         rng = random.Random(23)

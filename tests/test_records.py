@@ -5,13 +5,18 @@ here field by field."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import fuchs
 from fuchs.abelian import FgAbGroup, FinAbGroup
 from fuchs.finring import FinCommRing, LocalData, NotLocal
 from fuchs.numtheory import CycloPoly, Factorization, PsFactor
 from fuchs.radical import RadicalRing, SmallTheoremReport
 from fuchs.realize import GeClass, NotInClass
+from fuchs.record import Frozen, Record
 from fuchs.tnlab import (CycloBase, PrimePowerIdealQuotient, TnModel,
                          TorsionIdeal, TorsionUnitData)
 from fuchs.verdict import Verdict
@@ -98,6 +103,8 @@ CASES = [
          "b_tors=FinAbGroup(factors=()), a_tors=FinAbGroup(factors=()), "
          "b_tors_elements=[], a_tors_elements=[])",
          differ={"a_tors_elements": [(1,)]}, frozen=False),
+    case(CycloBase, {"conductor": 4}, "CycloBase(conductor=4)",
+         differ={"conductor": 8}),
     case(PrimePowerIdealQuotient, {"conductor": 4, "q": 3,
                                    "factor": (1, 0, 1), "b": 1},
          "PrimePowerIdealQuotient(conductor=4, q=3, factor=(1, 0, 1), b=1)",
@@ -117,8 +124,28 @@ def _build(c, cls=None, **override):
     return (cls or c["cls"])(**{**c["fields"], **override})
 
 
+def _record_classes():
+    """Every Record subclass that a ``fuchs`` module defines."""
+    found = set()
+    for info in pkgutil.iter_modules(fuchs.__path__):
+        module = importlib.import_module(f"fuchs.{info.name}")
+        found.update(obj for obj in vars(module).values()
+                     if isinstance(obj, type) and issubclass(obj, Record)
+                     and obj.__module__ == module.__name__
+                     and obj not in (Record, Frozen))
+    return found
+
+
 def test_every_record_class_is_pinned():
-    assert len(CASES) == 17
+    pinned = [c.values[0]["cls"] for c in CASES]
+    assert len(pinned) == len(set(pinned))
+    assert _record_classes() == set(pinned)
+
+
+def test_identity_comes_only_from_the_base():
+    for cls in _record_classes():
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
+        assert set(cls._uncompared) <= set(cls._repr_fields), cls
 
 
 @pytest.mark.parametrize("c", CASES)
