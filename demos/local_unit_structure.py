@@ -5,11 +5,12 @@ Every finite commutative ring splits into local factors; for a local ring
 with maximal ideal m and residue field F_q the units decompose as
 A* = F_q* x (1 + m), with 1 + m the adjoint group of the radical ring m.
 This script recomputes both sides on the shipped corpus and shows the
-decision this powers: which groups arise as units of (p, lam)-type local
-rings with a small Sylow p-part.
+decision this powers: the finite-ring search assigns G's cyclic factors to
+local factors F_q* x H and keeps only one-units H that the small-Sylow rule
+allows.
 """
 
-from fuchs import (FinAbGroup, LocalData, build_corpus, decide_local_small,
+from fuchs import (FinAbGroup, LocalData, build_corpus, decide_finite,
                    localize, maximal_ideal_ring, unit_group,
                    verify_local_formula)
 
@@ -31,8 +32,13 @@ m = maximal_ideal_ring(A, data)
 print(f"  m = 3Z/9Z, (m,+) = {m.additive_group()}, 1+m = {m.adjoint_group()}")
 print(f"  A* = {unit_group(A)} = Z/2 x (1+m)")
 
-print("\nthe decision the formula feeds (odd p, small Sylow p-part):")
-for orders, p, lam in [([24, 5, 5], 5, 2), ([24, 25], 5, 2), ([2, 3, 3, 3], 3, 1)]:
-    G = FinAbGroup.from_orders(orders)
-    v = decide_local_small(G, p, lam)
-    print(f"  {str(G):<28} as units of a ({p},{lam})-type local ring: {v.kind}")
+print("\nthe decision the formula feeds, one local factor at a time:")
+v = decide_finite(FinAbGroup.from_orders([24, 5, 5]))
+print(f"  {v.query}: {v.kind}")
+for f in v.certificate["factors"]:
+    print(f"    ({f['p']},{f['lam']})-type factor: F* = {f['units']}, 1+m = {f['H']}")
+v = decide_finite(FinAbGroup.from_orders([600, 5, 5]))
+print(f"  {v.query}: {v.kind}")
+line = next(e for e in v.obstruction["trace"]
+            if (e.get("p"), e.get("lam"), e.get("H")) == (5, 2, "Z/25Z"))
+print(f"    {line['reason']}")

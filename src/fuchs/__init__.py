@@ -16,8 +16,8 @@ from .table import InvalidRing
 from .radical import (RadicalRing, check_byott, check_small_theorem,
                       enumerate_radical_rings)
 from .finring import (FinCommRing, LocalData, NotLocal, build_corpus,
-                      decide_local_small, localize, maximal_ideal_ring,
-                      unit_group, verify_local_formula)
+                      localize, maximal_ideal_ring, unit_group,
+                      verify_local_formula)
 from .tnlab import (CycloBase, PrimePowerIdealQuotient, TnModel,
                     adjoint_of_nil_torsion, build_construction_model,
                     cyclotomic_quotient_group, load_example, nil_torsion,

@@ -18,9 +18,9 @@ from .abelian import FgAbGroup, FinAbGroup, format_group, parse_group
 from .finring import FinCommRing, NotLocal, build_corpus, localize, \
     unit_group, verify_local_formula
 from .radical import check_byott, check_small_theorem, enumerate_radical_rings
-from .realize import (decide_any, decide_finite, decide_tn, ge_classify,
-                      g_value, r_value, verdict_to_json, mersenne_split,
-                      GeClass)
+from .realize import (certificate_check_status, decide_any, decide_finite,
+                      decide_tn, ge_classify, g_value, r_value,
+                      verdict_to_json, mersenne_split, GeClass)
 from .tnlab import (TnModel, adjoint_of_nil_torsion, load_example, sequence_splits,
                     torsion_units, quotient_torsion_units, EXAMPLE_NAMES)
 from .verdict import Verdict
@@ -93,7 +93,6 @@ def _cmd_decide(args) -> int:
         return EXIT_USAGE
     v = decide(G)
     if not v.is_unknown:
-        from .realize import certificate_check_status
         v = Verdict(v.kind, v.theorem, v.query, v.ring_class, v.certificate,
                     v.obstruction, v.gap,
                     checked=certificate_check_status(v) == "pass")

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .abelian import FinAbGroup, abelian_structure, is_lambda_small, \
-    lambda_power_decompose, prufer_rank, format_group, row_reduce_mod
+from .abelian import FinAbGroup, abelian_structure, row_reduce_mod
 from .caps import UNIT_GROUP_CAP, CapExceeded, oracle_cap
 from .numtheory import HypothesisViolated, factorize, is_prime, is_prime_power
 from .radical import RadicalRing, radical_ring_from_mult
 from .record import Frozen, _set
 from .table import InvalidRing, TableRing, read_table_document
-from .verdict import Verdict, realisable, not_realisable, unknown
 
 
 class FinCommRing(TableRing, Frozen):
@@ -225,41 +223,6 @@ def verify_local_formula(A: FinCommRing, cap: int | None = None,
     expected = FinAbGroup.from_orders([data.residue_size - 1]) * one_plus_m \
         if data.residue_size > 2 else one_plus_m
     return group == expected
-
-
-def decide_local_small(G: FinAbGroup, p: int, lam: int) -> Verdict:
-    """Decide realisability of G as the unit group of a finite local
-    commutative ring with residue field of size p^lam, for odd p, under the
-    small-Sylow hypothesis."""
-    if p == 2:
-        raise HypothesisViolated("the classification requires an odd prime")
-    if lam < 1:
-        raise ValueError("lam must be positive")
-    query = format_group(G)
-    cls = "finite-local"
-    H = G.sylow(p)
-    if not is_lambda_small(H, p, lam):
-        return unknown(
-            "small-sylow-local-classification", query, cls,
-            {"hypothesis": f"Sylow {p}-part has Prufer rank "
-                           f"{prufer_rank(G, p)} >= {lam}*({p}-1)"})
-    rest = G.without_prime(p)
-    cyclic_part = FinAbGroup.from_orders([p ** lam - 1]) if p ** lam > 2 else FinAbGroup.trivial()
-    if rest != cyclic_part:
-        return not_realisable(
-            "small-sylow-local-classification", query, cls,
-            {"reason": f"prime-to-{p} part must be exactly Z/{p ** lam - 1}Z",
-             "p": p, "lam": lam})
-    V = lambda_power_decompose(H, lam)
-    if V is None:
-        return not_realisable(
-            "small-sylow-local-classification", query, cls,
-            {"reason": f"Sylow {p}-part is {lam}-small but not a {lam}-th power",
-             "p": p, "lam": lam, "sylow": format_group(H)})
-    assert is_lambda_small(V, p, 1)
-    return realisable(
-        "small-sylow-local-classification", query, cls,
-        {"p": p, "lam": lam, "witness_p_group": format_group(V)})
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def decide_finite(G: FinAbGroup) -> Verdict:
     """
     query = format_group(G)
     cls = "finite"
-    if G.is_cyclic() or G.is_trivial():
+    if G.is_cyclic():
         covers = pearson_schneider_covers(G.order())
         if covers:
             return realisable("cyclic-finite-units", query, cls,
@@ -344,6 +344,21 @@ def _splits(items):
             yield lo, ro
 
 
+def _one_units(H: FinAbGroup, p: int, lam: int) -> bool | None:
+    """The small-Sylow rule for the one-units H, a p-group, of a
+    (p, lam)-type local factor: True when H is trivial or, for odd p, a
+    lam-th power (realisable); False when p is odd and H is lam-small but
+    not a lam-th power (excluded); None when the theorem does not decide,
+    which includes p = 2 with H nontrivial."""
+    if H.is_trivial():
+        return True
+    if p == 2:
+        return None
+    if lambda_power_decompose(H, lam) is not None:
+        return True
+    return False if is_lambda_small(H, p, lam) else None
+
+
 def _local_factor_search(G: FinAbGroup):
     """Search assignments of G's cyclic factors to local unit shapes
     F_{p^lam}* x H. Returns (certificate | None, unknown branches, trace)."""
@@ -387,30 +402,23 @@ def _local_factor_search(G: FinAbGroup):
             for H, p_rest in _splits(p_pool):
                 if not H and p ** lam == 2:
                     continue  # F_2 factor changes nothing
-                branch_unknown = has_unknown
                 hgroup = _group(H)
-                if H:
-                    if p == 2:
-                        branch_unknown = True
-                    else:
-                        power = lambda_power_decompose(hgroup, lam)
-                        if power is None:
-                            if is_lambda_small(hgroup, p, lam):
-                                word = {1: "first power", 2: "square", 3: "cube"} \
-                                    .get(lam, f"{lam}-th power")
-                                trace.append({
-                                    "p": p, "lam": lam,
-                                    "H": format_group(hgroup),
-                                    "reason": f"a ({p},{lam})-type local factor with "
-                                              f"{lam}-small one-units must contribute a "
-                                              f"{word}, not {format_group(hgroup)}"})
-                                continue
-                            branch_unknown = True
+                rule = _one_units(hgroup, p, lam)
+                if rule is False:
+                    word = {1: "first power", 2: "square", 3: "cube"} \
+                        .get(lam, f"{lam}-th power")
+                    trace.append({
+                        "p": p, "lam": lam,
+                        "H": format_group(hgroup),
+                        "reason": f"a ({p},{lam})-type local factor with "
+                                  f"{lam}-small one-units must contribute a "
+                                  f"{word}, not {format_group(hgroup)}"})
+                    continue
                 chosen.append({"p": p, "lam": lam,
-                               "units": format_group(FinAbGroup.from_orders(
-                                   [p ** lam - 1] if p ** lam > 2 else [])),
+                               "units": format_group(
+                                   FinAbGroup.from_orders([p ** lam - 1])),
                                "H": format_group(hgroup)})
-                search(others | p_rest, idx, chosen, branch_unknown)
+                search(others | p_rest, idx, chosen, has_unknown or rule is None)
                 chosen.pop()
                 if solution is not None:
                     return
@@ -438,7 +446,7 @@ def decide_any(G: FgAbGroup) -> Verdict:
     T, r = G.torsion, G.free_rank
     query = format_group(G)
     cls = "any"
-    if T.is_cyclic() or T.is_trivial():
+    if T.is_cyclic():
         m = T.order()
         covers = pearson_schneider_covers(m)
         if covers:
@@ -576,8 +584,6 @@ def _recheck(V: Verdict) -> bool:
         return T.free_rank == 0 and (epsilon(T.torsion) or 0) >= 3
     if tag == "even-torsion-required":
         return T.torsion.order() % 2 == 1
-    if tag == "small-sylow-local-classification":
-        return _recheck_local_small(V, T)
     if tag == "local-factor-search":
         return _recheck_factor_search(V, T)
     if tag == "finite-tn-split":
@@ -670,43 +676,19 @@ def _recheck_squares(V, T) -> bool:
     return wide is None and bool(blockers) != V.is_realisable
 
 
-def _recheck_local_small(V, T) -> bool:
-    payload = V.payload()
-    p, lam = payload["p"], payload["lam"]
-    H = T.torsion.sylow(p)
-    if not is_lambda_small(H, p, lam):
-        return False
-    if not V.is_realisable:
-        rest_bad = T.torsion.without_prime(p) != \
-            (FinAbGroup.from_orders([p ** lam - 1]) if p ** lam > 2
-             else FinAbGroup.trivial())
-        return rest_bad or lambda_power_decompose(H, lam) is None
-    Vg = parse_group(payload["witness_p_group"]).torsion
-    if Vg.power(lam) != H or not is_lambda_small(Vg, p, 1):
-        return False
-    # rebuild a witness ring when the parameters drop to an explicit Z/p^a
-    if lam == 1 and Vg.is_cyclic() and not Vg.is_trivial():
-        a = Vg.cyclic_orders()[0]
-        if p * a > WITNESS_CAP:
-            raise CapExceeded("unit witness beyond the ring cap")
-        from .finring import unit_group, zn_ring
-        return unit_group(zn_ring(p * a)) == T.torsion
-    return True
-
-
 def _recheck_factor_search(V, T) -> bool:
     if V.is_realisable:
         total = FinAbGroup.trivial()
         for f in V.certificate["factors"]:
+            p, lam = f["p"], f["lam"]
             units = parse_group(f["units"]).torsion
             H = parse_group(f["H"]).torsion
-            if H.order() > 1:
-                if f["p"] == 2:
-                    return False
-                if lambda_power_decompose(H, f["lam"]) is None and \
-                        is_lambda_small(H, f["p"], f["lam"]):
-                    return False
-            if not is_prime(f["p"]):
+            # p prime, lam >= 1 and units = Z/(p^lam - 1), read off the
+            # units so that a forged huge lam is never raised to a power
+            if not units.is_cyclic() or \
+                    is_prime_power(units.order() + 1) != (p, lam):
+                return False
+            if H != H.sylow(p) or _one_units(H, p, lam) is not True:
                 return False
             total = total * units * H
         if total != T.torsion:
@@ -722,8 +704,7 @@ def _witness_fields(factors, T) -> bool:
         q = f["p"] ** f["lam"]
         if parse_group(f["H"]).torsion.is_trivial() and \
                 (q in _IRREDUCIBLE or is_prime(q)) and q <= 32:
-            if unit_group(field_ring(q)) != (
-                    FinAbGroup.from_orders([q - 1]) if q > 2 else FinAbGroup.trivial()):
+            if unit_group(field_ring(q)) != parse_group(f["units"]).torsion:
                 return False
     return True
 

@@ -443,14 +443,10 @@ def nil_torsion(A: TnModel) -> TorsionIdeal:
     return TorsionIdeal(tuple(comps))
 
 
+@lru_cache(maxsize=32)  # bounded, like _torsion_unit_data
 def adjoint_of_nil_torsion(A: TnModel) -> FinAbGroup:
     """Group structure of 1 + N_tors, computed inside the model once; the
     torsion-unit sweep takes its 1 + N_tors from the same cache."""
-    return _adjoint_group(A)
-
-
-@lru_cache(maxsize=32)  # bounded, like _torsion_unit_data
-def _adjoint_group(A: TnModel) -> FinAbGroup:
     # 1 + u <-> u turns (1 + u)(1 + v) = 1 + (u + v + uv) into u o v
     elems = [x[1] for x in A.torsion_elements()]
     circle = compile_product(A._tors_mult, A.tors_orders, circle=True)
@@ -538,7 +534,7 @@ def _torsion_unit_data(A: TnModel) -> TorsionUnitData:
 
     # (1) 1 + N_tors inside the model; its type is the adjoint group's
     one_plus_n_elements = [(one[0], t[1]) for t in A.torsion_elements()]
-    one_plus_n = _adjoint_group(A)
+    one_plus_n = adjoint_of_nil_torsion(A)
 
     # (2) torsion units of B through the cyclotomic embedding
     if f == 1:

@@ -208,7 +208,7 @@ class TestModels:
         path.write_text(tnlab.build_construction_model(
             4, FinAbGroup.from_orders([13])).to_presentation(), encoding="utf-8")
         tnlab._torsion_unit_data.cache_clear()
-        tnlab._adjoint_group.cache_clear()
+        tnlab.adjoint_of_nil_torsion.cache_clear()
         calls = []
         inner = tnlab.abelian_structure
         monkeypatch.setattr(tnlab, "abelian_structure",

@@ -9,7 +9,7 @@ import pytest
 
 import fuchs
 from fuchs.abelian import FinAbGroup
-from fuchs.finring import (FinCommRing, LocalData, NotLocal, build_corpus, decide_local_small,
+from fuchs.finring import (FinCommRing, LocalData, NotLocal, build_corpus,
                            field_ring, galois_ring, localize,
                            maximal_ideal_ring, nilpotent_extension,
                            product_ring, unit_elements, unitalization,
@@ -18,7 +18,6 @@ from fuchs.finring import (FinCommRing, LocalData, NotLocal, build_corpus, decid
 import fuchs.radical as rad
 from fuchs.finring import _one_plus_m
 from fuchs.caps import CapExceeded
-from fuchs.numtheory import HypothesisViolated
 from fuchs.radical import enumerate_radical_rings
 
 
@@ -323,35 +322,6 @@ class TestExactSequence:
             assert image == set(quotient.units())
 
 
-class TestDecideLocalSmall:
-    def test_spec_examples(self):
-        v = decide_local_small(G(24, 5, 5), 5, 2)
-        assert v.is_realisable
-        assert v.certificate["witness_p_group"] == "Z/5Z"
-
-        v = decide_local_small(G(24, 25), 5, 2)
-        assert v.is_not_realisable
-
-        v = decide_local_small(G(2, 3, 3, 3), 3, 1)
-        assert v.is_unknown
-
-    def test_wrong_cyclic_part(self):
-        v = decide_local_small(G(7, 5, 5), 5, 2)
-        assert v.is_not_realisable
-
-    def test_even_prime_rejected(self):
-        with pytest.raises(HypothesisViolated):
-            decide_local_small(G(4), 2, 1)
-
-    def test_positive_cases_have_witnesses(self):
-        # lam = 1: Z/p^{a+1} realises Z/(p-1) x Z/p^a
-        for p, a in [(3, 2), (5, 1), (7, 1)]:
-            target = G(p - 1) * G(p ** a)
-            v = decide_local_small(target, p, 1)
-            assert v.is_realisable
-            assert unit_group(zn_ring(p ** (a + 1))) == target
-
-
 class TestSpecWitnesses:
     def test_f25_dual_numbers_realise_the_worked_group(self):
         # the (5,2)-type witness for Z/24 x (Z/5)^2: F_25[t]/(t^2) has
@@ -366,11 +336,14 @@ class TestSpecWitnesses:
         assert decide_finite(G(24, 5, 5)).is_realisable
 
     def test_local_small_realisable_implies_finite_realisable(self):
-        from fuchs.realize import decide_finite
+        # Z/(p^lam - 1) x H with one-units H the rule accepts is the unit
+        # group of one (p, lam)-type local factor
+        from fuchs.realize import _one_units, decide_finite
         cases = [(G(24, 5, 5), 5, 2), (G(2, 3), 3, 1), (G(4, 5, 25), 5, 1),
-                 (G(6, 7, 7, 7), 7, 1)]
+                 (G(6, 7, 7, 7), 7, 1), (G(2, 3, 3, 3), 3, 1)]
         for grp, p, lam in cases:
-            if decide_local_small(grp, p, lam).is_realisable:
+            if grp.without_prime(p) == G(p ** lam - 1) and \
+                    _one_units(grp.sylow(p), p, lam):
                 assert not decide_finite(grp).is_not_realisable, str(grp)
 
 

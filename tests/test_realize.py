@@ -3,6 +3,8 @@ certificate soundness."""
 
 from __future__ import annotations
 
+import ast
+import inspect
 import random
 from collections import Counter
 from itertools import compress
@@ -10,13 +12,17 @@ from math import isqrt
 
 import pytest
 
-from fuchs.abelian import FgAbGroup, FinAbGroup, parse_group
+import fuchs.realize as realize
+from fuchs.abelian import FgAbGroup, FinAbGroup, format_group, parse_group
+from fuchs.finring import unit_group, unitalization, zn_ring
 from fuchs.numtheory import HypothesisViolated, factorize
-from fuchs.radical import _partitions
+from fuchs.radical import RadicalRing, _partitions
 from fuchs.realize import (CASE_PLAIN, CASE_SPORADIC, GeClass, NotInClass,
-                           certificate_check, certificate_check_status,
-                           decide_any, decide_finite, decide_tn, g_value,
-                           ge_classify, r_value, verdict_to_json)
+                           _one_units, certificate_check,
+                           certificate_check_status, decide_any,
+                           decide_finite, decide_tn, g_value, ge_classify,
+                           r_value, verdict_to_json)
+from fuchs.verdict import Verdict
 
 
 def G(*orders):
@@ -287,6 +293,33 @@ class TestDecideFinite:
         assert _residue_shapes(exp) == _sieve_shapes(exp, _primes_up_to(exp + 1))
 
 
+class TestOneUnits:
+    """The small-Sylow rule for the one-units H of a (p, lam)-type local
+    factor, the one rule the search and its re-check share."""
+
+    def test_spec_examples(self):
+        assert _one_units(G(5, 5), 5, 2) is True      # (Z/5)^2 = (Z/5)^2
+        assert _one_units(G(25), 5, 2) is False       # 2-small, no square
+        assert _one_units(G(3, 3, 3, 3, 3), 3, 2) is None  # rank 5 >= 4
+        # (Z/3)^3 is a first power: Z/3 + N with N = (Z/3)^3 and zero
+        # product has exactly the units Z/2 x (Z/3)^3
+        assert _one_units(G(3, 3, 3), 3, 1) is True
+        N = RadicalRing(3, (1, 1, 1), ((0, 0, 0),) * 6)
+        assert unit_group(unitalization(N, 1)) == G(2, 3, 3, 3)
+
+    def test_even_prime_is_undecided(self):
+        for H in [G(2), G(4), G(2, 2), G(8, 2)]:
+            for lam in (1, 2, 3):
+                assert _one_units(H, 2, lam) is None
+        assert _one_units(G(), 2, 1) is True
+
+    def test_positive_cases_have_witnesses(self):
+        # lam = 1: Z/p^{a+1} realises Z/(p-1) x Z/p^a
+        for p, a in [(3, 2), (5, 1), (7, 1)]:
+            assert _one_units(G(p ** a), p, 1) is True
+            assert unit_group(zn_ring(p ** (a + 1))) == G(p - 1) * G(p ** a)
+
+
 def _primes_up_to(n: int):
     """Sieve of Eratosthenes, the reference for the residue shapes."""
     sieve = bytearray([1]) * (n + 1)
@@ -389,3 +422,45 @@ class TestCertificates:
         forged = Verdict(v.kind, v.theorem, "Z/4Z x Z/32Z", v.ring_class,
                          certificate=dict(v.certificate, u=5))
         assert certificate_check_status(forged) == "fail"
+
+    @pytest.mark.parametrize("query, factor", [
+        # Z/5 x Z/5 is not the unit group of F_2
+        ((5, 5), (2, 1, (5, 5), ())),
+        # one-units at the wrong prime
+        ((5, 5), (3, 2, (), (5, 5))),
+        # (Z/3)^5 is neither a square nor 2-small
+        ((8, 3, 3, 3, 3, 3), (3, 2, (8,), (3, 3, 3, 3, 3))),
+        # not a 3-group and not a square either
+        ((8, 4, 32), (3, 2, (8,), (4, 32))),
+        # F_25* is Z/24, not Z/7
+        ((7, 5, 5), (5, 2, (7,), (5, 5))),
+    ], ids=["units-not-a-residue-field", "H-at-the-wrong-prime",
+            "H-neither-power-nor-small", "H-not-a-p-group", "wrong-cyclic-part"])
+    def test_forged_factor_search_certificate_fails(self, query, factor):
+        p, lam, units, H = factor
+        forged = Verdict("realisable", "local-factor-search",
+                         format_group(G(*query)), "finite",
+                         certificate={"factors": [
+                             {"p": p, "lam": lam, "units": format_group(G(*units)),
+                              "H": format_group(G(*H))}]})
+        assert certificate_check_status(forged) == "fail"
+
+    def test_recheck_knows_exactly_the_tags_the_deciders_emit(self):
+        # a tag _recheck dispatches on that no decider emits is dead code
+        tree = ast.parse(inspect.getsource(realize._recheck))
+        dispatched = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and \
+                    isinstance(node.left, ast.Name) and node.left.id == "tag":
+                for c in node.comparators:
+                    consts = c.elts if isinstance(c, ast.Tuple) else [c]
+                    dispatched.update(k.value for k in consts)
+        emitted = set()
+        for orders in _groups_over(list(_primes_up_to(256)), 256):
+            T = G(*orders)
+            verdicts = [decide_finite(T)]
+            for r in (0, 1):
+                verdicts += [decide_tn(FgAbGroup(T, r)),
+                             decide_any(FgAbGroup(T, r))]
+            emitted.update(v.theorem for v in verdicts if not v.is_unknown)
+        assert dispatched == emitted
