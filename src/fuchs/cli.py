@@ -9,10 +9,10 @@ the enumeration caps.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from functools import lru_cache
+from types import SimpleNamespace
 
 from .abelian import FgAbGroup, FinAbGroup, format_group, parse_group
 from .finring import FinCommRing, NotLocal, build_corpus, localize, \
@@ -31,49 +31,104 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
 
-# built on the first call, not at import, and reused by every later main()
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="fuchs")
-    sub = top.add_subparsers(dest="command", required=True)
+# Each command path maps to its positionals, options and required options.
+# A kind is None (a flag, or free text), int, or a tuple of choices whose
+# first is the default; a positional ending in "?" may be left out.  --class
+# stores to ring_class, every other option to its name with - turned into _.
+_COMMANDS = {
+    "decide": ({"group": None},
+               {"--class": ("any", "finite", "tn"), "--json": None}, ()),
+    "rank": ({"group": None}, {"--json": None}, ()),
+    "oracle radical": ({}, {"--prime": int, "--exp": int, "--json": None},
+                       ("--prime", "--exp")),
+    "oracle finring": ({"file?": None}, {"--corpus": None, "--json": None}, ()),
+    "model": ({"file": None}, {"--torsion-units": None, "--sequence": None,
+                               "--json": None}, ()),
+    "example": ({"name": tuple(sorted(EXAMPLE_NAMES))}, {"--json": None}, ()),
+    "table cyclic": ({}, {"--max": int, "--json": None}, ("--max",)),
+}
+# a token such as -5 is a value: no option looks like a negative number
+_is_option = re.compile(r"-(?!\d*\.?\d+$).").match
 
-    p = sub.add_parser("decide", help="decide realisability of a group")
-    p.add_argument("--class", dest="ring_class", default="any",
-                   choices=["finite", "tn", "any"])
-    p.add_argument("group", help='group literal, e.g. "Z/4Z x Z/8Z x Z^2"')
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("rank", help="print g(T) and r(T) with case tag")
-    p.add_argument("group", help="finite group literal with cyclic 2-part")
-    p.add_argument("--json", action="store_true")
+def _metavar(kind) -> str:
+    return "" if kind is None else " INT" if kind is int else \
+        " {" + ",".join(kind) + "}"
 
-    p = sub.add_parser("oracle", help="run a brute-force verification")
-    osub = p.add_subparsers(dest="oracle_kind", required=True)
-    orad = osub.add_parser("radical")
-    orad.add_argument("--prime", type=int, required=True)
-    orad.add_argument("--exp", type=int, required=True)
-    orad.add_argument("--json", action="store_true")
-    ofin = osub.add_parser("finring")
-    ofin.add_argument("file", nargs="?")
-    ofin.add_argument("--corpus", action="store_true")
-    ofin.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("model", help="evaluate a TN model file")
-    p.add_argument("file")
-    p.add_argument("--torsion-units", action="store_true")
-    p.add_argument("--sequence", action="store_true")
-    p.add_argument("--json", action="store_true")
+def _usage(path: str) -> str:
+    """Usage lines of every command under ``path`` ("" for all of them)."""
+    lines = []
+    for name, (positionals, options, required) in _COMMANDS.items():
+        if f"{name} ".startswith(f"{path} ".lstrip()):
+            words = [opt + _metavar(kind) if opt in required else
+                     f"[{opt}{_metavar(kind)}]" for opt, kind in options.items()]
+            words += [f"[{pos[:-1].upper()}]" if pos[-1] == "?" else
+                      _metavar(kind).strip() or pos.upper()
+                      for pos, kind in positionals.items()]
+            lines.append(" ".join(["fuchs", name, *words]))
+    return "usage: " + "\n       ".join(lines)
 
-    p = sub.add_parser("example", help="reproduce a shipped example model")
-    p.add_argument("name", choices=sorted(EXAMPLE_NAMES))
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("table", help="tabulate verdicts")
-    tsub = p.add_subparsers(dest="table_kind", required=True)
-    tcyc = tsub.add_parser("cyclic")
-    tcyc.add_argument("--max", type=int, required=True)
-    tcyc.add_argument("--json", action="store_true")
-    return top
+def _convert(name: str, kind, token: str):
+    try:
+        if kind is None or kind is not int and token in kind:
+            return token
+        if kind is int:
+            return int(token)
+    except ValueError:
+        pass
+    raise ValueError(f"{name} takes{_metavar(kind)}, got {token!r}")
+
+
+def _parse(argv: list[str]):
+    """The command path and the namespace the _cmd_* functions read, or the
+    path and its usage text on -h/--help; ValueError on other bad input."""
+    args, path, given, values, rest = SimpleNamespace(), "", {}, [], iter(argv)
+    for token in rest:
+        options = _COMMANDS[path][1] if path in _COMMANDS else {}
+        if token == "--":
+            values.extend(rest)
+        elif _is_option(token):
+            name, eq, value = token.partition("=")
+            names = (*options, "--help", "-h")
+            hits = [n for n in names if n == name] or [
+                n for n in names if name[:2] == "--" and n.startswith(name)]
+            if len(hits) != 1:
+                raise ValueError(f"{'ambiguous' if hits else 'unrecognized'} "
+                                 f"option {name!r}")
+            opt, kind = hits[0], options.get(hits[0])
+            if opt in ("--help", "-h"):
+                return path, _usage(path)
+            if kind is not None and not eq:
+                value = next(rest, None)
+                eq = value is not None and not _is_option(value)
+            if bool(eq) != (kind is not None):
+                raise ValueError(f"{opt} {'needs a' if kind else 'takes no'} "
+                                 f"value: {token!r}")
+            given[opt] = True if kind is None else _convert(opt, kind, value)
+        elif path in _COMMANDS:
+            values.append(token)
+        else:
+            setattr(args, f"{path}_kind" if path else "command", token)
+            path = f"{path} {token}".lstrip()
+            if not any(f"{name} ".startswith(f"{path} ") for name in _COMMANDS):
+                raise ValueError(f"no command {path!r}")
+    if path not in _COMMANDS:
+        raise ValueError(f"{('fuchs ' + path).strip()!r} needs a command")
+    positionals, options, required = _COMMANDS[path]
+    for opt, kind in options.items():
+        default = kind[0] if isinstance(kind, tuple) else None if kind else False
+        setattr(args, "ring_class" if opt == "--class" else
+                opt[2:].replace("-", "_"), given.get(opt, default))
+    if not sum(p[-1] != "?" for p in positionals) <= len(values) <= len(positionals):
+        raise ValueError(f"{path} takes {', '.join(positionals)}, got {values!r}")
+    for k, (pos, kind) in enumerate(positionals.items()):
+        setattr(args, pos.rstrip("?"),
+                _convert(pos, kind, values[k]) if k < len(values) else None)
+    if any(opt not in given for opt in required):
+        raise ValueError(f"{path} needs {', '.join(required)}")
+    return path, args
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -278,25 +333,19 @@ def _cmd_table_cyclic(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_REALISABLE
+        path, args = _parse(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"fuchs: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if isinstance(args, str):
+        print(args)
+        return EXIT_REALISABLE
     try:
-        if args.command == "decide":
-            return _cmd_decide(args)
-        if args.command == "rank":
-            return _cmd_rank(args)
-        if args.command == "oracle":
-            if args.oracle_kind == "radical":
-                return _cmd_oracle_radical(args)
-            return _cmd_oracle_finring(args)
-        if args.command == "model":
-            return _cmd_model(args)
-        if args.command == "example":
-            return _cmd_example(args)
-        if args.command == "table":
-            return _cmd_table_cyclic(args)
-        raise AssertionError(args.command)
+        return {"decide": _cmd_decide, "rank": _cmd_rank,
+                "oracle radical": _cmd_oracle_radical,
+                "oracle finring": _cmd_oracle_finring, "model": _cmd_model,
+                "example": _cmd_example,
+                "table cyclic": _cmd_table_cyclic}[path](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

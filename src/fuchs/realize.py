@@ -563,21 +563,22 @@ def _recheck(V: Verdict) -> bool:
         if V.is_realisable and T.free_rank >= need and not ge.bad_primes:
             return _witness_construction(ge, T)
         return (T.free_rank >= need) == V.is_realisable
-    if tag == "two-power-family-tn":
+    if tag in ("two-power-family-tn", "four-cross-two-power"):
         u = payload["u"]
+        if T.free_rank or _four_cross_two_power(T.torsion) != u:
+            return False
+    if tag == "two-power-family-tn":
         if V.is_realisable:
             return u <= 3 and (u < 2 or _witness_two_power(u))
         return u > 3
     if tag == "four-cross-two-power":
-        u = payload["u"]
         if V.is_realisable:
             if u <= 3:
                 return u < 2 or _witness_two_power(u)
             q = payload["fermat_prime"]
-            expected = FinAbGroup.from_orders([4, q - 1])
-            return is_prime(q) and q == 2 ** u + 1 and expected == T.torsion
-        return payload["composite"] % payload["factor"] == 0 and \
-            1 < payload["factor"] < payload["composite"]
+            return is_prime(q) and q == 2 ** u + 1
+        q, factor = payload["composite"], payload["factor"]
+        return q == 2 ** u + 1 and q % factor == 0 and 1 < factor < q
     if tag == "square-of-small-sylows-tn":
         return _recheck_squares(V, T)
     if tag == "finite-units-epsilon-bound":
@@ -593,7 +594,7 @@ def _recheck(V: Verdict) -> bool:
 
 def _recheck_cyclic(V, T, payload) -> bool:
     m = payload["m"]
-    if m != T.torsion.order():
+    if not T.torsion.is_cyclic() or m != T.torsion.order():
         return False
     if "cover" in payload:
         vals = [f["value"] for f in payload["cover"]]

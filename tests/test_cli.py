@@ -3,6 +3,9 @@ round-trip of printed group literals."""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,8 +16,10 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from fuchs.cli import _parser, main
+from fuchs.cli import _parse, main
 from fuchs.abelian import FinAbGroup, parse_group, format_group
+from fuchs.tnlab import EXAMPLE_NAMES
+from test_cli_golden import QUERIES
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "fuchs" / "data" /
@@ -66,14 +71,12 @@ class TestDecide:
         assert code == 0 and doc["verdict"] == "realisable"
         assert doc["checked"] is False
 
-    def test_parser_is_reused_after_a_usage_error(self, capsys):
+    def test_usage_error_leaves_the_next_query_unchanged(self, capsys):
         query = ("decide", "--class", "any", "Z/4Z x Z/16Z", "--json")
-        _parser.cache_clear()
         alone = run(capsys, *query)
         assert run(capsys, "decide", "--no-such-flag")[0] == 3
         again = run(capsys, *query)
         assert again[:2] == alone[:2]
-        assert _parser.cache_info().misses == 1
 
 
 class TestRank:
@@ -351,6 +354,137 @@ class TestTable:
         assert run(capsys, "table", "cyclic", "--max", "12", "--jobs", "2")[0] == 3
 
 
+def _reference_parser() -> argparse.ArgumentParser:
+    # the argparse tree the command line was read with before the table in
+    # fuchs.cli replaced it; the table's parser must read argv the same way
+    top = argparse.ArgumentParser(prog="fuchs")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("decide", help="decide realisability of a group")
+    p.add_argument("--class", dest="ring_class", default="any",
+                   choices=["finite", "tn", "any"])
+    p.add_argument("group", help='group literal, e.g. "Z/4Z x Z/8Z x Z^2"')
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("rank", help="print g(T) and r(T) with case tag")
+    p.add_argument("group", help="finite group literal with cyclic 2-part")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("oracle", help="run a brute-force verification")
+    osub = p.add_subparsers(dest="oracle_kind", required=True)
+    orad = osub.add_parser("radical")
+    orad.add_argument("--prime", type=int, required=True)
+    orad.add_argument("--exp", type=int, required=True)
+    orad.add_argument("--json", action="store_true")
+    ofin = osub.add_parser("finring")
+    ofin.add_argument("file", nargs="?")
+    ofin.add_argument("--corpus", action="store_true")
+    ofin.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("model", help="evaluate a TN model file")
+    p.add_argument("file")
+    p.add_argument("--torsion-units", action="store_true")
+    p.add_argument("--sequence", action="store_true")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("example", help="reproduce a shipped example model")
+    p.add_argument("name", choices=sorted(EXAMPLE_NAMES))
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("table", help="tabulate verdicts")
+    tsub = p.add_subparsers(dest="table_kind", required=True)
+    tcyc = tsub.add_parser("cyclic")
+    tcyc.add_argument("--max", type=int, required=True)
+    tcyc.add_argument("--json", action="store_true")
+    return top
+
+
+def _reference(argv):
+    """The attributes the reference parser sets, or None if it rejects."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_reference_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_ARGVS = [
+    *(list(q) for q in QUERIES), *([*q, "--json"] for q in QUERIES),
+    ["decide", "--class=tn", "Z/8Z"], ["decide", "--cl", "tn", "Z/8Z"],
+    ["rank", "--js", "Z/8Z"], ["decide", "--class", "nope", "Z/8Z"],
+    ["decide", "--class"], ["decide", "--j", "--c=finite", "Z/8Z"],
+    ["table", "cyclic", "--max", "-5"],
+    ["oracle", "radical", "--prime", "3", "--exp", "-2"],
+    ["oracle", "radical", "--prime", "3", "--exp"],
+    ["oracle", "radical", "--prime", "x", "--exp", "2"],
+    ["oracle", "radical", "--prime", "3"],
+    ["oracle", "radical", "--exp=2", "--prime=3", "--json"],
+    ["decide"], ["decide", "A", "B"], ["decide", "--json=1", "Z/8Z"],
+    ["table", "cyclic", "--max", "12", "--jobs", "2"], ["decide", "-x", "Z/8Z"],
+    ["decide", "--", "Z/4Z"], ["decide", "--json", "--", "-Z/4Z"],
+    ["oracle"], ["table"], [], ["nope"], ["oracle", "nope"], ["--json"],
+    ["example", "nope"], ["example", "paper-7-1", "extra"],
+    ["oracle", "finring"], ["oracle", "finring", "ring.txt", "--corpus"],
+    ["model", "--sequence", "--torsion-units", "m.tn"], ["model", "--s", "m.tn"],
+    ["model"], ["decide", "--json", "--class", "tn", "Z/8Z"],
+    ["decide", "--class", "tn", "--class", "finite", "Z/8Z"],
+    ["table", "cyclic", "--max", "7", "--max", "9"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", _ARGVS, ids=repr)
+    def test_reads_argv_as_the_reference_parser(self, capsys, argv):
+        expected = _reference(argv)
+        if expected is None:
+            with pytest.raises(ValueError):
+                _parse(argv)
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == "" and err.startswith("fuchs: error: ")
+        else:
+            _, args = _parse(argv)
+            assert {k: getattr(args, k) for k in expected} == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["--he"], ["decide", "-h"], ["oracle", "-h"],
+        ["oracle", "radical", "--prime", "3", "--help"],
+        ["table", "cyclic", "-h"],
+    ], ids=repr)
+    def test_help_prints_usage_and_exits_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: fuchs ") and err == ""
+        # after a command, only that command's lines
+        prefix = " ".join(w for w in argv if w.isalpha())
+        assert all(f"fuchs {prefix}" in line for line in out.splitlines())
+
+    def test_usage_lists_every_command(self, capsys):
+        out = run(capsys, "-h")[1]
+        for path in ("decide", "rank", "oracle radical", "oracle finring",
+                     "model", "example", "table cyclic"):
+            assert f"fuchs {path} " in out
+        assert "--prime INT --exp INT" in out and "{any,finite,tn}" in out
+
+
+def _cli(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, "-m", "fuchs.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_module_entry_point_reads_sys_argv():
+    done = _cli("decide", "--class", "any", "Z/4Z x Z/16Z", "--json")
+    assert done.returncode == 0, done.stderr
+    jsonschema.validate(json.loads(done.stdout), SCHEMA)
+    for argv in (["-h"], ["decide", "-h"]):
+        done = _cli(*argv)
+        assert done.returncode == 0 and done.stdout.strip(), argv
+    done = _cli("decide", "--no-such-flag")
+    assert done.returncode == 3 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("fuchs: error: ")
+
+
 class TestRoundTrip:
     def test_printed_literals_reparse(self, capsys):
         for text in ("Z/4Z x Z/8Z x Z^2", "z/600z", "1", "Z x Z"):
@@ -361,10 +495,12 @@ class TestRoundTrip:
 
 def test_import_leaves_out_dataclasses_and_inspect():
     # start-up cost: ``dataclasses`` pulls in inspect, ast, dis and
-    # tokenize, which nothing the CLI runs needs; -S keeps site hooks out
+    # tokenize, and ``argparse`` the gettext machinery, which nothing the
+    # CLI runs needs; -S keeps site hooks out
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = ("import sys, fuchs.cli; print(sorted(m for m in sys.modules "
-             "if m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')))")
+             "if m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', "
+             "'argparse')))")
     done = subprocess.run([sys.executable, "-S", "-c", probe],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=src))

@@ -445,6 +445,43 @@ class TestCertificates:
                               "H": format_group(G(*H))}]})
         assert certificate_check_status(forged) == "fail"
 
+    @pytest.mark.parametrize("kind, theorem, query, cls, payload", [
+        # T is not Z/4 x Z/2^u, or r > 0: the payload's u names another group
+        ("realisable", "four-cross-two-power", "Z/5Z x Z/5Z x Z/600Z", "any",
+         {"u": 1, "witness": "tn-model"}),
+        ("realisable", "two-power-family-tn", "Z/3Z", "tn",
+         {"u": 1, "witness": "shipped x^v = 1 + y model"}),
+        ("realisable", "four-cross-two-power", "Z/4Z x Z/2Z x Z", "any",
+         {"u": 1, "witness": "tn-model"}),
+        ("not_realisable", "four-cross-two-power", "Z/3Z", "any",
+         {"u": 5, "composite": 33, "factor": 3}),
+        # the right group, but 35 is not 2^5 + 1
+        ("not_realisable", "four-cross-two-power", "Z/4Z x Z/32Z", "any",
+         {"u": 5, "composite": 35, "factor": 5}),
+    ], ids=["four-cross-on-another-group", "two-power-on-a-cyclic-group",
+            "four-cross-with-free-rank", "composite-on-another-group",
+            "composite-not-2^u+1"])
+    def test_forged_two_power_certificate_fails(self, kind, theorem, query,
+                                                cls, payload):
+        key = "certificate" if kind == "realisable" else "obstruction"
+        forged = Verdict(kind, theorem, query, cls, **{key: payload})
+        assert certificate_check_status(forged) == "fail"
+
+    @pytest.mark.parametrize("query, p", [
+        ("Z/2Z x Z/2Z x Z/25Z", 101),
+        ("Z/2Z x Z/4Z x Z/17Z", 137),
+        ("Z/2Z x Z/2Z x Z/2Z x Z/17Z", 137),
+    ])
+    def test_forged_cyclic_cover_on_a_non_cyclic_group_fails(self, query, p):
+        # F_p* = Z/(p - 1) covers the order of T, but T is not cyclic
+        cover = [{"value": p - 1, "kind": "prime_power_minus_one",
+                  "p": p, "exp": 1}]
+        forged = Verdict("realisable", "cyclic-finite-units", query, "finite",
+                         certificate={"m": p - 1, "cover": cover,
+                                      "cover_count": 1})
+        assert decide_finite(parse_group(query).torsion).is_not_realisable
+        assert certificate_check_status(forged) == "fail"
+
     def test_recheck_knows_exactly_the_tags_the_deciders_emit(self):
         # a tag _recheck dispatches on that no decider emits is dead code
         tree = ast.parse(inspect.getsource(realize._recheck))
