@@ -72,7 +72,7 @@ def validate_ring(A: FinCommRing) -> None:
 # units
 
 
-def unit_elements(A: FinCommRing, cap: int | None = None) -> list[tuple[int, ...]]:
+def unit_elements(A: FinCommRing) -> list[tuple[int, ...]]:
     """All invertible elements, in element order, by a linear test mod p.
 
     For each prime p of |A|, A/pA is Z/p on every basis index i with
@@ -82,7 +82,7 @@ def unit_elements(A: FinCommRing, cap: int | None = None) -> list[tuple[int, ...
     Identity*, 1974).  That matrix is sum_k x_k M(b_k) mod p, which depends
     only on the residue of x, so each residue class of A/pA is tested once.
     """
-    n = _check_unit_cap(A, cap)
+    n = _check_unit_cap(A)
     tests = []
     for p in factorize(n).primes():
         idx = [i for i, m in enumerate(A.basis_orders) if m % p == 0]
@@ -105,18 +105,16 @@ def unit_elements(A: FinCommRing, cap: int | None = None) -> list[tuple[int, ...
                    for p, idx, invertible in tests)]
 
 
-def _check_unit_cap(A: FinCommRing, cap: int | None) -> int:
+def _check_unit_cap(A: FinCommRing) -> int:
     """|A|, after raising CapExceeded when it exceeds the unit-group cap."""
-    if cap is None:
-        cap = oracle_cap(UNIT_GROUP_CAP)
+    cap = oracle_cap(UNIT_GROUP_CAP)
     n = A.order()
     if n > cap:
         raise CapExceeded(f"ring order {n} exceeds the unit-group cap {cap}")
     return n
 
 
-def unit_group(A: FinCommRing, cap: int | None = None,
-               units=None) -> FinAbGroup:
+def unit_group(A: FinCommRing, units=None) -> FinAbGroup:
     """Isomorphism type of A*, recovered from the invertible elements
     (``units`` when the caller already has them from ``unit_elements``).
 
@@ -125,7 +123,7 @@ def unit_group(A: FinCommRing, cap: int | None = None,
     'Z/2Z x Z/3Z'
     """
     if units is None:
-        units = unit_elements(A, cap)
+        units = unit_elements(A)
     return abelian_structure(units, A.mul, A.one)
 
 
@@ -155,18 +153,18 @@ class NotLocal(Frozen):
         _set(self, "idempotent", idempotent)
 
 
-def localize(A: FinCommRing, cap: int | None = None):
+def localize(A: FinCommRing):
     """LocalData when A is local, else a NotLocal witness carrying the first
     nontrivial idempotent in element order, which splits the ring.  A finite
     commutative ring is local exactly when it has no nontrivial idempotent.
     LocalData keeps the unit elements, so later steps need not search
     again; a non-local ring is split before its units are searched."""
-    _check_unit_cap(A, cap)
+    _check_unit_cap(A)
     zero = A.zero()
     for e in A.elements():
         if e != zero and e != A.one and A.mul(e, e) == e:
             return NotLocal(e)
-    units = unit_elements(A, cap)
+    units = unit_elements(A)
     unit_set = set(units)
     nonunits = [x for x in A.elements() if x not in unit_set]
     residue = A.order() // len(nonunits) if nonunits else A.order()
@@ -207,14 +205,13 @@ def _one_plus_m(A: FinCommRing, data: LocalData) -> FinAbGroup:
                              A.mul, A.one)
 
 
-def verify_local_formula(A: FinCommRing, cap: int | None = None,
-                         data=None, group=None) -> bool:
+def verify_local_formula(A: FinCommRing, data=None, group=None) -> bool:
     """Check A* = Z/(p^lam - 1) x (1 + m) for a local ring, with 1 + m
     computed inside A* (``_one_plus_m``).  A caller that already has
     ``localize(A)`` and ``unit_group(A)`` passes them as ``data`` and
     ``group``."""
     if data is None:
-        data = localize(A, cap)
+        data = localize(A)
     if isinstance(data, NotLocal):
         raise HypothesisViolated(f"{A} splits at idempotent {data.idempotent}")
     if group is None:

@@ -409,7 +409,7 @@ def _enumerate_cached(p: int, k: int) -> tuple[RadicalRing, ...]:
     return tuple(out)
 
 
-def enumerate_radical_rings(p: int, k: int, cap: int | None = None) -> list[RadicalRing]:
+def enumerate_radical_rings(p: int, k: int) -> list[RadicalRing]:
     """One representative per isomorphism class of commutative radical rings
     of order p**k, sorted by additive type and table.  p must be prime
     and k at least 1 (HypothesisViolated otherwise).
@@ -423,8 +423,7 @@ def enumerate_radical_rings(p: int, k: int, cap: int | None = None) -> list[Radi
         raise HypothesisViolated(f"p = {p} is not a prime")
     if k < 1:
         raise HypothesisViolated(f"exponent k = {k} must be at least 1")
-    if cap is None:
-        cap = oracle_cap(RADICAL_ENUM_CAP)
+    cap = oracle_cap(RADICAL_ENUM_CAP)
     if p ** k > cap:
         raise CapExceeded(f"order {p ** k} exceeds the enumeration cap {cap}")
     return list(_enumerate_cached(p, k))
@@ -455,7 +454,7 @@ class SmallTheoremReport(Record):
         return [e for e in self.entries if not e["isomorphic"]]
 
 
-def check_small_theorem(p: int, k: int, cap: int | None = None) -> SmallTheoremReport:
+def check_small_theorem(p: int, k: int) -> SmallTheoremReport:
     """Run the additive-vs-adjoint comparison over a full enumeration.
 
     For odd p, every class with Prüfer rank < p - 1 must have isomorphic
@@ -464,7 +463,7 @@ def check_small_theorem(p: int, k: int, cap: int | None = None) -> SmallTheoremR
     visible (2Z/8Z is the classic example).
     """
     report = SmallTheoremReport(p, k)
-    for ring in enumerate_radical_rings(p, k, cap):
+    for ring in enumerate_radical_rings(p, k):
         additive = ring.additive_group()
         adjoint = ring.adjoint_group()
         rank = prufer_rank(additive, p)

@@ -21,12 +21,14 @@ plain symmetric table over the torsion orders: each prime's part of N_tors
 is read off its rows and columns, and 1 + N_tors runs on its compiled
 circle operation.
 
-B*_tors is computed by embedding B into a product of cyclotomic rings, one
-component per root of unity annihilating the generator relation.  The
-embedding is injective but generally not surjective, so membership of a
-candidate root-of-unity tuple is decided by an exact integer linear solve.
-Roots of unity of Z[zeta_m] are exactly +-zeta_m^j, of order lcm(2, m): the
-classical fact is hard-coded.
+B*_tors is computed by embedding B into a product of rings Z[zeta_L], one
+component per root of unity zeta_L^s that annihilates the generator
+relation, and membership of a candidate root-of-unity tuple is decided by
+an exact integer linear solve (the embedding is injective but generally not
+surjective).  Every value in Z[zeta_L] there is a sum of powers zeta_L^s:
+zeta_k is zeta_L^(L/k) and the roots of unity are the +-zeta_L^s, of order
+lcm(2, L) (L. C. Washington, *Introduction to Cyclotomic Fields*, ch. 2).
+So each value is read off its exponents mod L and reduced mod Phi_L once.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .abelian import (FinAbGroup, abelian_structure, format_group,
                       group_from_relations, smith_normal_form)
 from .numtheory import (HypothesisViolated, _pdivmod, cyclotomic_poly,
                         factor_cyclo_mod, factorize, hensel_lift_factor,
-                        mult_order)
+                        mult_order, poly_mul)
 from .radical import RadicalRing
 from .record import Frozen, Record, _set
 from .table import InvalidRing, compile_product
@@ -65,12 +67,14 @@ class CycloBase(Frozen):
         return (0,) * self.degree
 
     def one(self):
-        return tuple(int(i == 0) for i in range(self.degree))
+        return self.zeta_power(0)
 
     def zeta(self):
-        if self.degree == 1:
-            return self.reduce([0, 1])
-        return tuple(int(i == 1) for i in range(self.degree))
+        return self.zeta_power(1)
+
+    def zeta_power(self, s: int) -> tuple[int, ...]:
+        """zeta^s for any s >= 0: x^s mod Phi_k, as Phi_k divides x^k - 1."""
+        return self.reduce([0] * (s % self.conductor) + [1])
 
     def reduce(self, coeffs) -> tuple[int, ...]:
         a = list(coeffs)
@@ -90,13 +94,7 @@ class CycloBase(Frozen):
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        out = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return self.reduce(out)
+        return self.reduce(poly_mul(a, b))
 
     def scale(self, c: int, a):
         return tuple(c * x for x in a)
@@ -326,18 +324,13 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
         for m, v in enumerate(col):
             if (oj * v) % A.tors_orders[m]:
                 raise InvalidRing("scalar action does not respect orders")
+    basis = _basis_elements(A)
     # Phi_k(S) must annihilate the torsion part
-    for j in range(t):
-        vec = [0] * t
-        for d, c in enumerate(base.phi):
-            if c:
-                for m, v in enumerate(A._spow[d][j]):
-                    vec[m] += c * v
-        if any(v % o for v, o in zip(vec, A.tors_orders)):
+    for tj in basis[f:]:
+        if any(_scalar_apply(A, base.phi, tj[1])):
             raise InvalidRing("Phi_k(scalar action) is nonzero on the torsion part")
     # identity
     one = A.one()
-    basis = _basis_elements(A)
     for b in basis:
         if A.mul(one, b) != b:
             raise InvalidRing("first free basis element is not an identity")
@@ -358,8 +351,7 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
                             f"product entry ({a},{b}) breaks bilinearity")
     # zeta-compatibility: (zeta t_j) * b = zeta * (t_j * b) on torsion coords
     zeta = base.zeta()
-    for j in range(t):
-        tj = A.from_torsion(tuple(int(m == j) for m in range(t)))
+    for tj in basis[f:]:
         ztj = A.from_torsion(_scalar_apply(A, zeta, tj[1]))
         for b in basis:
             lhs = A.mul(ztj, b)[1]
@@ -481,12 +473,8 @@ _ORDER_SEARCH_CAP = 4096
 def _roots_of_unity(conductor: int):
     """All roots of unity of Z[zeta_m], as coordinate tuples: +-zeta^j."""
     base = CycloBase(conductor)
-    out = set()
-    z = base.one()
-    for _ in range(conductor):
-        out.add(z)
-        out.add(base.neg(z))
-        z = base.mul(z, base.zeta())
+    powers = [base.zeta_power(j) for j in range(conductor)]
+    out = set(powers) | {base.neg(z) for z in powers}
     assert len(out) == lcm(2, conductor)
     return sorted(out)
 
@@ -562,8 +550,7 @@ def _torsion_unit_data(A: TnModel) -> TorsionUnitData:
 
 def _b_torsion_units(A: TnModel, B: _BaseAlgebra) -> list:
     base = A.base
-    f = A.nfree()
-    k = A.conductor
+    f, k, deg = A.nfree(), A.conductor, base.degree
     tail = _power_basis_relation(B)
 
     # order of the generator x in B (must be finite for a TN model whose
@@ -578,107 +565,50 @@ def _b_torsion_units(A: TnModel, B: _BaseAlgebra) -> list:
             raise HypothesisViolated("generator has no small multiplicative order")
     M = order
 
-    # components: x -> zeta_M^j for every j with h(zeta_M^j) = 0
-    components = []
+    # components: x -> zeta_M^j = zeta_L^s for every j with h(zeta_M^j) = 0,
+    # where L = lcm(k, ord(zeta_M^j)) and zeta_k = zeta_L^(L/k); h(rho) =
+    # rho^f - sum tail_e(zeta_k) rho^e is added up by exponent mod L
+    components = []  # (L, Z[zeta_L], s)
     for j in range(M):
-        zord = M // gcd(j, M) if j else 1
-        L = lcm(k, zord)
+        L = lcm(k, M // gcd(j, M))
+        s = L * j // M
+        h = [0] * L
+        h[f * s % L] = 1
+        for e, coeff in enumerate(tail):
+            for d, c in enumerate(coeff):
+                h[(d * L // k + e * s) % L] -= c
         big = CycloBase(L)
-        zk = _embed_root(big, k, 1)      # zeta_k inside Z[zeta_L]
-        rho = _embed_root(big, M, j)     # candidate image of x
-        # evaluate h = x^f - tail at rho
-        val = _eval_at(big, zk, rho, [base.neg(c) for c in tail], f)
-        if not any(val):
-            components.append((j, L, big, zk, rho))
+        if not any(big.reduce(h)):
+            components.append((L, big, s))
     if not components:
         raise HypothesisViolated("generator relation has no root-of-unity roots")
 
-    # embedding matrix: B basis zeta^d x^e -> stacked Z[zeta_L] coordinates
-    cols = []
-    for e in range(f):
-        for d in range(base.degree):
-            col = []
-            for (_, _, big, zk, rho) in components:
-                img = big.one()
-                for _ in range(e):
-                    img = big.mul(img, rho)
-                zpow = big.one()
-                for _ in range(d):
-                    zpow = big.mul(zpow, zk)
-                img = big.mul(img, zpow)
-                col.extend(img)
-            cols.append(col)
-    nrows = len(cols[0])
-    rows = [[cols[c][r] for c in range(len(cols))] for r in range(nrows)]
+    # embedding matrix: column (e, d) is the image of zeta_k^d x^e, stacked
+    # over the components
+    rows = []
+    for L, big, s in components:
+        images = [big.zeta_power((e * s + d * L // k) % L)
+                  for e in range(f) for d in range(deg)]
+        rows.extend(map(list, zip(*images)))
 
-    # candidates: tuples of roots of unity, one per component
-    unit_lists = []
-    for (_, L, big, _, _) in components:
-        unit_lists.append(_roots_of_unity(L))
-    found = []
+    # candidates: tuples of roots of unity, one per component, kept when
+    # U target = S w has an integer solution w; the element is then V w
     diag, U, V = smith_normal_form(rows, want_transforms=True)
-    ncols = len(cols)
-    for combo in iproduct(*unit_lists):
-        target = []
-        for u in combo:
-            target.extend(u)
-        t = [sum(U[i][mm] * target[mm] for mm in range(len(target)))
-             for i in range(len(U))]
-        w = [0] * ncols
-        ok = True
-        for i in range(len(t)):
-            if i < len(diag) and diag[i] != 0:
-                if t[i] % diag[i]:
-                    ok = False
-                    break
-                w[i] = t[i] // diag[i]
-            elif t[i] != 0:
-                ok = False
+    diag += [0] * (len(U) - len(diag))
+    found = []
+    for combo in iproduct(*(_roots_of_unity(L) for L, _, _ in components)):
+        target = [c for u in combo for c in u]
+        w = []
+        for row, d in zip(U, diag):
+            t = sum(a * b for a, b in zip(row, target))
+            if (t % d if d else t):
                 break
-        if not ok:
-            continue
-        z = [sum(V[i][jj] * w[jj] for jj in range(ncols)) for i in range(ncols)]
-        elem = []
-        for e in range(f):
-            coeffs = z[e * base.degree:(e + 1) * base.degree]
-            elem.append(tuple(coeffs))
-        found.append(tuple(elem))
+            w.append(t // d if d else 0)
+        else:
+            z = [sum(a * b for a, b in zip(row, w)) for row in V]
+            found.append(tuple(tuple(z[e * deg:(e + 1) * deg])
+                               for e in range(f)))
     return found
-
-
-def _embed_root(big: CycloBase, m: int, j: int):
-    """zeta_m^j inside Z[zeta_L], L = big.conductor (requires m | L or
-    ord(zeta_m^j) | L)."""
-    if j % m == 0:
-        return big.one()
-    ordj = m // gcd(j, m)
-    step = big.conductor // ordj * (j // gcd(j, m))
-    out = big.one()
-    z = big.zeta()
-    for _ in range(step % big.conductor):
-        out = big.mul(out, z)
-    return out
-
-
-def _eval_at(big: CycloBase, zk, rho, neg_tail, f):
-    """x^f + sum(neg_tail[e] x^e) at x = rho; neg_tail coeffs are over zeta_k."""
-    acc = big.one()
-    for _ in range(f):
-        acc = big.mul(acc, rho)
-    for e, coeff in enumerate(neg_tail):
-        if not any(coeff):
-            continue
-        c_emb = big.zero()
-        zpow = big.one()
-        for d, cd in enumerate(coeff):
-            if cd:
-                c_emb = big.add(c_emb, big.scale(cd, zpow))
-            zpow = big.mul(zpow, zk)
-        term = c_emb
-        for _ in range(e):
-            term = big.mul(term, rho)
-        acc = big.add(acc, term)
-    return acc
 
 
 def torsion_units(A: TnModel) -> FinAbGroup:
@@ -750,10 +680,9 @@ def cyclotomic_quotient_group(Q: PrimePowerIdealQuotient) -> FinAbGroup:
         f_pows.append(base.mul(f_pows[-1], f_el))
     gens = [base.scale(q ** i, f_pows[b - i]) for i in range(b)]
     rows = [[q ** b * (i == j) for i in range(deg)] for j in range(deg)]
-    z = base.one()
-    for _ in range(deg):
+    for j in range(deg):
+        z = base.zeta_power(j)
         rows.extend([c % q ** b for c in base.mul(g, z)] for g in gens)
-        z = base.mul(z, base.zeta())
     result = group_from_relations(rows, deg)
     assert result.free_rank == 0
     expected = FinAbGroup.from_orders([q ** b] * lam)
@@ -788,42 +717,27 @@ def build_construction_model(k: int, H: FinAbGroup, name: str = "") -> TnModel:
             lifted = hensel_lift_factor(k, fq, q, e) if e > 1 else fq
             for _ in range(mult_ // lam):
                 blocks.append((q, e, lam, lifted))
-    tors_names = []
-    tors_orders = []
-    scalar_cols = []
-    offset = 0
+    t = sum(lam for _, _, lam, _ in blocks)
+    tors_names, tors_orders, scalar_cols = [], [], []
     for gi, (q, e, lam, lifted) in enumerate(blocks):
-        qe = q ** e
+        offset, qe = len(tors_names), q ** e
         for m in range(lam):
             tors_names.append(f"x{gi}_{m}" if lam > 1 else f"x{gi}")
             tors_orders.append(qe)
-    for gi, (q, e, lam, lifted) in enumerate(blocks):
-        qe = q ** e
-        for m in range(lam):
-            col = [0] * sum(1 for _ in tors_names)
+            col = [0] * t
             if m + 1 < lam:
                 col[offset + m + 1] = 1
             else:
                 # zeta^lam = -(lifted - x^lam) on this block
-                for d in range(lam):
-                    col[offset + d] = (-lifted[d]) % qe
+                col[offset:offset + lam] = [-c % qe for c in lifted[:lam]]
             scalar_cols.append(tuple(col))
-        offset += lam
-    t = len(tors_names)
-    free_names = ("u",)
     base = CycloBase(k)
-    entries = []
-    names_count = 1 + t
-    for a in range(names_count):
-        for bb in range(a, names_count):
-            if a == 0 and bb == 0:
-                entries.append(((base.one(),), (0,) * t))
-            elif a == 0:
-                entries.append(((base.zero(),),
-                                tuple(int(m == bb - 1) for m in range(t))))
-            else:
-                entries.append(((base.zero(),), (0,) * t))
-    model = TnModel(k, free_names, tuple(tors_names), tuple(tors_orders),
+    # the pairs u u, then u t_j, then t_j t_j'
+    entries = ([((base.one(),), (0,) * t)]
+               + [((base.zero(),), tuple(int(m == j) for m in range(t)))
+                  for j in range(t)]
+               + [((base.zero(),), (0,) * t)] * (t * (t + 1) // 2))
+    model = TnModel(k, ("u",), tuple(tors_names), tuple(tors_orders),
                     tuple(scalar_cols), tuple(entries),
                     name=name or f"construction(k={k}, H={format_group(H)})")
     assert model.n_tors.additive_group() == H, "construction failed to realise H"

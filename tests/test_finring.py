@@ -116,9 +116,10 @@ class TestUnitGroup:
         assert len(units) == 20 * 8
         assert unit_group(A) == G(20) * G(2, 4)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("FUCHS_ORACLE_CAP", "10")
         with pytest.raises(CapExceeded):
-            unit_group(zn_ring(11), cap=10)
+            unit_group(zn_ring(11))
 
     def test_oracle_cap_variable_sets_unit_group_cap(self, monkeypatch):
         # one variable replaces both caps: 100 is meant for radical

@@ -264,11 +264,12 @@ class TestEnumeration:
                 total += _brute_classes(p, parts)
             assert total == len(enumerate_radical_rings(p, k)), (p, k)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(CapExceeded):
             enumerate_radical_rings(5, 5)
+        monkeypatch.setenv("FUCHS_ORACLE_CAP", "8")
         with pytest.raises(CapExceeded):
-            enumerate_radical_rings(2, 4, cap=8)
+            enumerate_radical_rings(2, 4)
 
     @pytest.mark.parametrize("p, k, named", [
         (2, 0, "k = 0"), (2, -2, "k = -2"), (6, 2, "p = 6"), (1, 2, "p = 1")])

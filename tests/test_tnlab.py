@@ -6,7 +6,8 @@ from __future__ import annotations
 import copy
 import random
 from itertools import product as iproduct
-from math import gcd
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from fuchs.numtheory import (HypothesisViolated, factor_cyclo_mod, factorize,
 from fuchs.radical import radical_ring_from_mult
 from fuchs.table import InvalidRing, table_mul
 from fuchs.tnlab import (CycloBase, PrimePowerIdealQuotient, TnModel,
+                         _BaseAlgebra, _torsion_unit_data,
                          adjoint_of_nil_torsion, build_construction_model,
                          cyclotomic_quotient_group, load_example, nil_torsion,
                          quotient_torsion_units, sequence_splits,
@@ -143,6 +145,14 @@ class TestCycloBase:
         for _ in range(4):
             acc = z8.mul(acc, z)
         assert acc == z8.neg(z8.one())  # zeta_8^4 = -1
+        # zeta_power(s) is the s-fold product of zeta, for s past k too
+        for k in range(1, 13):
+            base = CycloBase(k)
+            acc = base.one()
+            for s in range(3 * k):
+                assert base.zeta_power(s) == acc, (k, s)
+                acc = base.mul(acc, base.zeta())
+            assert base.zeta_power(k) == base.one()
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +437,80 @@ class TestConstruction:
         m = build_construction_model(4, G(9, 9))  # lam(3,4)=2, order 3^4
         assert nil_torsion(m).additive_group() == G(9, 9)
         assert torsion_units(m) == G(4) * G(9, 9)
+
+    @pytest.mark.parametrize("k, H, filename", [
+        (2, [27], "construction-k2-27.tn"), (4, [9, 9], "construction-k4-9-9.tn"),
+        (8, [13, 13], "construction-k8-13-13.tn")])
+    def test_builder_prints_the_shipped_file(self, k, H, filename):
+        text = (Path(__file__).resolve().parent / "data" / filename).read_text(
+            encoding="utf-8")
+        assert build_construction_model(k, G(*H)).to_presentation() == text
+
+
+def _group_ring_model(k: int, n: int, torsion: bool) -> TnModel:
+    """Z[zeta_k][C_n] on the free basis u x1 ... x(n-1), x_i x_j = x_(i+j
+    mod n); with ``torsion`` also y of order 2, fixed by zeta and by every
+    x_i, with y y = 0.  The roots of x are the n-th roots of unity, so for
+    n not dividing k they lie outside Z[zeta_k]."""
+    free = ["u"] + [f"x{i}" for i in range(1, n)]
+    lines = ["kind = tn", f"conductor = {k}", "free_basis = " + " ".join(free),
+             "tors_basis = y:2" if torsion else "tors_basis ="]
+    if torsion:
+        lines.append("scalar_action y = y")
+    for i in range(n):
+        lines += [f"mult {free[i]} {free[j]} = {free[(i + j) % n]}"
+                  for j in range(i, n)]
+        if torsion:
+            lines.append(f"mult {free[i]} y = y")
+    if torsion:
+        lines.append("mult y y = 0")
+    return TnModel.from_presentation("\n".join(lines) + "\n")
+
+
+class TestTorsionUnitsBeyondTheBase:
+    """B*_tors when the roots of the generator need Z[zeta_L], L != k."""
+
+    @pytest.mark.parametrize("k, n, torsion, b_tors, a_tors", [
+        (2, 3, False, G(2, 3), G(2, 3)),
+        (4, 3, True, G(4, 3), G(2, 4, 3)),
+        (3, 2, False, G(2, 2, 3), G(2, 2, 3)),
+        (5, 2, False, G(2, 2, 5), G(2, 2, 5))])
+    def test_group_ring_values(self, k, n, torsion, b_tors, a_tors):
+        A = _group_ring_model(k, n, torsion)
+        assert quotient_torsion_units(A) == b_tors
+        assert torsion_units(A) == a_tors
+
+    @pytest.mark.parametrize("model, n", [
+        (lambda: _group_ring_model(2, 3, False), 3),
+        (lambda: _group_ring_model(4, 3, True), 3),
+        (lambda: _group_ring_model(3, 2, False), 2),
+        (lambda: _group_ring_model(5, 2, False), 2),
+        (lambda: load_example("paper-7-1"), 2),
+        (lambda: load_example("paper-7-2-v2"), 2)],
+        ids=["k2-n3", "k4-n3-y", "k3-n2", "k5-n2", "paper-7-1", "paper-7-2-v2"])
+    def test_against_a_box_search(self, model, n):
+        # every torsion unit of these B has coordinates in {-1, 0, 1}, and
+        # its order divides 2 lcm(k, n), the order of the roots of unity of
+        # every Z[zeta_L] the generator x can map to (x^n = 1 in B)
+        A = model()
+        B = _BaseAlgebra(A)
+        f, deg = A.nfree(), A.base.degree
+
+        def power(x, e):
+            acc = B.one()
+            while e:
+                if e & 1:
+                    acc = B.mul(acc, x)
+                x, e = B.mul(x, x), e >> 1
+            return acc
+
+        exponent = 2 * lcm(A.conductor, n)
+        box = (tuple(tuple(c[e * deg:(e + 1) * deg]) for e in range(f))
+               for c in iproduct((-1, 0, 1), repeat=f * deg))
+        expected = {x for x in box if power(x, exponent) == B.one()}
+        found = _torsion_unit_data(A).b_tors_elements
+        assert len(found) == len(set(found))
+        assert set(found) == expected
 
 
 def _models_with_torsion():
