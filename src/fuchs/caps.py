@@ -4,6 +4,8 @@
 One value replaces both caps: setting FUCHS_ORACLE_CAP to limit radical
 enumeration (default 625) also sets the unit-group cap (default 4096), so a
 value of 100 makes ``unit_group`` refuse every ring of order above 100.
+The cap on a ``.tn`` document's conductor is fixed: FUCHS_ORACLE_CAP does
+not change it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ class CapExceeded(ValueError):
 
 RADICAL_ENUM_CAP = 625
 UNIT_GROUP_CAP = 2 ** 12
+# Z[zeta_k] arithmetic costs about k^3 and its cyclotomic polynomial is a
+# dense list of k + 1 integers; every shipped, test and benchmark model
+# has k <= 8
+TN_CONDUCTOR_CAP = 256
 
 
 def oracle_cap(default: int) -> int:

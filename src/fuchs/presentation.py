@@ -12,10 +12,11 @@ comment.  Three kinds are supported:
     extra ``one = c1 c2 ...`` row for the identity coordinates.
 
 ``kind = tn``
-    conductor, free_basis (symbol names, first one is the identity),
-    tors_basis (``name:order`` pairs), ``scalar_action name = ...`` rows
-    giving the base root of unity acting on each torsion symbol, and
-    ``mult a b = ...`` rows over all basis symbols.  Values on free symbols
+    conductor (1 to ``caps.TN_CONDUCTOR_CAP``, else CapExceeded),
+    free_basis (symbol names, first one is the identity), tors_basis
+    (``name:order`` pairs), ``scalar_action name = ...`` rows giving the
+    base root of unity acting on each torsion symbol, and ``mult a b = ...``
+    rows over all basis symbols.  Values on free symbols
     are integer polynomials in ``z`` (the base root of unity), e.g.
     ``(1+2z^2)*x``; values on torsion symbols are plain integers.
 
@@ -26,6 +27,8 @@ document.
 from __future__ import annotations
 
 import re
+
+from .caps import TN_CONDUCTOR_CAP, CapExceeded
 
 
 class PresentationError(ValueError):
@@ -278,6 +281,10 @@ def parse_tn_document(text: str) -> dict:
             if fields["conductor"] < 1:
                 raise PresentationError(
                     f"conductor must be >= 1, got {fields['conductor']}")
+            if fields["conductor"] > TN_CONDUCTOR_CAP:
+                raise CapExceeded(
+                    f"conductor {fields['conductor']} is above the cap "
+                    f"{TN_CONDUCTOR_CAP}")
         elif key == "free_basis":
             fields["free_basis"] = tuple(value.split())
         elif key == "tors_basis":

@@ -3,10 +3,10 @@ groups, over finite rings, TN rings, or all rings with identity.
 
 Every decision is an executable form of a classification statement, and the
 engine never extrapolates: outside the classified families the verdict is
-Unknown with the failed hypothesis named.  Realisable and NotRealisable
-verdicts carry certificates and obstructions that `certificate_check`
-re-derives from scratch, rebuilding small witness rings where the oracle
-caps allow.
+Unknown with the failed hypothesis named.  `certificate_check` re-checks a
+NotRealisable verdict by running its class's decider again, and a
+Realisable one with the proof bound to its (class, theorem) pair, which
+rebuilds small witness rings where the oracle caps allow.
 """
 
 from __future__ import annotations
@@ -196,6 +196,22 @@ def _construction_conductor(ge: GeClass, case: str) -> int:
         a1 = min(e for _, e, _ in Tp.factors)
         return 2 ** ge.eps * p ** a1
     return 2 ** ge.eps
+
+
+def _square_blockers(T: FinAbGroup) -> tuple[int | None, list[int]]:
+    """The first prime p = 3 mod 4 whose Sylow part T_p is not 2-small
+    (None when there is none), and the primes p = 3 mod 4 before it whose
+    T_p is not a square.  A 2-small square V^2 has a 1-small V, since
+    rank V^2 = 2 rank V, so squareness is the whole test."""
+    blockers = []
+    for p in T.primes():
+        if p % 4 == 3:
+            Tp = T.sylow(p)
+            if not is_lambda_small(Tp, p, 2):
+                return p, blockers
+            if lambda_power_decompose(Tp, 2) is None:
+                blockers.append(p)
+    return None, blockers
 
 
 def decide_tn(G: FgAbGroup) -> Verdict:
@@ -531,104 +547,91 @@ WITNESS_CAP = 700
 
 
 def certificate_check_status(V: Verdict) -> str:
-    """Re-derive a verdict from its payload: 'pass', 'fail', or
-    'uncheckable' (a witness rebuild would exceed the oracle caps)."""
+    """Re-check a verdict: 'pass', 'fail', or 'uncheckable' (a witness
+    rebuild or a re-run would exceed a cap).  A ``not_realisable`` verdict
+    passes only when the decider of its class (``decide_finite`` on a
+    rank-0 query, ``decide_tn`` or ``decide_any``), run again on its query,
+    returns a verdict equal to it: the same kind, theorem, query and
+    payload.  A ``realisable`` verdict passes only when ``_PROOFS`` holds a
+    proof for its (class, theorem) pair that accepts the certificate.  A
+    malformed payload fails, and so does this refutation, since F_4[x^±1]
+    has unit group Z/3 x Z:
+
+    >>> forged = Verdict("not_realisable", "even-torsion-required",
+    ...                  "Z/3Z x Z", "any", obstruction={})
+    >>> certificate_check_status(forged)
+    'fail'
+    """
     if V.is_unknown:
         raise ValueError("Unknown verdicts carry no certificate")
     try:
         ok = _recheck(V)
     except CapExceeded:
         return "uncheckable"
+    except (LookupError, TypeError, ValueError, AttributeError):
+        return "fail"  # a malformed query, payload or tag
     return "pass" if ok else "fail"
 
 
 def certificate_check(V: Verdict) -> bool:
-    """True unless the re-derivation actively contradicts the verdict."""
+    """True unless the re-check fails."""
     return certificate_check_status(V) != "fail"
 
 
 def _recheck(V: Verdict) -> bool:
-    T = parse_group(V.query)
-    payload = V.payload()
-    tag = V.theorem
-    if tag in ("cyclic-finite-units", "cyclic-units-classification"):
-        return _recheck_cyclic(V, T, payload)
-    if tag == "tn-rank-threshold":
-        ge = ge_classify(T.torsion)
-        if not isinstance(ge, GeClass):
-            return False
-        need, case = r_value(ge)
-        if need != payload["r_required"] or case != payload["case"]:
-            return False
-        if V.is_realisable and T.free_rank >= need and not ge.bad_primes:
-            return _witness_construction(ge, T)
-        return (T.free_rank >= need) == V.is_realisable
-    if tag in ("two-power-family-tn", "four-cross-two-power"):
-        u = payload["u"]
-        if T.free_rank or _four_cross_two_power(T.torsion) != u:
-            return False
-    if tag == "two-power-family-tn":
-        if V.is_realisable:
-            return u <= 3 and (u < 2 or _witness_two_power(u))
-        return u > 3
-    if tag == "four-cross-two-power":
-        if V.is_realisable:
-            if u <= 3:
-                return u < 2 or _witness_two_power(u)
-            q = payload["fermat_prime"]
-            return is_prime(q) and q == 2 ** u + 1
-        q, factor = payload["composite"], payload["factor"]
-        return q == 2 ** u + 1 and q % factor == 0 and 1 < factor < q
-    if tag == "square-of-small-sylows-tn":
-        return _recheck_squares(V, T)
-    if tag == "finite-units-epsilon-bound":
-        return T.free_rank == 0 and (epsilon(T.torsion) or 0) >= 3
-    if tag == "even-torsion-required":
-        return T.torsion.order() % 2 == 1
-    if tag == "local-factor-search":
-        return _recheck_factor_search(V, T)
-    if tag == "finite-tn-split":
-        return _recheck_split(V, T)
-    raise ValueError(f"unknown theorem tag {tag}")
-
-
-def _recheck_cyclic(V, T, payload) -> bool:
-    m = payload["m"]
-    if not T.torsion.is_cyclic() or m != T.torsion.order():
+    G = parse_group(V.query)
+    if V.ring_class == "finite" and G.free_rank:
         return False
-    if "cover" in payload:
-        vals = [f["value"] for f in payload["cover"]]
-        if not V.is_realisable or prod(vals) != m:
+    if V.is_realisable:
+        proof = _PROOFS.get((V.ring_class, V.theorem))
+        return proof is not None and proof(V.certificate, G)
+    decide = {"finite": lambda g: decide_finite(g.torsion),
+              "tn": decide_tn, "any": decide_any}[V.ring_class]
+    return decide(G) == V
+
+
+def _proof_cover(cert, G: FgAbGroup) -> bool:
+    """A cyclic T of order m is the unit group of a product of rings whose
+    cyclic unit groups of pairwise coprime orders multiply to m."""
+    m = cert["m"]
+    vals = [f["value"] for f in cert["cover"]]
+    if not G.torsion.is_cyclic() or m != G.torsion.order() or prod(vals) != m:
+        return False
+    for i, a in enumerate(vals):
+        if any(gcd(a, b) != 1 for b in vals[i + 1:]):
             return False
-        for i, a in enumerate(vals):
-            if any(gcd(a, b) != 1 for b in vals[i + 1:]):
+    for f in cert["cover"]:
+        # |value| <= m, so p^exp <= m + 1: a forged huge exp is never raised
+        if not 1 <= f["exp"] <= m.bit_length():
+            return False
+        if f["kind"] == "prime_power_minus_one":
+            if not is_prime(f["p"]) or f["p"] ** f["exp"] - 1 != f["value"]:
                 return False
-        for f in payload["cover"]:
-            if f["kind"] == "prime_power_minus_one":
-                if not is_prime(f["p"]) or f["p"] ** f["exp"] - 1 != f["value"]:
-                    return False
-            else:
-                if f["p"] % 2 == 0 or not is_prime(f["p"]) or f["exp"] < 1 or \
-                        (f["p"] - 1) * f["p"] ** f["exp"] != f["value"]:
-                    return False
-        return True
-    if V.theorem == "cyclic-finite-units":
-        # NotRealisable: no admissible cover may exist
-        return not V.is_realisable and not pearson_schneider_covers(m)
-    if payload.get("clause") == "mersenne-split":
-        d = payload["d"]
-        if d not in mersenne_divisor_set(m):
+        elif f["p"] % 2 == 0 or not is_prime(f["p"]) or \
+                (f["p"] - 1) * f["p"] ** f["exp"] != f["value"]:
             return False
-        ge = ge_classify(FinAbGroup.from_orders([m // d]))
-        need, _ = r_value(ge)
-        best = mersenne_split(m)[0]
-        if pearson_schneider_covers(m):
-            return False  # the cover clause should have fired instead
-        if V.is_realisable:
-            return T.free_rank >= need and need == payload["r_required"]
-        return T.free_rank < best
-    # NotRealisable, odd order, no cover
-    return m % 2 == 1 and not pearson_schneider_covers(m)
+    return True
+
+
+def _proof_cyclic_any(cert, G: FgAbGroup) -> bool:
+    if cert["clause"] == "finite-cover":
+        return _proof_cover(cert, G)
+    m, d = cert["m"], cert["d"]
+    if cert["clause"] != "mersenne-split" or not G.torsion.is_cyclic() or \
+            m != G.torsion.order() or d not in mersenne_divisor_set(m):
+        return False
+    need, _ = r_value(ge_classify(FinAbGroup.from_orders([m // d])))
+    return G.free_rank >= need == cert["r_required"]
+
+
+def _proof_threshold(cert, G: FgAbGroup) -> bool:
+    ge = ge_classify(G.torsion)
+    if not isinstance(ge, GeClass):
+        return False
+    need, case = r_value(ge)
+    if (need, case) != (cert["r_required"], cert["case"]) or G.free_rank < need:
+        return False
+    return bool(ge.bad_primes) or _witness_construction(ge, G)
 
 
 def _witness_construction(ge: GeClass, T: FgAbGroup) -> bool:
@@ -648,58 +651,42 @@ def _construction_torsion_units(k: int, H: FinAbGroup) -> FinAbGroup:
     return torsion_units(build_construction_model(k, H))
 
 
+def _proof_two_power(cert, G: FgAbGroup) -> bool:
+    """Z/4 x Z/2^u at rank 0: a shipped TN model for u <= 3, else
+    Z[i] x F_q with q = 2^u + 1 a Fermat prime."""
+    u = cert["u"]
+    if G.free_rank or _four_cross_two_power(G.torsion) != u:
+        return False
+    if u <= 3:
+        return u < 2 or _witness_two_power(u)
+    q = cert["fermat_prime"]
+    return is_prime(q) and q == 2 ** u + 1
+
+
 def _witness_two_power(u: int) -> bool:
     from .tnlab import load_example, torsion_units
     model = load_example(f"paper-7-2-v{2 ** (u - 1)}")
     return torsion_units(model) == FinAbGroup.from_orders([4, 2 ** u])
 
 
-def _square_blockers(T: FinAbGroup) -> tuple[int | None, list[int]]:
-    """The first prime p = 3 mod 4 whose Sylow part T_p is not 2-small
-    (None when there is none), and the primes p = 3 mod 4 before it whose
-    T_p is not a square.  A 2-small square V^2 has a 1-small V, since
-    rank V^2 = 2 rank V, so squareness is the whole test."""
-    blockers = []
-    for p in T.primes():
-        if p % 4 == 3:
-            Tp = T.sylow(p)
-            if not is_lambda_small(Tp, p, 2):
-                return p, blockers
-            if lambda_power_decompose(Tp, 2) is None:
-                blockers.append(p)
-    return None, blockers
-
-
-def _recheck_squares(V, T) -> bool:
-    if T.torsion.sylow(2) != FinAbGroup.from_orders([4]) or T.free_rank:
-        return False
-    wide, blockers = _square_blockers(T.torsion)
-    return wide is None and bool(blockers) != V.is_realisable
-
-
-def _recheck_factor_search(V, T) -> bool:
-    if V.is_realisable:
-        total = FinAbGroup.trivial()
-        for f in V.certificate["factors"]:
-            p, lam = f["p"], f["lam"]
-            units = parse_group(f["units"]).torsion
-            H = parse_group(f["H"]).torsion
-            # p prime, lam >= 1 and units = Z/(p^lam - 1), read off the
-            # units so that a forged huge lam is never raised to a power
-            if not units.is_cyclic() or \
-                    is_prime_power(units.order() + 1) != (p, lam):
-                return False
-            if H != H.sylow(p) or _one_units(H, p, lam) is not True:
-                return False
-            total = total * units * H
-        if total != T.torsion:
+def _proof_factors(cert, G: FgAbGroup) -> bool:
+    total = FinAbGroup.trivial()
+    for f in cert["factors"]:
+        p, lam = f["p"], f["lam"]
+        units = parse_group(f["units"]).torsion
+        H = parse_group(f["H"]).torsion
+        # p prime, lam >= 1 and units = Z/(p^lam - 1), read off the units
+        # so that a forged huge lam is never raised to a power
+        if not units.is_cyclic() or \
+                is_prime_power(units.order() + 1) != (p, lam):
             return False
-        return _witness_fields(V.certificate["factors"], T)
-    rerun = decide_finite(T.torsion)
-    return rerun.kind == V.kind
+        if H != H.sylow(p) or _one_units(H, p, lam) is not True:
+            return False
+        total = total * units * H
+    return total == G.torsion and _witness_fields(cert["factors"])
 
 
-def _witness_fields(factors, T) -> bool:
+def _witness_fields(factors) -> bool:
     from .finring import field_ring, unit_group, _IRREDUCIBLE
     for f in factors:
         q = f["p"] ** f["lam"]
@@ -710,21 +697,28 @@ def _witness_fields(factors, T) -> bool:
     return True
 
 
-def _recheck_split(V, T) -> bool:
-    if V.is_realisable:
-        fin = parse_group(V.certificate["finite_torsion"])
-        tn = parse_group(V.certificate["tn_part"])
-        if fin.torsion * tn.torsion != T.torsion or tn.free_rank != T.free_rank:
-            return False
-        v_fin = decide_finite(fin.torsion)
-        if not v_fin.is_realisable:
-            return False
-        if not (tn.torsion.is_trivial() and tn.free_rank == 0):
-            if not decide_tn(tn).is_realisable:
-                return False
-        return True
-    rerun = _split_search(T.torsion, T.free_rank, V.query, V.ring_class)
-    return rerun.kind == V.kind
+def _proof_split(cert, G: FgAbGroup) -> bool:
+    fin = parse_group(cert["finite_torsion"])
+    tn = parse_group(cert["tn_part"])
+    if fin.torsion * tn.torsion != G.torsion or tn.free_rank != G.free_rank:
+        return False
+    if not decide_finite(fin.torsion).is_realisable:
+        return False
+    return (tn.torsion.is_trivial() and tn.free_rank == 0) or \
+        decide_tn(tn).is_realisable
+
+
+# one proof per (class, theorem) pair that the deciders find realisable
+_PROOFS = {
+    ("finite", "cyclic-finite-units"): _proof_cover,
+    ("finite", "local-factor-search"): _proof_factors,
+    ("tn", "tn-rank-threshold"): _proof_threshold,
+    ("tn", "two-power-family-tn"): lambda cert, G:
+        cert["u"] <= 3 and _proof_two_power(cert, G),
+    ("any", "cyclic-units-classification"): _proof_cyclic_any,
+    ("any", "four-cross-two-power"): _proof_two_power,
+    ("any", "finite-tn-split"): _proof_split,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ class Verdict(Frozen):
 
     Exactly one of ``certificate``, ``obstruction``, ``gap`` is populated,
     matching ``kind``; ``theorem`` names the classification rule that
-    produced the outcome.  Certificates and obstructions carry enough data
-    to re-derive the verdict by arithmetic alone.  ``checked`` (whether the
-    payload re-checked) takes no part in equality or hashing.
+    produced the outcome.  ``realize.certificate_check`` re-checks a
+    certificate with the proof bound to its (class, theorem) pair, and an
+    obstruction by running the class's decider again and comparing the two
+    verdicts for equality.  ``checked`` (whether the payload re-checked)
+    takes no part in equality or hashing.
     """
 
     _repr_fields = ("kind", "theorem", "query", "ring_class", "certificate",

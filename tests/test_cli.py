@@ -285,6 +285,12 @@ _MALFORMED = {
     "tn-conductor-0": (_edit(_TN, "conductor = 4", "conductor = 0"), "conductor"),
     "tn-conductor-negative": (
         _edit(_TN, "conductor = 4", "conductor = -4"), "conductor"),
+    # above the fixed cap of 256, refused before Z[zeta_k] is built
+    "tn-conductor-above-cap": (
+        _edit(_TN, "conductor = 4", "conductor = 257"), "conductor 257"),
+    "tn-conductor-huge": (
+        _edit(_TN, "conductor = 4", "conductor = 99999999999"),
+        "conductor 99999999999"),
     "tn-undeclared-mult-symbol": (_TN + "mult u zz = 0\n", "'zz'"),
     "tn-undeclared-scalar-symbol": (_TN + "scalar_action u = y\n", "'u'"),
     "tn-repeated-mult": (_TN + "mult u y = 0\n", "'mult u y = 0'"),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from fuchs.caps import CapExceeded
 from fuchs.presentation import (PresentationError, format_combination,
                                 parse_combination, parse_ring_document,
                                 parse_tn_document)
@@ -68,3 +69,11 @@ class TestTnDocuments:
     def test_kind_required(self):
         with pytest.raises(PresentationError):
             parse_tn_document("conductor = 4\nfree_basis = u\ntors_basis =\n")
+
+    def test_conductor_cap_is_fixed(self, monkeypatch):
+        # FUCHS_ORACLE_CAP raises the enumeration caps, not this one
+        monkeypatch.setenv("FUCHS_ORACLE_CAP", "100000")
+        doc = "kind = tn\nconductor = {}\nfree_basis = u\n"
+        assert parse_tn_document(doc.format(256))["conductor"] == 256
+        with pytest.raises(CapExceeded, match="conductor 257"):
+            parse_tn_document(doc.format(257))

@@ -3,8 +3,6 @@ certificate soundness."""
 
 from __future__ import annotations
 
-import ast
-import inspect
 import random
 from collections import Counter
 from itertools import compress
@@ -482,16 +480,8 @@ class TestCertificates:
         assert decide_finite(parse_group(query).torsion).is_not_realisable
         assert certificate_check_status(forged) == "fail"
 
-    def test_recheck_knows_exactly_the_tags_the_deciders_emit(self):
-        # a tag _recheck dispatches on that no decider emits is dead code
-        tree = ast.parse(inspect.getsource(realize._recheck))
-        dispatched = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Compare) and \
-                    isinstance(node.left, ast.Name) and node.left.id == "tag":
-                for c in node.comparators:
-                    consts = c.elts if isinstance(c, ast.Tuple) else [c]
-                    dispatched.update(k.value for k in consts)
+    def test_proofs_cover_exactly_the_realisations_the_deciders_emit(self):
+        # a proof for a pair that no decider emits is dead code
         emitted = set()
         for orders in _groups_over(list(_primes_up_to(256)), 256):
             T = G(*orders)
@@ -499,5 +489,100 @@ class TestCertificates:
             for r in (0, 1):
                 verdicts += [decide_tn(FgAbGroup(T, r)),
                              decide_any(FgAbGroup(T, r))]
-            emitted.update(v.theorem for v in verdicts if not v.is_unknown)
-        assert dispatched == emitted
+            emitted.update((v.ring_class, v.theorem) for v in verdicts
+                           if v.is_realisable)
+        assert set(realize._PROOFS) == emitted
+
+    @pytest.mark.parametrize("kind, theorem, query, cls, payload", [
+        ("realisable", "tn-rank-threshold", "Z/8Z x Z", "tn", {}),
+        ("realisable", "cyclic-finite-units", "Z/6Z", "finite",
+         {"m": 6, "cover": "x", "cover_count": 1}),
+        ("realisable", "local-factor-search", "Z/2Z x Z/6Z", "finite",
+         {"factors": [{"p": 7, "lam": 1, "units": "Z/6Z x", "H": "1"}]}),
+        # 3^(10^9) - 1 is never computed
+        ("realisable", "cyclic-finite-units", "Z/3Z", "finite",
+         {"m": 3, "cover": [{"value": 3, "kind": "prime_power_minus_one",
+                             "p": 3, "exp": 10 ** 9}], "cover_count": 1}),
+        ("realisable", "no-such-theorem", "Z/2Z", "finite", {"m": 2}),
+        ("not_realisable", "no-such-theorem", "Z/5Z x Z/5Z", "any", {}),
+        ("not_realisable", "local-factor-search", "Z/5Z x Z/5Z", "no-such-class",
+         {}),
+        ("not_realisable", "even-torsion-required", "not a group", "tn", {}),
+        # a finite ring has a finite unit group
+        ("realisable", "cyclic-finite-units", "Z/2Z x Z", "finite",
+         {"m": 2, "cover": [{"value": 2, "kind": "prime_power_minus_one",
+                             "p": 3, "exp": 1}], "cover_count": 1}),
+    ], ids=["empty-certificate", "cover-not-a-list", "units-unparsable",
+            "cover-exponent-huge", "unknown-theorem", "unknown-theorem-refutation", "unknown-class",
+            "query-unparsable", "finite-class-with-free-rank"])
+    def test_malformed_payload_fails(self, kind, theorem, query, cls, payload):
+        key = "certificate" if kind == "realisable" else "obstruction"
+        forged = Verdict(kind, theorem, query, cls, **{key: payload})
+        assert certificate_check_status(forged) == "fail"
+
+    def test_work_beyond_a_cap_is_uncheckable(self):
+        # the construction witness for Z/4 x Z/181 has 4 * 181 > 700 elements
+        v = decide_tn(parse_group("Z/724Z"))
+        assert v.is_realisable and v.certificate["adjoined_torsion"] == "Z/181Z"
+        assert certificate_check_status(v) == "uncheckable"
+        # re-running the decider factors an order above the 2**64 bound
+        huge = Verdict("not_realisable", "cyclic-finite-units",
+                       f"Z/{2 ** 65 * 3 ** 3}Z", "finite", obstruction={})
+        assert certificate_check_status(huge) == "uncheckable"
+
+
+def _engine(Q: FgAbGroup, cls: str):
+    return decide_finite(Q.torsion) if cls == "finite" else \
+        {"tn": decide_tn, "any": decide_any}[cls](Q)
+
+
+class TestTransplants:
+    """A definite payload moved to another query or class re-checks as
+    'pass' only where the engine does not decide the opposite kind."""
+
+    CLASSES = ("finite", "tn", "any")
+
+    @staticmethod
+    def moved(v, query, cls):
+        key = "certificate" if v.is_realisable else "obstruction"
+        return Verdict(v.kind, v.theorem, query, cls, **{key: v.payload()})
+
+    @pytest.mark.parametrize("to_class", CLASSES)
+    def test_no_moved_payload_passes_wrongly(self, to_class):
+        groups = [G(*orders)
+                  for orders in _groups_over(list(_primes_up_to(64)), 64)]
+        ranks = (0,) if to_class == "finite" else (0, 1, 2)
+        targets = [FgAbGroup(T, r) for T in groups for r in ranks]
+        sources = [decide_finite(T) for T in groups]
+        sources += [decide(FgAbGroup(T, r)) for T in groups for r in (0, 1, 2)
+                    for decide in (decide_tn, decide_any)]
+        rng = random.Random(7)
+        engine = {}
+        wrong = []
+        for v in sources:
+            if v.is_unknown:
+                continue
+            for Q in rng.sample(targets, 12):
+                query = format_group(Q)
+                if certificate_check_status(
+                        self.moved(v, query, to_class)) != "pass":
+                    continue
+                if query not in engine:
+                    engine[query] = _engine(Q, to_class).kind
+                if engine[query] not in ("unknown", v.kind):
+                    wrong.append((v.theorem, v.kind, v.ring_class, query))
+        assert wrong == []
+
+    @pytest.mark.parametrize("source, query, to_class", [
+        (lambda: decide_tn(FG([3], 1)), "Z/3Z x Z", "any"),
+        (lambda: decide_tn(FG([8, 8])), "Z/8Z x Z/8Z", "any"),
+        (lambda: decide_any(FG([5, 5])), "Z/8Z x Z/5Z x Z", "any"),
+    ], ids=["even-torsion-required-under-any",
+            "finite-units-epsilon-bound-under-any",
+            "split-refutation-on-a-cyclic-cover"])
+    def test_named_transplant_fails(self, source, query, to_class):
+        v = source()
+        assert v.is_not_realisable
+        assert _engine(parse_group(query), to_class).is_realisable
+        assert certificate_check_status(
+            self.moved(v, query, to_class)) == "fail"
