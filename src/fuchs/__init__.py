@@ -6,7 +6,7 @@ from .abelian import (FgAbGroup, FinAbGroup, epsilon, format_group,
                       group_from_relations, is_lambda_small,
                       lambda_power_decompose, parse_group, prufer_rank,
                       smith_normal_form)
-from .numtheory import (CycloPoly, Factorization, HypothesisViolated,
+from .numtheory import (Factorization, HypothesisViolated,
                         PsFactor, cyclotomic_poly, euler_phi,
                         factor_cyclo_mod, factorize, is_fermat_prime,
                         mersenne_divisor_set, mult_order,

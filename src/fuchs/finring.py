@@ -21,7 +21,7 @@ from .caps import UNIT_GROUP_CAP, CapExceeded, oracle_cap
 from .numtheory import HypothesisViolated, factorize, is_prime, is_prime_power
 from .radical import RadicalRing, radical_ring_from_mult
 from .record import Frozen, _set
-from .table import InvalidRing, TableRing, read_table_document
+from .table import InvalidRing, TableRing, pair_table, read_table_document
 
 
 class FinCommRing(TableRing, Frozen):
@@ -41,12 +41,9 @@ class FinCommRing(TableRing, Frozen):
         _set(self, "one", one)
         _set(self, "name", name)
         _set(self, "_orders", basis_orders)
-        r = len(basis_orders)
         if any(n < 2 for n in basis_orders):
             raise InvalidRing("basis orders must be >= 2")
-        if len(mult) != r * (r + 1) // 2:
-            raise InvalidRing("structure constant count does not match basis")
-        if len(one) != r:
+        if len(one) != len(basis_orders):
             raise InvalidRing("identity width does not match basis")
         validate_ring(self)
 
@@ -235,25 +232,15 @@ def poly_quotient_ring(char: int, modpoly: tuple[int, ...], name: str = "") -> F
     """(Z/char)[t]/(f) for a monic f given little-endian; basis 1, t, ..."""
     d = len(modpoly) - 1
     orders = (char,) * d
-    # reduction of t^k for k up to 2d-2
-    red = {}
-    for k in range(d):
-        red[k] = tuple(int(i == k) for i in range(d))
-    for k in range(d, 2 * d - 1):
-        prev = red[k - 1]
-        shifted = [0] + list(prev[:-1])
-        carry = prev[-1]
-        vec = [(shifted[i] - carry * modpoly[i]) % char for i in range(d)]
-        red[k] = tuple(vec)
-    mult = []
-    for i in range(d):
-        for j in range(i, d):
-            acc = [0] * d
-            for m, v in enumerate(red[i + j]):
-                acc[m] = v
-            mult.append(tuple(acc))
+    # red[k] is t^k reduced mod f, for k up to 2d-2
+    red = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    for _ in range(d - 1):
+        prev = red[-1]
+        red.append(tuple((c - prev[-1] * a) % char
+                         for c, a in zip((0,) + prev[:-1], modpoly)))
+    mult = pair_table(d, lambda i, j: red[i + j])
     one = tuple(int(i == 0) for i in range(d))
-    return FinCommRing(orders, tuple(mult), one, name=name)
+    return FinCommRing(orders, mult, one, name=name)
 
 
 _IRREDUCIBLE = {  # smallest-lex monic irreducible over F_p, little-endian
@@ -295,21 +282,16 @@ def nilpotent_extension(B: FinCommRing) -> FinCommRing:
     """B[t]/(t^2): doubles the basis with a square-zero copy."""
     r = B.rank()
     orders = B.basis_orders + B.basis_orders
-    mult = []
-    for i in range(2 * r):
-        for j in range(i, 2 * r):
-            bi, ti = i % r, i // r
-            bj, tj = j % r, j // r
-            if ti + tj >= 2:
-                mult.append((0,) * (2 * r))
-            else:
-                c = B.constant(bi, bj)
-                vec = [0] * (2 * r)
-                for m, v in enumerate(c):
-                    vec[m + (ti + tj) * r] = v
-                mult.append(tuple(vec))
+
+    def product(i, j):
+        # basis i is b_(i mod r) t^(i // r), and t^2 = 0
+        t = i // r + j // r
+        if t > 1:
+            return (0,) * (2 * r)
+        return (0,) * (t * r) + B.constant(i % r, j % r) + (0,) * ((1 - t) * r)
+
     one = B.one + (0,) * r
-    return FinCommRing(orders, tuple(mult), one,
+    return FinCommRing(orders, pair_table(2 * r, product), one,
                        name=f"{B.name}[t]/(t^2)" if B.name else "")
 
 
@@ -323,36 +305,31 @@ def unitalization(N: RadicalRing, c: int, name: str = "") -> FinCommRing:
         raise InvalidRing("characteristic too small for the radical part")
     r = N.rank()
     orders = (p ** c,) + N.orders()
-    mult = []
-    for i in range(r + 1):
-        for j in range(i, r + 1):
-            if i == 0 and j == 0:
-                mult.append((1,) + (0,) * r)
-            elif i == 0:
-                mult.append(tuple(int(m == j) for m in range(r + 1)))
-            else:
-                mult.append((0,) + N.constant(i - 1, j - 1))
-    return FinCommRing(orders, tuple(mult), (1,) + (0,) * r,
+
+    def product(i, j):
+        # basis 0 is the identity, basis i > 0 is x_(i-1) of N
+        if i == 0:
+            return tuple(int(m == j) for m in range(r + 1))
+        return (0,) + N.constant(i - 1, j - 1)
+
+    return FinCommRing(orders, pair_table(r + 1, product), (1,) + (0,) * r,
                        name=name or f"Z/{p ** c}Z+N[{N.order()}]")
 
 
 def product_ring(A: FinCommRing, B: FinCommRing) -> FinCommRing:
     ra, rb = A.rank(), B.rank()
     orders = A.basis_orders + B.basis_orders
-    mult = []
-    for i in range(ra + rb):
-        for j in range(i, ra + rb):
-            vec = [0] * (ra + rb)
-            if i < ra and j < ra:
-                for m, v in enumerate(A.constant(i, j)):
-                    vec[m] = v
-            elif i >= ra and j >= ra:
-                for m, v in enumerate(B.constant(i - ra, j - ra)):
-                    vec[ra + m] = v
-            mult.append(tuple(vec))
+
+    def product(i, j):
+        if j < ra:
+            return A.constant(i, j) + (0,) * rb
+        if i >= ra:
+            return (0,) * ra + B.constant(i - ra, j - ra)
+        return (0,) * (ra + rb)
+
     one = A.one + B.one
     name = f"{A.name} x {B.name}" if A.name and B.name else ""
-    return FinCommRing(orders, tuple(mult), one, name=name)
+    return FinCommRing(orders, pair_table(ra + rb, product), one, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -230,28 +230,15 @@ def poly_divmod_exact(a: list[int], b: list[int]) -> list[int]:
     return poly_trim(q)
 
 
-class CycloPoly(Frozen):
-    """The n-th cyclotomic polynomial with exact integer coefficients."""
-
-    _repr_fields = ("n", "coefficients")
-
-    def __init__(self, n: int, coefficients: tuple[int, ...]):
-        _set(self, "n", n)
-        _set(self, "coefficients", coefficients)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-
 # bounded; one round of either benchmark workload leaves 4 entries
 @lru_cache(maxsize=128)
-def cyclotomic_poly(n: int) -> CycloPoly:
-    """Exact coefficients of Phi_n via recursive division of x^n - 1.
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Exact coefficients of Phi_n, little-endian, via recursive division of
+    x^n - 1.
 
-    >>> cyclotomic_poly(8).coefficients
+    >>> cyclotomic_poly(8)
     (1, 0, 0, 0, 1)
-    >>> cyclotomic_poly(15).coefficients
+    >>> cyclotomic_poly(15)
     (1, -1, 0, 1, -1, 1, 0, -1, 1)
     """
     if n < 1:
@@ -260,11 +247,11 @@ def cyclotomic_poly(n: int) -> CycloPoly:
     q = xn1
     for d in divisors(n):
         if d != n:
-            q = poly_divmod_exact(q, list(cyclotomic_poly(d).coefficients))
+            q = poly_divmod_exact(q, list(cyclotomic_poly(d)))
     coeffs = tuple(q)
     assert len(coeffs) - 1 == euler_phi(n)
     assert coeffs[-1] == 1
-    return CycloPoly(n, coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +318,7 @@ def factor_cyclo_mod(n: int, q: int) -> list[tuple[int, ...]]:
         raise HypothesisViolated(f"gcd({q}, {n}) != 1")
     lam = mult_order(q, n)
     phi = euler_phi(n)
-    target = _pmod(list(cyclotomic_poly(n).coefficients), q)
+    target = _pmod(list(cyclotomic_poly(n)), q)
     rng = random.Random(_EDF_SEED)
 
     def split(f):
@@ -367,7 +354,7 @@ def hensel_lift_factor(n: int, f_mod_q: tuple[int, ...], q: int, b: int) -> tupl
     Linear Hensel steps; requires gcd(f, Phi_n/f) = 1 mod q, which holds
     whenever q is coprime to n (Phi_n is then squarefree mod q).
     """
-    phi = list(cyclotomic_poly(n).coefficients)
+    phi = list(cyclotomic_poly(n))
     f = list(f_mod_q)
     g = _pdivmod(_pmod(phi, q), f, q)[0]
     # Bezout: s*f + t*g = 1 mod q
@@ -504,27 +491,6 @@ def pearson_schneider_covers(m: int) -> list[PsCover]:
     return covers
 
 
-def mersenne_products(limit: int) -> set[int]:
-    """All products <= limit of pairwise coprime 2**lam - 1 values (incl. 1)."""
-    ms = []
-    lam = 2
-    while 2 ** lam - 1 <= limit:
-        ms.append(2 ** lam - 1)
-        lam += 1
-    out = {1}
-
-    def dfs(i, acc):
-        for j in range(i, len(ms)):
-            v = acc * ms[j]
-            if v > limit or gcd(acc, ms[j]) != 1:
-                continue
-            out.add(v)
-            dfs(j + 1, v)
-
-    dfs(0, 1)
-    return out
-
-
 def mersenne_divisor_set(m: int) -> list[int]:
     """Divisors d of m with gcd(d, m/d) = 1 that are products of pairwise
     coprime 2**lam - 1 values (d = 1 included via the empty product).
@@ -536,5 +502,12 @@ def mersenne_divisor_set(m: int) -> list[int]:
     """
     if m % 2:
         raise ValueError("m must be even")
-    expressible = mersenne_products(m)
-    return [d for d in divisors(m) if gcd(d, m // d) == 1 and d in expressible]
+    products = {1}
+    lam = 2
+    while 2 ** lam - 1 <= m:
+        q = 2 ** lam - 1
+        if m % q == 0:
+            # every product so far divides m, and so does q times a coprime one
+            products |= {d * q for d in products if gcd(d, q) == 1}
+        lam += 1
+    return sorted(d for d in products if gcd(d, m // d) == 1)

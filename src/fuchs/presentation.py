@@ -88,9 +88,13 @@ def parse_ring_document(text: str) -> dict:
         raise PresentationError("document kind must be 'radical' or 'ring'")
     if "basis_orders" not in fields:
         raise PresentationError("missing basis_orders")
-    required = "one" if fields["kind"] == "ring" else "prime"
+    required, foreign = (("one", "prime") if fields["kind"] == "ring"
+                         else ("prime", "one"))
     if required not in fields:
         raise PresentationError(f"missing {required}")
+    if foreign in fields:
+        raise PresentationError(
+            f"key {foreign!r} does not belong in a {fields['kind']} document")
     r = len(fields["basis_orders"])
     for i, j in fields["mult"]:
         if not 1 <= i <= j <= r:

@@ -27,7 +27,7 @@ from .caps import RADICAL_ENUM_CAP, CapExceeded, oracle_cap
 from .numtheory import HypothesisViolated, factorize, is_prime, is_prime_power
 from .record import Frozen, Record, _set
 from .table import (InvalidRing, TableRing, associators, compile_transport,
-                    read_table_document, table_mul)
+                    pair_entry, pair_table, read_table_document, table_mul)
 
 
 class RadicalRing(TableRing, Frozen):
@@ -50,13 +50,7 @@ class RadicalRing(TableRing, Frozen):
         _set(self, "mult", mult)
         _set(self, "name", name)
         _set(self, "_orders", tuple(p ** e for e in exponents))
-        if len(mult) != len(self.pairs()):
-            raise InvalidRing("structure constant count does not match basis")
         validate_radical(self)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        r = len(self.exponents)
-        return [(i, j) for i in range(r) for j in range(i, r)]
 
     def orders(self) -> tuple[int, ...]:
         return self._orders
@@ -119,7 +113,7 @@ def _is_nilpotent(N: RadicalRing) -> bool:
     bound = 1 + sum(N.exponents)
     orders, mult = N.orders(), N.mult
     for i in range(r):
-        x = mult[i * r - i * (i - 1) // 2]
+        x = pair_entry(mult, r, i, i)
         exponent = 2
         while any(x) and exponent < bound:
             x = table_mul(orders, mult, x, x)
@@ -169,12 +163,11 @@ def _candidate_tables_elementary(p: int, r: int):
     flag-preserving generators partitions candidates into classes.
     Yields (weights, tables) per d, d running over the compositions of r.
     """
-    pairs = [(i, j) for i in range(r) for j in range(i, r)]
     for c in range(1, r + 1):
         for cuts in combinations(range(1, r), c - 1):
             weights = [1 + sum(cut <= m for cut in cuts) for m in range(r)]
-            slots = [[m for m in range(r) if weights[m] >= weights[i] + weights[j]]
-                     for (i, j) in pairs]
+            slots = pair_table(r, lambda i, j: [
+                m for m in range(r) if weights[m] >= weights[i] + weights[j]])
             tables = []
             for assignment in iproduct(*(iproduct(range(p), repeat=len(s)) for s in slots)):
                 table = []
@@ -331,8 +324,8 @@ def _lifts(p: int, exponents, base) -> list[tuple]:
     r = len(exponents)
     orders = [p ** e for e in exponents]
     # bilinearity: entry (q, m) is a multiple of p^low[q][m]
-    low = [[max(0, e - min(exponents[i], exponents[j])) for e in exponents]
-           for i in range(r) for j in range(i, r)]
+    low = pair_table(r, lambda i, j: [max(0, e - min(exponents[i], exponents[j]))
+                                      for e in exponents])
     if any(v and low[q][m] for q, vec in enumerate(base) for m, v in enumerate(vec)):
         return []
     tables = [base]
@@ -517,9 +510,5 @@ def radical_ring_from_mult(elements, add, zero, mul, p: int, name: str = "") -> 
                 layer[x] = combo + (c,)
         coords = layer
     assert len(coords) == len(elements)
-    mult = []
-    r = len(basis)
-    for i in range(r):
-        for j in range(i, r):
-            mult.append(coords[mul(basis[i][0], basis[j][0])])
-    return RadicalRing(p, tuple(exponents), tuple(mult), name=name)
+    mult = pair_table(len(basis), lambda i, j: coords[mul(basis[i][0], basis[j][0])])
+    return RadicalRing(p, tuple(exponents), mult, name=name)

@@ -2,9 +2,14 @@
 
 A commutative ring of rank r is stored as the additive orders of its basis
 x_1, ..., x_r and, for every pair i <= j, the coordinate vector of
-x_i * x_j, flattened row by row.  :class:`TableRing` turns such a table into
-element arithmetic and the checks every table must pass;
-``RadicalRing`` and ``FinCommRing`` add their own invariants on top.
+x_i * x_j, flattened row by row.  This module owns that pair layout, for
+radical rings, unital rings and the flat tables of TN models alike:
+``pairs(r)`` lists the pairs in table order, ``pair_table(r, product)``
+builds a table from a function of the pair, and ``pair_entry`` reads the
+entry of x_i * x_j in either order.  No other module spells the layout
+out.  :class:`TableRing` turns such a table into element arithmetic and
+the checks every table must pass; ``RadicalRing`` and ``FinCommRing`` add
+their own invariants on top.
 
 Two products read a table.  ``table_mul`` walks it on every call; it serves
 code that touches a table only a few times (nilpotency and filtration
@@ -44,6 +49,23 @@ class InvalidRing(ValueError):
     """Structure constants that do not define the ring asked for: a ring
     table or a TN model that fails a shape, range, bilinearity, identity,
     associativity, nilpotency or closure check."""
+
+
+def pairs(r: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), i <= j, of a rank-r table, in table order."""
+    return [(i, j) for i in range(r) for j in range(i, r)]
+
+
+def pair_table(r: int, product) -> tuple:
+    """The rank-r table whose entry for the pair (i, j) is product(i, j)."""
+    return tuple(product(i, j) for i, j in pairs(r))
+
+
+def pair_entry(mult, r: int, i: int, j: int):
+    """The entry of the rank-r table ``mult`` for x_i * x_j, either order."""
+    if i > j:
+        i, j = j, i
+    return mult[i * r - i * (i - 1) // 2 + j - i]
 
 
 def table_mul(orders, mult, x, y):
@@ -95,36 +117,33 @@ def compile_product(mult, moduli, shape=None, circle=False):
         shape = r
     if _width(shape) != r:
         raise ValueError("shape does not match the moduli")
-    if len(mult) != r * (r + 1) // 2:
+    if len(mult) != len(pairs(r)):
         raise ValueError("structure constant count does not match the moduli")
     terms = [[] for _ in range(r)]  # per coordinate: (constant, pair number)
-    pairs = []
-    vectors = iter(mult)
-    for i in range(r):
-        for j in range(i, r):
-            vec = next(vectors)
-            if len(vec) != r:
-                raise ValueError(f"constant ({i},{j}) has the wrong length")
-            for m, v in enumerate(vec):
-                v = index(v)
-                if v:
-                    terms[m].append((v, len(pairs)))
-            pairs.append(f"x{i}*y{i}" if i == j else f"x{i}*y{j} + x{j}*y{i}")
-    uses = [0] * len(pairs)
+    products = []
+    for (i, j), vec in zip(pairs(r), mult):
+        if len(vec) != r:
+            raise ValueError(f"constant ({i},{j}) has the wrong length")
+        for m, v in enumerate(vec):
+            v = index(v)
+            if v:
+                terms[m].append((v, len(products)))
+        products.append(f"x{i}*y{i}" if i == j else f"x{i}*y{j} + x{j}*y{i}")
+    uses = [0] * len(products)
     for row in terms:
         for _, k in row:
             uses[k] += 1
     lines = [f"    {_unpack(shape, 'x', iter(range(r)))} = x",
              f"    {_unpack(shape, 'y', iter(range(r)))} = y"]
     # a pair that feeds several coordinates is multiplied out once
-    for k, expr in enumerate(pairs):
+    for k, expr in enumerate(products):
         if uses[k] > 1:
             lines.append(f"    p{k} = {expr}")
     coords = []
     for m, (row, n) in enumerate(zip(terms, moduli)):
         parts = [f"x{m} + y{m}"] if circle else []
         for v, k in row:
-            expr = f"p{k}" if uses[k] > 1 else pairs[k]
+            expr = f"p{k}" if uses[k] > 1 else products[k]
             if v != 1:
                 expr = f"{v}*({expr})" if "+" in expr else f"{v}*{expr}"
             parts.append(expr)
@@ -201,10 +220,9 @@ def _transport_kernel(orders, images, inverse):
     support = [[(a, u) for a, u in enumerate(row) if u] for row in images]
     preimages = [[(m, inverse[m][t]) for m in range(r) if inverse[m][t]]
                  for t in range(r)]
-    pairs = [(i, j) for i in range(r) for j in range(i, r)]
-    number = {pair: q for q, pair in enumerate(pairs)}
+    number = {pair: q for q, pair in enumerate(pairs(r))}
     coords = []
-    for i, j in pairs:
+    for i, j in pairs(r):
         for t, n in enumerate(orders):
             coeffs = {}  # flat index q * r + m of T[q][m] -> coefficient
             for a, u in support[i]:
@@ -218,8 +236,8 @@ def _transport_kernel(orders, images, inverse):
                 if c:
                     terms.append(f"t{k}" if c == 1 else f"{c}*t{k}")
             coords.append(f"({' + '.join(terms)}) % {n}" if terms else "0")
-    shape = (r,) * len(pairs)
-    lines = [f"    {_unpack(shape, 't', iter(range(r * len(pairs))))} = table",
+    shape = (r,) * len(number)
+    lines = [f"    {_unpack(shape, 't', iter(range(r * len(number))))} = table",
              f"    return {_unpack(shape, None, iter(coords))}"]
     return _define("transport", "table", lines)
 
@@ -244,9 +262,9 @@ def _associator_kernel(r: int):
     """Coordinate t of associator (a, b, c) is
     (sum_m T[ab][m] T[mc][t] - sum_m T[bc][m] T[am][t]) mod orders[t], the
     ``table_mul`` sums reduced once instead of twice."""
-    pairs = r * (r + 1) // 2
+    count = len(pairs(r))
     entry = [[None] * r for _ in range(r)]  # entry[i][j]: names of T[ij]
-    for q, (i, j) in enumerate((i, j) for i in range(r) for j in range(i, r)):
+    for q, (i, j) in enumerate(pairs(r)):
         entry[i][j] = entry[j][i] = [f"t{q * r + m}" for m in range(r)]
     coords = []
     for a in range(r):
@@ -257,7 +275,7 @@ def _associator_kernel(r: int):
                     left = " + ".join(f"{ab[m]}*{entry[m][c][t]}" for m in range(r))
                     right = "".join(f" - {bc[m]}*{entry[a][m][t]}" for m in range(r))
                     coords.append(f"({left}{right}) % n{t}")
-    lines = [f"    {_unpack((r,) * pairs, 't', iter(range(r * pairs)))} = mult",
+    lines = [f"    {_unpack((r,) * count, 't', iter(range(r * count)))} = mult",
              f"    {_unpack(r, 'n', iter(range(r)))} = orders",
              f"    return {_unpack((r,) * (r * r * (r - 1) // 2), None, iter(coords))}"]
     return _define("associators", "mult, orders", lines)
@@ -268,8 +286,8 @@ def read_table_document(text: str, kind: str, what: str):
     doc = presentation.parse_ring_document(text)
     if doc["kind"] != kind:
         raise InvalidRing(f"not a {what} document")
-    r = len(doc["basis_orders"])
-    mult = tuple(doc["mult"][(i + 1, j + 1)] for i in range(r) for j in range(i, r))
+    mult = pair_table(len(doc["basis_orders"]),
+                      lambda i, j: doc["mult"][(i + 1, j + 1)])
     return doc, mult
 
 
@@ -289,10 +307,7 @@ class TableRing:
         return prod(self._orders)
 
     def constant(self, i: int, j: int) -> tuple[int, ...]:
-        if i > j:
-            i, j = j, i
-        r = len(self._orders)
-        return self.mult[i * r - i * (i - 1) // 2 + (j - i)]
+        return pair_entry(self.mult, len(self._orders), i, j)
 
     def basis(self) -> list[tuple[int, ...]]:
         r = len(self._orders)
@@ -324,15 +339,15 @@ class TableRing:
         associative on the basis."""
         r = len(self._orders)
         orders = self._orders
-        for i in range(r):
-            for j in range(i, r):
-                c = self.constant(i, j)
-                if len(c) != r or any(not (0 <= v < n) for v, n in zip(c, orders)):
-                    raise InvalidRing(f"constant ({i},{j}) out of range")
-                kill = gcd(orders[i], orders[j])
-                for m, v in enumerate(c):
-                    if (kill * v) % orders[m]:
-                        raise InvalidRing(f"bilinearity fails at ({i},{j}) coord {m}")
+        if len(self.mult) != len(pairs(r)):
+            raise InvalidRing("structure constant count does not match basis")
+        for (i, j), c in zip(pairs(r), self.mult):
+            if len(c) != r or any(not (0 <= v < n) for v, n in zip(c, orders)):
+                raise InvalidRing(f"constant ({i},{j}) out of range")
+            kill = gcd(orders[i], orders[j])
+            for m, v in enumerate(c):
+                if (kill * v) % orders[m]:
+                    raise InvalidRing(f"bilinearity fails at ({i},{j}) coord {m}")
         if one is not None:
             basis = self.basis()
             for i in range(r):
@@ -343,8 +358,7 @@ class TableRing:
                 raise InvalidRing(f"associativity fails at ({i},{j},{k})")
 
     def table_document(self, kind: str, **header) -> str:
-        r = len(self._orders)
-        table = {(i + 1, j + 1): self.constant(i, j)
-                 for i in range(r) for j in range(i, r)}
+        table = {(i + 1, j + 1): c
+                 for (i, j), c in zip(pairs(len(self._orders)), self.mult)}
         return presentation.format_ring_document(
             kind, self._orders, table, name=self.name or None, **header)

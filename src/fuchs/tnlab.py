@@ -18,8 +18,9 @@ pair table compiled by ``table.compile_product``: it sums the products over
 the coordinate pairs and reduces each torsion coordinate once at the end,
 which gives exactly the table's product.  The torsion x torsion block is a
 plain symmetric table over the torsion orders: each prime's part of N_tors
-is read off its rows and columns, and 1 + N_tors runs on its compiled
-circle operation.
+is read off its rows and columns as a radical ring, and 1 + N_tors is the
+product of those components' adjoint groups, since products across primes
+vanish.
 
 B*_tors is computed by embedding B into a product of rings Z[zeta_L], one
 component per root of unity zeta_L^s that annihilates the generator
@@ -44,7 +45,7 @@ from .numtheory import (HypothesisViolated, _pdivmod, cyclotomic_poly,
                         mult_order, poly_mul)
 from .radical import RadicalRing
 from .record import Frozen, Record, _set
-from .table import InvalidRing, compile_product
+from .table import InvalidRing, compile_product, pair_entry, pair_table, pairs
 from . import presentation
 
 
@@ -60,7 +61,7 @@ class CycloBase(Frozen):
 
     def __init__(self, conductor: int):
         _set(self, "conductor", conductor)
-        _set(self, "phi", list(cyclotomic_poly(conductor).coefficients))
+        _set(self, "phi", list(cyclotomic_poly(conductor)))
         _set(self, "degree", len(self.phi) - 1)
 
     def zero(self):
@@ -128,7 +129,7 @@ class TnModel(Frozen):
         _set(self, "tors_orders", tors_orders)
         # column j: coords of zeta*t_j
         _set(self, "scalar_action", scalar_action)
-        # pairs a <= b of free then torsion indices, row by row
+        # over free then torsion indices, in the ``table.pairs`` layout
         _set(self, "mult", mult)
         _set(self, "name", name)
         _set(self, "base", CycloBase(conductor))
@@ -189,16 +190,13 @@ class TnModel(Frozen):
             scalar[nm] = {self.tors_names[m]: v
                           for m, v in enumerate(self.scalar_action[j]) if v}
         table = {}
-        names = list(self.free_names) + list(self.tors_names)
-        entries = iter(self.mult)
-        for ai, a in enumerate(names):
-            for b in names[ai:]:
-                entry_free, entry_tors = next(entries)
-                fmap = {self.free_names[e]: tuple(coeff)
-                        for e, coeff in enumerate(entry_free) if any(coeff)}
-                tmap = {self.tors_names[m]: v
-                        for m, v in enumerate(entry_tors) if v}
-                table[(a, b)] = (fmap, tmap)
+        names = (*self.free_names, *self.tors_names)
+        for (a, b), (entry_free, entry_tors) in zip(pairs(len(names)), self.mult):
+            fmap = {self.free_names[e]: tuple(coeff)
+                    for e, coeff in enumerate(entry_free) if any(coeff)}
+            tmap = {self.tors_names[m]: v
+                    for m, v in enumerate(entry_tors) if v}
+            table[(names[a], names[b])] = (fmap, tmap)
         return presentation.format_tn_document(
             self.name or "model", self.conductor, self.free_names,
             tuple(zip(self.tors_names, self.tors_orders)), scalar, table)
@@ -217,23 +215,24 @@ class TnModel(Frozen):
             if row is None:
                 raise InvalidRing(f"missing scalar_action for {nm}")
             scalar.append(tuple(row.get(m, 0) for m in tors_names))
-        names = list(free_names) + list(tors_names)
-        entries = []
-        for ai, a in enumerate(names):
-            for b in names[ai:]:
-                key = (a, b) if (a, b) in doc["mult"] else (b, a)
-                if key not in doc["mult"]:
-                    raise InvalidRing(f"missing mult {a} {b}")
-                fmap, tmap = doc["mult"][key]
-                if (a in tors_names or b in tors_names) and fmap:
-                    raise InvalidRing(f"product {a}*{b} leaves the torsion ideal")
-                free = tuple(base.reduce(fmap.get(nm, ()))
-                             for nm in free_names)
-                tors = tuple(tmap.get(nm, 0) % o
-                             for nm, o in zip(tors_names, tors_orders))
-                entries.append((free, tors))
+        names = (*free_names, *tors_names)
+
+        def entry(ai, bi):
+            a, b = names[ai], names[bi]
+            key = (a, b) if (a, b) in doc["mult"] else (b, a)
+            if key not in doc["mult"]:
+                raise InvalidRing(f"missing mult {a} {b}")
+            fmap, tmap = doc["mult"][key]
+            if (a in tors_names or b in tors_names) and fmap:
+                raise InvalidRing(f"product {a}*{b} leaves the torsion ideal")
+            free = tuple(base.reduce(fmap.get(nm, ())) for nm in free_names)
+            tors = tuple(tmap.get(nm, 0) % o
+                         for nm, o in zip(tors_names, tors_orders))
+            return free, tors
+
         return cls(doc["conductor"], free_names, tors_names, tors_orders,
-                   tuple(scalar), tuple(entries), name=doc.get("name", ""))
+                   tuple(scalar), pair_table(len(names), entry),
+                   name=doc.get("name", ""))
 
 
 def _check_layout(A: TnModel) -> None:
@@ -244,7 +243,7 @@ def _check_layout(A: TnModel) -> None:
         raise InvalidRing("need at least the identity free basis element")
     if len(A.tors_orders) != t or any(o < 2 for o in A.tors_orders):
         raise InvalidRing("every torsion symbol needs an order >= 2")
-    if len(A.mult) != (f + t) * (f + t + 1) // 2:
+    if len(A.mult) != len(pairs(f + t)):
         raise InvalidRing("multiplication table size mismatch")
     if any(len(e) != 2 or len(e[0]) != f or len(e[1]) != t
            or any(len(c) != deg for c in e[0]) for e in A.mult):
@@ -282,12 +281,8 @@ def _flat_table(A: TnModel):
     f, t, base = A.nfree(), A.ntors(), A.base
     deg = base.degree
     F = f * deg
-    entries = iter(A.mult)
-    entry = {}
-    for a in range(f + t):
-        for b in range(a, f + t):
-            entry[a, b] = entry[b, a] = next(entries)
     units = [tuple(int(m == d) for m in range(deg)) for d in range(deg)]
+    mult, n = A.mult, f + t
 
     def product(p, q):
         # p <= q, so p is free whenever one of the two is
@@ -295,20 +290,20 @@ def _flat_table(A: TnModel):
         if q >= F:
             j = f + q - F
             if p < F:
-                tors = _scalar_apply(A, units[p % deg], entry[p // deg, j][1])
+                tors = _scalar_apply(A, units[p % deg],
+                                     pair_entry(mult, n, p // deg, j)[1])
             else:
-                tors = entry[f + p - F, j][1]
+                tors = pair_entry(mult, n, f + p - F, j)[1]
         else:
             c = base.mul(units[p % deg], units[q % deg])
-            entry_free, entry_tors = entry[p // deg, q // deg]
+            entry_free, entry_tors = pair_entry(mult, n, p // deg, q // deg)
             for e, coeff in enumerate(entry_free):
                 free[e * deg:(e + 1) * deg] = base.mul(c, coeff)
             tors = _scalar_apply(A, c, entry_tors)
         return tuple(free) + tuple(v % n for v, n in zip(tors, A.tors_orders))
 
-    flat = tuple(product(p, q) for p in range(F + t) for q in range(p, F + t))
-    tors_mult = tuple(entry[f + j, f + j2][1]
-                      for j in range(t) for j2 in range(j, t))
+    flat = pair_table(F + t, product)
+    tors_mult = pair_table(t, lambda j, j2: pair_entry(mult, n, f + j, f + j2)[1])
     return flat, tors_mult
 
 
@@ -318,7 +313,6 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
     before the product was compiled; the checks here run through it."""
     f, t = A.nfree(), A.ntors()
     base = A.base
-    n = f + t
     for j, col in enumerate(A.scalar_action):
         oj = A.tors_orders[j]
         for m, v in enumerate(col):
@@ -335,20 +329,17 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
         if A.mul(one, b) != b:
             raise InvalidRing("first free basis element is not an identity")
     # torsion entries stay torsion and respect the additive orders
-    entries = iter(A.mult)
-    for a in range(n):
-        for b in range(a, n):
-            entry_free, entry_tors = next(entries)
-            if a >= f or b >= f:
-                if any(any(c) for c in entry_free):
-                    raise InvalidRing("torsion ideal is not closed")
-                kill = A.tors_orders[max(a, b) - f]
-                if a >= f and b >= f:
-                    kill = gcd(A.tors_orders[a - f], A.tors_orders[b - f])
-                for m, v in enumerate(entry_tors):
-                    if (kill * v) % A.tors_orders[m]:
-                        raise InvalidRing(
-                            f"product entry ({a},{b}) breaks bilinearity")
+    for (a, b), (entry_free, entry_tors) in zip(pairs(f + t), A.mult):
+        if b >= f:  # a <= b, so b is torsion whenever one of the two is
+            if any(any(c) for c in entry_free):
+                raise InvalidRing("torsion ideal is not closed")
+            kill = A.tors_orders[b - f]
+            if a >= f:
+                kill = gcd(A.tors_orders[a - f], kill)
+            for m, v in enumerate(entry_tors):
+                if (kill * v) % A.tors_orders[m]:
+                    raise InvalidRing(
+                        f"product entry ({a},{b}) breaks bilinearity")
     # zeta-compatibility: (zeta t_j) * b = zeta * (t_j * b) on torsion coords
     zeta = base.zeta()
     for tj in basis[f:]:
@@ -412,37 +403,38 @@ def nil_torsion(A: TnModel) -> TorsionIdeal:
     Each component is built as a ``RadicalRing``, so ``validate_radical``
     still checks it, nilpotency included."""
     orders, t = A.tors_orders, A.ntors()
-    pairs = [factorize(o).pairs for o in orders]
+    factors = [factorize(o).pairs for o in orders]
     comps = []
-    for p in sorted({p for pp in pairs for p, _ in pp}):
+    for p in sorted({p for pp in factors for p, _ in pp}):
         idx = [j for j, o in enumerate(orders) if o % p == 0]
-        if any(len(pairs[j]) != 1 for j in idx):
+        if any(len(factors[j]) != 1 for j in idx):
             raise InvalidRing("torsion orders must be prime powers")
         idx.sort(key=lambda j: -orders[j])
-        mult = []
-        for a, i in enumerate(idx):
-            for j in idx[a:]:
-                lo, hi = min(i, j), max(i, j)
-                vec = [v % n for v, n in zip(
-                    A._tors_mult[lo * t - lo * (lo - 1) // 2 + hi - lo], orders)]
-                if any(v and orders[m] % p for m, v in enumerate(vec)):
-                    raise InvalidRing(
-                        f"product of torsion symbols {i}, {j} leaves the {p}-part")
-                mult.append(tuple(vec[m] for m in idx))
-        exponents = tuple(pairs[j][0][1] for j in idx)
-        comps.append(RadicalRing(p, exponents, tuple(mult),
+
+        def entry(a, b):
+            i, j = idx[a], idx[b]
+            vec = [v % n for v, n in zip(pair_entry(A._tors_mult, t, i, j), orders)]
+            if any(v and orders[m] % p for m, v in enumerate(vec)):
+                raise InvalidRing(
+                    f"product of torsion symbols {i}, {j} leaves the {p}-part")
+            return tuple(vec[m] for m in idx)
+
+        exponents = tuple(factors[j][0][1] for j in idx)
+        comps.append(RadicalRing(p, exponents, pair_table(len(idx), entry),
                                  name=f"{A.name or 'model'} torsion {p}-part"))
     return TorsionIdeal(tuple(comps))
 
 
 @lru_cache(maxsize=32)  # bounded, like _torsion_unit_data
 def adjoint_of_nil_torsion(A: TnModel) -> FinAbGroup:
-    """Group structure of 1 + N_tors, computed inside the model once; the
-    torsion-unit sweep takes its 1 + N_tors from the same cache."""
-    # 1 + u <-> u turns (1 + u)(1 + v) = 1 + (u + v + uv) into u o v
-    elems = [x[1] for x in A.torsion_elements()]
-    circle = compile_product(A._tors_mult, A.tors_orders, circle=True)
-    return abelian_structure(elems, circle, (0,) * A.ntors())
+    """Group structure of 1 + N_tors, the adjoint group of N_tors, computed
+    once per model; the torsion-unit sweep takes its 1 + N_tors from the
+    same cache.  Products across primes vanish, so N_tors is the direct
+    product of its components and 1 + N_tors that of their adjoint groups."""
+    group = FinAbGroup.trivial()
+    for c in A.n_tors.components:
+        group = group * c.adjoint_group()
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -732,13 +724,13 @@ def build_construction_model(k: int, H: FinAbGroup, name: str = "") -> TnModel:
                 col[offset:offset + lam] = [-c % qe for c in lifted[:lam]]
             scalar_cols.append(tuple(col))
     base = CycloBase(k)
-    # the pairs u u, then u t_j, then t_j t_j'
-    entries = ([((base.one(),), (0,) * t)]
-               + [((base.zero(),), tuple(int(m == j) for m in range(t)))
-                  for j in range(t)]
-               + [((base.zero(),), (0,) * t)] * (t * (t + 1) // 2))
+
+    def entry(a, b):  # basis 0 is u = 1, basis j > 0 is t_(j-1); t_j t_j' = 0
+        return ((base.one() if b == 0 else base.zero(),),
+                tuple(int(a == 0 and m == b - 1) for m in range(t)))
+
     model = TnModel(k, ("u",), tuple(tors_names), tuple(tors_orders),
-                    tuple(scalar_cols), tuple(entries),
+                    tuple(scalar_cols), pair_table(1 + t, entry),
                     name=name or f"construction(k={k}, H={format_group(H)})")
     assert model.n_tors.additive_group() == H, "construction failed to realise H"
     assert adjoint_of_nil_torsion(model) == H

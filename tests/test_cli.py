@@ -205,7 +205,9 @@ class TestModels:
     def test_one_plus_n_recovered_once_per_model(self, capsys, tmp_path,
                                                  monkeypatch):
         # the report's 1 + N_tors and the unit sweep share one structure
-        # recovery; B*_tors and A*_tors take one each
+        # recovery, run by the component's RadicalRing.adjoint_group;
+        # B*_tors and A*_tors take one each
+        import fuchs.radical as radical
         import fuchs.tnlab as tnlab
         path = tmp_path / "c.tn"
         path.write_text(tnlab.build_construction_model(
@@ -214,8 +216,9 @@ class TestModels:
         tnlab.adjoint_of_nil_torsion.cache_clear()
         calls = []
         inner = tnlab.abelian_structure
-        monkeypatch.setattr(tnlab, "abelian_structure",
-                            lambda *args: calls.append(1) or inner(*args))
+        for module in (tnlab, radical):
+            monkeypatch.setattr(module, "abelian_structure",
+                                lambda *args: calls.append(1) or inner(*args))
         code, doc = run_json(capsys, "model", str(path))
         assert code == 0 and doc["torsion_units"] == "Z/4Z x Z/13Z"
         assert len(calls) == 3
@@ -315,6 +318,7 @@ _MALFORMED = {
     "ring-mult-not-integer": (
         _edit(_RING, "mult[1][2] = 0 1", "mult[1][2] = 0 1/2"), "mult[1][2]"),
     "ring-prime-not-integer": ("prime = p\n" + _RING, "prime"),
+    "ring-with-prime": ("prime = 7\n" + _RING, "'prime'"),
 }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,16 @@ def test_every_cache_of_the_package_is_bounded():
     unbounded = [name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+
+
+def test_every_cache_is_named_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    start = readme.index("These are all the process-level caches")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    missing = [name for name in _lru_caches()
+               if f"`{name.removeprefix('fuchs.')}`" not in paragraph]
+    assert missing == []
 
 
 def _literal(n: int) -> str:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuchs.caps import CapExceeded
-from fuchs.numtheory import (CycloPoly, HypothesisViolated,
+from fuchs.numtheory import (HypothesisViolated,
                              admissible_ps_factors, cyclotomic_poly,
                              divisors, euler_phi, factor_cyclo_mod, factorize,
                              hensel_lift_factor, is_fermat_prime, is_prime,
@@ -23,7 +23,7 @@ def moebius(n: int) -> int:
     return -1 if len(f.pairs) % 2 else 1
 
 
-def cyclotomic_poly_mobius(n: int) -> CycloPoly:
+def cyclotomic_poly_mobius(n: int) -> tuple[int, ...]:
     """Phi_n by the Moebius product formula, the independent reference for
     ``cyclotomic_poly``'s recursive division."""
     num = [1]
@@ -35,7 +35,7 @@ def cyclotomic_poly_mobius(n: int) -> CycloPoly:
             num = poly_mul(num, f)
         elif mu == -1:
             den = poly_mul(den, f)
-    return CycloPoly(n, tuple(poly_divmod_exact(num, den)))
+    return tuple(poly_divmod_exact(num, den))
 
 
 class TestFactorization:
@@ -93,15 +93,15 @@ class TestFermat:
 
 class TestCyclotomic:
     def test_examples(self):
-        assert cyclotomic_poly(4).coefficients == (1, 0, 1)
-        assert cyclotomic_poly(8).coefficients == (1, 0, 0, 0, 1)
-        assert cyclotomic_poly(15).coefficients == (1, -1, 0, 1, -1, 1, 0, -1, 1)
+        assert cyclotomic_poly(4) == (1, 0, 1)
+        assert cyclotomic_poly(8) == (1, 0, 0, 0, 1)
+        assert cyclotomic_poly(15) == (1, -1, 0, 1, -1, 1, 0, -1, 1)
 
     def test_degree_sum_and_special_values(self):
         for n in range(1, 201):
-            assert sum(len(cyclotomic_poly(d).coefficients) - 1
+            assert sum(len(cyclotomic_poly(d)) - 1
                        for d in divisors(n)) == n
-            coeffs = cyclotomic_poly(n).coefficients
+            coeffs = cyclotomic_poly(n)
             # classical values: Phi_1(0) = -1, Phi_n(0) = 1 for n >= 2;
             # Phi_n(1) = p exactly on prime powers, 1 otherwise
             assert coeffs[0] == (-1 if n == 1 else 1)
@@ -114,14 +114,13 @@ class TestCyclotomic:
 
     def test_two_routes_agree(self):
         for n in range(1, 201):
-            assert cyclotomic_poly(n).coefficients == \
-                cyclotomic_poly_mobius(n).coefficients
+            assert cyclotomic_poly(n) == cyclotomic_poly_mobius(n)
 
     def test_product_over_divisors_is_xn_minus_1(self):
         for n in (12, 30, 64, 97):
             acc = [1]
             for d in divisors(n):
-                acc = poly_mul(acc, list(cyclotomic_poly(d).coefficients))
+                acc = poly_mul(acc, list(cyclotomic_poly(d)))
             assert acc == [-1] + [0] * (n - 1) + [1]
 
 
@@ -153,7 +152,7 @@ class TestFactorCycloMod:
                     acc = [c % q for c in poly_mul(acc, list(f))]
                     while acc and acc[-1] == 0:
                         acc.pop()
-                target = [c % q for c in cyclotomic_poly(n).coefficients]
+                target = [c % q for c in cyclotomic_poly(n)]
                 assert acc == target
 
     def test_deterministic(self):
@@ -241,6 +240,12 @@ class TestMersenneDivisors:
             for d in mersenne_divisor_set(m):
                 assert m % d == 0 and gcd(d, m // d) == 1
                 assert _is_mersenne_product(d)
+
+    def test_complete(self):
+        for m in range(2, 5001, 2):
+            assert mersenne_divisor_set(m) == [
+                d for d in divisors(m)
+                if gcd(d, m // d) == 1 and _is_mersenne_product(d)], m
 
 
 def _is_mersenne_product(d):

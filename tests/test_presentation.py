@@ -31,6 +31,12 @@ class TestRingDocuments:
         with pytest.raises(PresentationError):
             parse_ring_document("kind = ring\nbasis_orders = 4 2\none = 1 0\n")
 
+    def test_key_of_the_other_kind_rejected(self):
+        # a radical ring has no identity, so its document has no `one` row
+        text = RadicalRing(2, (2,), ((2,),)).to_presentation() + "one = 1\n"
+        with pytest.raises(PresentationError, match="'one'"):
+            RadicalRing.from_presentation(text)
+
     def test_comments_and_spacing(self):
         doc = parse_ring_document(
             "# header\nkind = radical\nprime = 2\nbasis_orders = 4\n"

@@ -13,7 +13,7 @@ import pytest
 import fuchs
 from fuchs.abelian import FgAbGroup, FinAbGroup
 from fuchs.finring import FinCommRing, LocalData, NotLocal
-from fuchs.numtheory import CycloPoly, Factorization, PsFactor
+from fuchs.numtheory import Factorization, PsFactor
 from fuchs.radical import RadicalRing, SmallTheoremReport
 from fuchs.realize import GeClass, NotInClass
 from fuchs.record import Frozen, Record
@@ -45,9 +45,6 @@ CASES = [
     case(Factorization, {"pairs": ((2, 3), (5, 1))},
          "Factorization(pairs=((2, 3), (5, 1)))",
          differ={"pairs": ((2, 1),)}),
-    case(CycloPoly, {"n": 4, "coefficients": (1, 0, 1)},
-         "CycloPoly(n=4, coefficients=(1, 0, 1))",
-         differ={"n": 8, "coefficients": (1, 0, 0, 0, 1)}),
     case(PsFactor, {"value": 7, "kind": "prime_power_minus_one", "p": 2,
                     "exp": 3},
          "PsFactor(value=7, kind='prime_power_minus_one', p=2, exp=3)",

@@ -1,5 +1,6 @@
-"""The compiled product, transport and associator kernels against their
-``table_mul`` references, and where product kernels are compiled."""
+"""The pair layout, the compiled product, transport and associator kernels
+against their ``table_mul`` references, and where product kernels are
+compiled."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from fuchs.cli import main
 from fuchs.finring import build_corpus, unitalization, zn_ring
 from fuchs.radical import enumerate_radical_rings
 from fuchs.table import (TableRing, associators, compile_product,
-                         compile_transport, table_mul)
+                         compile_transport, pair_entry, pair_table, pairs,
+                         table_mul)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -45,6 +47,23 @@ def _pairs(ring, rng):
     for _ in range(200):
         yield (tuple(rng.randrange(n) for n in orders),
                tuple(rng.randrange(n) for n in orders))
+
+
+class TestPairLayout:
+    @pytest.mark.parametrize("r", range(7))
+    def test_helpers_agree_with_table_mul(self, r):
+        def product(i, j):  # a different vector for every pair
+            return tuple((10 * i + j + m) % 97 for m in range(r))
+
+        assert len(pairs(r)) == r * (r + 1) // 2
+        mult = pair_table(r, product)
+        orders = (97,) * r
+        basis = [tuple(int(m == i) for m in range(r)) for i in range(r)]
+        for i in range(r):
+            for j in range(r):
+                expected = product(min(i, j), max(i, j))
+                assert pair_entry(mult, r, i, j) == expected
+                assert table_mul(orders, mult, basis[i], basis[j]) == expected
 
 
 class TestKernelMatchesTableMul:
