@@ -4,8 +4,8 @@
 One value replaces both caps: setting FUCHS_ORACLE_CAP to limit radical
 enumeration (default 625) also sets the unit-group cap (default 4096), so a
 value of 100 makes ``unit_group`` refuse every ring of order above 100.
-The cap on a ``.tn`` document's conductor is fixed: FUCHS_ORACLE_CAP does
-not change it.
+The cap on a ``.tn`` document's conductor and the cap on the TN
+torsion-unit sweep are fixed: FUCHS_ORACLE_CAP does not change them.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ UNIT_GROUP_CAP = 2 ** 12
 # dense list of k + 1 integers; every shipped, test and benchmark model
 # has k <= 8
 TN_CONDUCTOR_CAP = 256
+# root-of-unity tuples the TN B*_tors sweep may try, each with an integer
+# solve; Z[i][C_5] tries 640,000, every shipped and test model at most 576
+TN_UNIT_CANDIDATE_CAP = 2 ** 20
 
 
 def oracle_cap(default: int) -> int:

@@ -21,7 +21,8 @@ from .caps import UNIT_GROUP_CAP, CapExceeded, oracle_cap
 from .numtheory import HypothesisViolated, factorize, is_prime, is_prime_power
 from .radical import RadicalRing, radical_ring_from_mult
 from .record import Frozen, _set
-from .table import InvalidRing, TableRing, pair_table, read_table_document
+from .table import InvalidRing, TableRing, pair_table
+from . import presentation
 
 
 class FinCommRing(TableRing, Frozen):
@@ -48,12 +49,15 @@ class FinCommRing(TableRing, Frozen):
         validate_ring(self)
 
     def to_presentation(self) -> str:
-        return self.table_document("ring", one=self.one)
+        return presentation.format_ring_document(
+            "ring", self.basis_orders, self.mult, one=self.one, name=self.name)
 
     @classmethod
     def from_presentation(cls, text: str) -> "FinCommRing":
-        doc, mult = read_table_document(text, "ring", "unital-ring")
-        return cls(tuple(doc["basis_orders"]), mult, tuple(doc["one"]),
+        doc = presentation.parse_ring_document(text)
+        if doc["kind"] != "ring":
+            raise InvalidRing("not a unital-ring document")
+        return cls(doc["basis_orders"], doc["mult"], doc["one"],
                    name=doc.get("name", ""))
 
     def __str__(self):

@@ -20,6 +20,10 @@ comment.  Three kinds are supported:
     are integer polynomials in ``z`` (the base root of unity), e.g.
     ``(1+2z^2)*x``; values on torsion symbols are plain integers.
 
+Ring tables arrive and leave in the pair order of ``table.pairs``, and the
+TN products leave in it, over the free then the torsion symbols.  A key
+other than a ``mult`` or ``scalar_action`` row may appear only once.
+
 Round-trip guarantee: ``parse(print(obj)) == obj`` for every emitted
 document.
 """
@@ -29,17 +33,30 @@ from __future__ import annotations
 import re
 
 from .caps import TN_CONDUCTOR_CAP, CapExceeded
+from .table import pairs
 
 
 class PresentationError(ValueError):
     pass
 
 
-def _strip_lines(text: str):
+def _entries(text: str):
+    """(key, value, line) per line with content; rows are left to their
+    parsers, which know when two spellings name one entry."""
+    seen = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+        if not line:
+            continue
+        if "=" not in line:
+            raise PresentationError(f"bad line: {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if not key.startswith(("mult", "scalar_action")):
+            if key in seen:
+                raise PresentationError(f"repeated key {key!r}")
+            seen.add(key)
+        yield key, value.strip(), line
 
 
 def _int(token: str, where: str) -> int:
@@ -58,20 +75,17 @@ _MULT_RE = re.compile(r"^mult\[(\d+)\]\[(\d+)\]$")
 
 
 def parse_ring_document(text: str) -> dict:
-    """Parse a ``radical`` or ``ring`` document into a plain dict."""
-    fields: dict = {"mult": {}}
-    for line in _strip_lines(text):
-        if "=" not in line:
-            raise PresentationError(f"bad line: {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    """Parse a ``radical`` or ``ring`` document into a plain dict; ``mult``
+    is the table in the pair order of ``table.pairs``."""
+    fields: dict = {}
+    rows = {}  # (i, j), 1-based -> coordinate vector
+    for key, value, _ in _entries(text):
         m = _MULT_RE.match(key)
         if m:
             i, j = int(m.group(1)), int(m.group(2))
-            if (i, j) in fields["mult"]:
+            if (i, j) in rows:
                 raise PresentationError(f"repeated key {key!r}")
-            fields["mult"][(i, j)] = _intvec(value, key)
+            rows[(i, j)] = _intvec(value, key)
         elif key == "kind":
             fields["kind"] = value
         elif key == "prime":
@@ -96,14 +110,14 @@ def parse_ring_document(text: str) -> dict:
         raise PresentationError(
             f"key {foreign!r} does not belong in a {fields['kind']} document")
     r = len(fields["basis_orders"])
-    for i, j in fields["mult"]:
+    for i, j in rows:
         if not 1 <= i <= j <= r:
             raise PresentationError(
                 f"mult[{i}][{j}] needs indices 1 <= i <= j <= {r}")
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            if (i, j) not in fields["mult"]:
-                raise PresentationError(f"missing mult[{i}][{j}]")
+    for i, j in pairs(r):
+        if (i + 1, j + 1) not in rows:
+            raise PresentationError(f"missing mult[{i + 1}][{j + 1}]")
+    fields["mult"] = tuple(rows[i + 1, j + 1] for i, j in pairs(r))
     return fields
 
 
@@ -117,11 +131,8 @@ def format_ring_document(kind: str, basis_orders, mult, one=None, prime=None, na
     lines.append("basis_orders = " + " ".join(str(n) for n in basis_orders))
     if one is not None:
         lines.append("one = " + " ".join(str(c) for c in one))
-    r = len(basis_orders)
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            vec = mult[(i, j)]
-            lines.append(f"mult[{i}][{j}] = " + " ".join(str(c) for c in vec))
+    for (i, j), vec in zip(pairs(len(basis_orders)), mult):
+        lines.append(f"mult[{i + 1}][{j + 1}] = " + " ".join(str(c) for c in vec))
     return "\n".join(lines) + "\n"
 
 
@@ -269,12 +280,7 @@ def parse_tn_document(text: str) -> dict:
     ``mult`` key two basis symbols, each key given at most once."""
     fields: dict = {"scalar_action": {}, "mult": {}}
     pending = []
-    for line in _strip_lines(text):
-        if "=" not in line:
-            raise PresentationError(f"bad line: {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for key, value, line in _entries(text):
         words = key.split()
         if key == "kind":
             fields["kind"] = value
@@ -292,14 +298,14 @@ def parse_tn_document(text: str) -> dict:
         elif key == "free_basis":
             fields["free_basis"] = tuple(value.split())
         elif key == "tors_basis":
-            pairs = []
+            symbols = []
             for tok in value.split():
                 nm, _, order = tok.partition(":")
                 order = _int(order, f"torsion order of {nm}")
                 if order < 2:
                     raise PresentationError(f"torsion order of {nm} must be >= 2")
-                pairs.append((nm, order))
-            fields["tors_basis"] = tuple(pairs)
+                symbols.append((nm, order))
+            fields["tors_basis"] = tuple(symbols)
         elif words and words[0] in ("scalar_action", "mult"):
             if len(words) != (2 if words[0] == "scalar_action" else 3):
                 raise PresentationError(f"bad key in line {line!r}")
@@ -346,9 +352,7 @@ def format_tn_document(name, conductor, free_names, tors_pairs, scalar_action, m
     tors_names = [nm for nm, _ in tors_pairs]
     for nm in tors_names:
         lines.append(f"scalar_action {nm} = " + format_combination({}, scalar_action[nm]))
-    names = list(free_names) + tors_names
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            free, tors = mult[(a, b)]
-            lines.append(f"mult {a} {b} = " + format_combination(free, tors))
+    names = (*free_names, *tors_names)
+    for (a, b), (free, tors) in zip(pairs(len(names)), mult):
+        lines.append(f"mult {names[a]} {names[b]} = " + format_combination(free, tors))
     return "\n".join(lines) + "\n"

@@ -27,7 +27,8 @@ from .caps import RADICAL_ENUM_CAP, CapExceeded, oracle_cap
 from .numtheory import HypothesisViolated, factorize, is_prime, is_prime_power
 from .record import Frozen, Record, _set
 from .table import (InvalidRing, TableRing, associators, compile_transport,
-                    pair_entry, pair_table, read_table_document, table_mul)
+                    pair_entry, pair_table, table_mul)
+from . import presentation
 
 
 class RadicalRing(TableRing, Frozen):
@@ -66,11 +67,14 @@ class RadicalRing(TableRing, Frozen):
         return abelian_structure(list(self.elements()), self.circle, self.zero())
 
     def to_presentation(self) -> str:
-        return self.table_document("radical", prime=self.p)
+        return presentation.format_ring_document(
+            "radical", self._orders, self.mult, prime=self.p, name=self.name)
 
     @classmethod
     def from_presentation(cls, text: str) -> "RadicalRing":
-        doc, mult = read_table_document(text, "radical", "radical-ring")
+        doc = presentation.parse_ring_document(text)
+        if doc["kind"] != "radical":
+            raise InvalidRing("not a radical-ring document")
         p = doc["prime"]
         exponents = []
         for n in doc["basis_orders"]:
@@ -78,7 +82,7 @@ class RadicalRing(TableRing, Frozen):
             if pe is None or pe[0] != p:
                 raise InvalidRing(f"basis order {n} is not a power of {p}")
             exponents.append(pe[1])
-        return cls(p, tuple(exponents), mult, name=doc.get("name", ""))
+        return cls(p, tuple(exponents), doc["mult"], name=doc.get("name", ""))
 
     def __str__(self):
         label = self.name or "radical ring"

@@ -7,9 +7,11 @@ radical rings, unital rings and the flat tables of TN models alike:
 ``pairs(r)`` lists the pairs in table order, ``pair_table(r, product)``
 builds a table from a function of the pair, and ``pair_entry`` reads the
 entry of x_i * x_j in either order.  No other module spells the layout
-out.  :class:`TableRing` turns such a table into element arithmetic and
-the checks every table must pass; ``RadicalRing`` and ``FinCommRing`` add
-their own invariants on top.
+out.  This is the lowest layer: it imports only ``abelian``, and the text
+documents of ``presentation`` read and write their tables through
+``pairs``.  :class:`TableRing` turns such a table into element arithmetic
+and the checks every table must pass; ``RadicalRing`` and ``FinCommRing``
+add their own invariants on top.
 
 Two products read a table.  ``table_mul`` walks it on every call; it serves
 code that touches a table only a few times (nilpotency and filtration
@@ -42,7 +44,6 @@ from math import gcd, prod
 from operator import index
 
 from .abelian import FinAbGroup
-from . import presentation
 
 
 class InvalidRing(ValueError):
@@ -281,16 +282,6 @@ def _associator_kernel(r: int):
     return _define("associators", "mult, orders", lines)
 
 
-def read_table_document(text: str, kind: str, what: str):
-    """Parse a ring document of the given kind; returns (doc, mult)."""
-    doc = presentation.parse_ring_document(text)
-    if doc["kind"] != kind:
-        raise InvalidRing(f"not a {what} document")
-    mult = pair_table(len(doc["basis_orders"]),
-                      lambda i, j: doc["mult"][(i + 1, j + 1)])
-    return doc, mult
-
-
 class TableRing:
     """Element arithmetic over a structure-constant table.
 
@@ -356,9 +347,3 @@ class TableRing:
         for (i, j, k), assoc in associators(orders, self.mult):
             if any(assoc):
                 raise InvalidRing(f"associativity fails at ({i},{j},{k})")
-
-    def table_document(self, kind: str, **header) -> str:
-        table = {(i + 1, j + 1): c
-                 for (i, j), c in zip(pairs(len(self._orders)), self.mult)}
-        return presentation.format_ring_document(
-            kind, self._orders, table, name=self.name or None, **header)

@@ -40,6 +40,7 @@ from math import gcd, lcm, prod
 
 from .abelian import (FinAbGroup, abelian_structure, format_group,
                       group_from_relations, smith_normal_form)
+from .caps import TN_UNIT_CANDIDATE_CAP, CapExceeded
 from .numtheory import (HypothesisViolated, _pdivmod, cyclotomic_poly,
                         factor_cyclo_mod, factorize, hensel_lift_factor,
                         mult_order, poly_mul)
@@ -108,11 +109,12 @@ class CycloBase(Frozen):
 class TnModel(Frozen):
     """TN ring model: free power basis over Z[zeta_k] plus torsion symbols.
 
-    ``free_names[0]`` is the multiplicative identity.  ``mult`` maps basis
-    name pairs to (free coefficients, torsion coordinates); products that
-    touch a torsion symbol must stay inside the torsion ideal.  ``mul`` is
-    the product compiled from that table when the model is built (module
-    docstring); like ``name``, it takes no part in equality or hashing.
+    ``free_names[0]`` is the multiplicative identity.  ``mult`` holds
+    (free coefficients, torsion coordinates) per basis pair, in the
+    ``table.pairs`` layout; products that touch a torsion symbol must stay
+    inside the torsion ideal.  ``mul`` is the product compiled from that
+    table when the model is built (module docstring); like ``name``, it
+    takes no part in equality or hashing.
     """
 
     _repr_fields = ("conductor", "free_names", "tors_names", "tors_orders",
@@ -135,11 +137,9 @@ class TnModel(Frozen):
         _set(self, "base", CycloBase(conductor))
         _check_layout(self)
         _set(self, "_spow", self._scalar_powers())
-        flat, tors_mult = _flat_table(self)
         shape = ((self.base.degree,) * self.nfree(), self.ntors())
         moduli = (None,) * (self.nfree() * self.base.degree) + tors_orders
-        _set(self, "mul", compile_product(flat, moduli, shape))
-        _set(self, "_tors_mult", tors_mult)
+        _set(self, "mul", compile_product(_flat_table(self), moduli, shape))
         _set(self, "n_tors", validate_model(self))
 
     # layout ----------------------------------------------------------------
@@ -185,18 +185,13 @@ class TnModel(Frozen):
     # text format -------------------------------------------------------------
 
     def to_presentation(self) -> str:
-        scalar = {}
-        for j, nm in enumerate(self.tors_names):
-            scalar[nm] = {self.tors_names[m]: v
-                          for m, v in enumerate(self.scalar_action[j]) if v}
-        table = {}
-        names = (*self.free_names, *self.tors_names)
-        for (a, b), (entry_free, entry_tors) in zip(pairs(len(names)), self.mult):
-            fmap = {self.free_names[e]: tuple(coeff)
-                    for e, coeff in enumerate(entry_free) if any(coeff)}
-            tmap = {self.tors_names[m]: v
-                    for m, v in enumerate(entry_tors) if v}
-            table[(names[a], names[b])] = (fmap, tmap)
+        def tors_map(coords):
+            return {nm: v for nm, v in zip(self.tors_names, coords) if v}
+
+        scalar = {nm: tors_map(col)
+                  for nm, col in zip(self.tors_names, self.scalar_action)}
+        table = [({nm: coeff for nm, coeff in zip(self.free_names, free)
+                   if any(coeff)}, tors_map(tors)) for free, tors in self.mult]
         return presentation.format_tn_document(
             self.name or "model", self.conductor, self.free_names,
             tuple(zip(self.tors_names, self.tors_orders)), scalar, table)
@@ -223,8 +218,6 @@ class TnModel(Frozen):
             if key not in doc["mult"]:
                 raise InvalidRing(f"missing mult {a} {b}")
             fmap, tmap = doc["mult"][key]
-            if (a in tors_names or b in tors_names) and fmap:
-                raise InvalidRing(f"product {a}*{b} leaves the torsion ideal")
             free = tuple(base.reduce(fmap.get(nm, ())) for nm in free_names)
             tors = tuple(tmap.get(nm, 0) % o
                          for nm, o in zip(tors_names, tors_orders))
@@ -269,14 +262,12 @@ def _scalar_apply(A: TnModel, coeff, tors_vec):
 def _flat_table(A: TnModel):
     """Structure constants of the product over the flat Z-basis.
 
-    Returns ``(flat, tors_mult)``, both in the pair layout of
-    ``table.table_mul``.  ``flat`` holds the product of flat basis vectors
-    p <= q: the free coordinates zeta^d e_i come first (index
-    i * phi(k) + d, F of them), the torsion coordinates t_j after (index
-    F + j, reduced mod its order).  ``tors_mult`` is the t_j * t_j' block.
-    Each constant is computed with the nested table, the arithmetic of
-    Z[zeta_k] and the zeta action, exactly as the product of those two basis
-    elements would be.
+    The table, in the pair layout of ``table.pairs``, holds the product of
+    flat basis vectors p <= q: the free coordinates zeta^d e_i come first
+    (index i * phi(k) + d, F of them), the torsion coordinates t_j after
+    (index F + j, reduced mod its order).  Each constant is computed with
+    the nested table, the arithmetic of Z[zeta_k] and the zeta action,
+    exactly as the product of those two basis elements would be.
     """
     f, t, base = A.nfree(), A.ntors(), A.base
     deg = base.degree
@@ -302,9 +293,7 @@ def _flat_table(A: TnModel):
             tors = _scalar_apply(A, c, entry_tors)
         return tuple(free) + tuple(v % n for v, n in zip(tors, A.tors_orders))
 
-    flat = pair_table(F + t, product)
-    tors_mult = pair_table(t, lambda j, j2: pair_entry(mult, n, f + j, f + j2)[1])
-    return flat, tors_mult
+    return pair_table(F + t, product)
 
 
 def validate_model(A: TnModel) -> "TorsionIdeal":
@@ -397,12 +386,12 @@ def nil_torsion(A: TnModel) -> TorsionIdeal:
     coordinates.  The torsion part is the direct sum of the Z/o_j, so its
     p-part is spanned by the symbols t_j with p | o_j; sorted by decreasing
     order they are a basis of the component, and its structure constants
-    are the ``_tors_mult`` entries on those rows and columns.  A product
-    with a coordinate outside its own prime raises InvalidRing
-    (bilinearity, checked before, already makes those coordinates 0).
-    Each component is built as a ``RadicalRing``, so ``validate_radical``
-    still checks it, nilpotency included."""
-    orders, t = A.tors_orders, A.ntors()
+    are the torsion parts of the ``mult`` entries on those rows and
+    columns.  A product with a coordinate outside its own prime raises
+    InvalidRing (bilinearity, checked before, already makes those
+    coordinates 0).  Each component is built as a ``RadicalRing``, so
+    ``validate_radical`` still checks it, nilpotency included."""
+    orders, f, t = A.tors_orders, A.nfree(), A.ntors()
     factors = [factorize(o).pairs for o in orders]
     comps = []
     for p in sorted({p for pp in factors for p, _ in pp}):
@@ -413,7 +402,8 @@ def nil_torsion(A: TnModel) -> TorsionIdeal:
 
         def entry(a, b):
             i, j = idx[a], idx[b]
-            vec = [v % n for v, n in zip(pair_entry(A._tors_mult, t, i, j), orders)]
+            tors = pair_entry(A.mult, f + t, f + i, f + j)[1]
+            vec = [v % n for v, n in zip(tors, orders)]
             if any(v and orders[m] % p for m, v in enumerate(vec)):
                 raise InvalidRing(
                     f"product of torsion symbols {i}, {j} leaves the {p}-part")
@@ -574,6 +564,12 @@ def _b_torsion_units(A: TnModel, B: _BaseAlgebra) -> list:
             components.append((L, big, s))
     if not components:
         raise HypothesisViolated("generator relation has no root-of-unity roots")
+    # the sweep tries every tuple of roots of unity, lcm(2, L) per component
+    candidates = prod(lcm(2, L) for L, _, _ in components)
+    if candidates > TN_UNIT_CANDIDATE_CAP:
+        raise CapExceeded(
+            f"B*_tors sweep of {candidates} root-of-unity tuples is above the "
+            f"cap {TN_UNIT_CANDIDATE_CAP}")
 
     # embedding matrix: column (e, d) is the image of zeta_k^d x^e, stacked
     # over the components

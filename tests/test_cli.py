@@ -300,11 +300,20 @@ _MALFORMED = {
     "tn-repeated-mult-swapped": (_TN + "mult y u = y\n", "'mult y u = y'"),
     "tn-repeated-scalar": (_TN + "scalar_action y = y\n", "'scalar_action y = y'"),
     "tn-missing-free-basis": (_edit(_TN, "free_basis = u\n", ""), "free_basis"),
+    "tn-missing-mult": (_edit(_TN, "mult y y = 0\n", ""), "missing mult y y"),
+    # a header key given twice is refused, not overwritten by the last value
+    "tn-repeated-conductor": (_TN + "conductor = 1\n", "repeated key 'conductor'"),
+    "tn-repeated-free-basis": (
+        _TN + "free_basis = u\n", "repeated key 'free_basis'"),
+    "ring-repeated-basis-orders": (
+        _RING + "basis_orders = 6 6\n", "repeated key 'basis_orders'"),
     "ring-mult-i-above-j": (_RING + "mult[2][1] = 0 1\n", "mult[2][1]"),
     "ring-mult-index-above-rank": (_RING + "mult[1][3] = 0 0\n", "mult[1][3]"),
     "ring-mult-index-zero": (_RING + "mult[0][1] = 0 0\n", "mult[0][1]"),
     "ring-repeated-mult": (_RING + "mult[1][2] = 0 1\n", "mult[1][2]"),
     "ring-missing-one": (_edit(_RING, "one = 1 0\n", ""), "one"),
+    "ring-missing-mult": (
+        _edit(_RING, "mult[2][2] = 0 0\n", ""), "missing mult[2][2]"),
     # a malformed number names its key or symbol
     "tn-torsion-order-missing": (
         _edit(_TN, "tors_basis = y:2", "tors_basis = y"), "torsion order of y"),

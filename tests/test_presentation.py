@@ -41,7 +41,7 @@ class TestRingDocuments:
         doc = parse_ring_document(
             "# header\nkind = radical\nprime = 2\nbasis_orders = 4\n"
             "mult[1][1] = 2   # x*x = 2x\n")
-        assert doc["mult"][(1, 1)] == (2,)
+        assert doc["mult"] == ((2,),)
 
 
 class TestCombinations:

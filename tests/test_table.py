@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import gc
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,22 @@ class TestPairLayout:
                 expected = product(min(i, j), max(i, j))
                 assert pair_entry(mult, r, i, j) == expected
                 assert table_mul(orders, mult, basis[i], basis[j]) == expected
+
+    def test_only_table_spells_out_the_layout(self):
+        # the loops and index arithmetic of the pair layout, as other
+        # modules wrote them before they went through ``pairs``
+        layout = re.compile(
+            r"range\((i|j|a|p), |\((i|lo) - 1\) // 2|\+ 1\) // 2|names\[i:\]")
+        src = Path(table.__file__).parent
+        hits = [f"{path.name}:{n}: {line.strip()}"
+                for path in sorted(src.glob("*.py")) if path.name != "table.py"
+                for n, line in enumerate(
+                    path.read_text(encoding="utf-8").splitlines(), 1)
+                if layout.search(line)]
+        assert hits == []
+        # ``table`` is the lowest layer: documents go through it, not back
+        own = (src / "table.py").read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(from|import)\b.*presentation", own, re.M)
 
 
 class TestKernelMatchesTableMul:

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 from fuchs.abelian import FinAbGroup, group_from_relations
+from fuchs.caps import TN_UNIT_CANDIDATE_CAP, CapExceeded
 from fuchs.numtheory import (HypothesisViolated, factor_cyclo_mod, factorize,
                              mult_order)
 from fuchs.radical import radical_ring_from_mult
-from fuchs.table import InvalidRing, table_mul
+from fuchs.table import InvalidRing, pairs
 from fuchs.tnlab import (CycloBase, PrimePowerIdealQuotient, TnModel,
                          _BaseAlgebra, _torsion_unit_data,
                          adjoint_of_nil_torsion, build_construction_model,
@@ -325,6 +326,25 @@ mult y y = y
         with pytest.raises(InvalidRing, match="not nilpotent"):
             TnModel.from_presentation(text)
 
+    _UY = """\
+name = uy
+kind = tn
+conductor = 4
+free_basis = u
+tors_basis = y:2
+scalar_action y = y
+mult u u = u
+mult u y = {}
+mult y y = 0
+"""
+
+    def test_free_coefficient_that_reduces_to_zero_is_accepted(self):
+        # 1 + z^2 = Phi_4(z) is 0 in Z[i], so u*y = (1+z^2)*u + y is u*y = y
+        A = TnModel.from_presentation(self._UY.format("(1+z^2)*u + y"))
+        assert A == TnModel.from_presentation(self._UY.format("y"))
+        with pytest.raises(InvalidRing, match="torsion ideal is not closed"):
+            TnModel.from_presentation(self._UY.format("(z)*u + y"))
+
 
 class TestCompiledProduct:
     @pytest.mark.parametrize("A", _kernel_models(), ids=lambda A: A.name)
@@ -512,6 +532,13 @@ class TestTorsionUnitsBeyondTheBase:
         assert len(found) == len(set(found))
         assert set(found) == expected
 
+    def test_sweep_above_the_candidate_cap_raises(self):
+        # Z[C_7]: 2 * 14^6 = 15,059,072 root-of-unity tuples, refused
+        # before the first one is tried
+        A = _group_ring_model(1, 7, False)
+        with pytest.raises(CapExceeded, match=f"cap {TN_UNIT_CANDIDATE_CAP}"):
+            torsion_units(A)
+
 
 def _models_with_torsion():
     """The shipped examples and construction models of one to three primes."""
@@ -533,7 +560,8 @@ def _peeled_component(A, p):
     return radical_ring_from_mult(
         elems, lambda u, v: tuple((a + b) % n for a, b, n in
                                   zip(u, v, A.tors_orders)),
-        (0,) * A.ntors(), lambda u, v: table_mul(A.tors_orders, A._tors_mult, u, v), p)
+        (0,) * A.ntors(),
+        lambda u, v: A.mul(A.from_torsion(u), A.from_torsion(v))[1], p)
 
 
 class TestTorsionIdeal:
@@ -559,14 +587,15 @@ class TestTorsionIdeal:
     def test_product_outside_its_prime_raises(self):
         # a copy: the model itself is a key of the module's caches
         A = copy.copy(build_construction_model(2, G(3, 5, 7)))
-        t = A.ntors()
+        f, t = A.nfree(), A.ntors()
         # put a 5-part coordinate into the square of the order-3 symbol
-        three = A.tors_orders.index(3)
+        three = f + A.tors_orders.index(3)
         five = A.tors_orders.index(5)
-        q = three * t - three * (three - 1) // 2
-        bad = list(A._tors_mult)
-        bad[q] = tuple(1 if m == five else v for m, v in enumerate(bad[q]))
-        object.__setattr__(A, "_tors_mult", tuple(bad))
+        q = pairs(f + t).index((three, three))
+        bad = list(A.mult)
+        free, tors = bad[q]
+        bad[q] = (free, tuple(1 if m == five else v for m, v in enumerate(tors)))
+        object.__setattr__(A, "mult", tuple(bad))
         with pytest.raises(InvalidRing, match="leaves the 3-part"):
             nil_torsion(A)
 
