@@ -24,8 +24,9 @@ UNIT_GROUP_CAP = 2 ** 12
 # dense list of k + 1 integers; every shipped, test and benchmark model
 # has k <= 8
 TN_CONDUCTOR_CAP = 256
-# root-of-unity tuples the TN B*_tors sweep may try, each with an integer
-# solve; Z[i][C_5] tries 640,000, every shipped and test model at most 576
+# root-of-unity tuples the TN B*_tors sweep may try, one root per Galois
+# orbit of components, each tuple with an integer solve; Z[zeta_5][C_5]
+# tries 100,000 and Z[zeta_8][C_8] would try 16,777,216
 TN_UNIT_CANDIDATE_CAP = 2 ** 20
 
 

@@ -23,13 +23,24 @@ product of those components' adjoint groups, since products across primes
 vanish.
 
 B*_tors is computed by embedding B into a product of rings Z[zeta_L], one
-component per root of unity zeta_L^s that annihilates the generator
-relation, and membership of a candidate root-of-unity tuple is decided by
-an exact integer linear solve (the embedding is injective but generally not
-surjective).  Every value in Z[zeta_L] there is a sum of powers zeta_L^s:
-zeta_k is zeta_L^(L/k) and the roots of unity are the +-zeta_L^s, of order
-lcm(2, L) (L. C. Washington, *Introduction to Cyclotomic Fields*, ch. 2).
-So each value is read off its exponents mod L and reduced mod Phi_L once.
+component per Galois orbit of the roots of unity zeta_L^s that annihilate
+the generator relation, and membership of a candidate root-of-unity tuple
+is decided by an exact integer linear solve (the embedding is injective
+but generally not surjective).  An automorphism that fixes Z[zeta_k] sends
+the value at one component of an orbit to its conjugate at another, so one
+component per orbit decides whether an element is a root of unity at all
+of them (G. Higman, "The units of group-rings", 1940, for Z[G]).  Every
+value in Z[zeta_L] there is a sum of powers zeta_L^s: zeta_k is
+zeta_L^(L/k) and the roots of unity are the +-zeta_L^s, of order lcm(2, L)
+(L. C. Washington, *Introduction to Cyclotomic Fields*, ch. 2).  So each
+value is read off its exponents mod L and reduced mod Phi_L once.
+
+A*_tors is built one Sylow subgroup at a time from the exact sequence.  At
+a prime that divides only one of |B*_tors| and |1 + N_tors| the Sylow
+subgroup is that group's, so the sequence can fail to split only at a
+prime they share; only there are the Sylow p-subgroup's elements formed,
+a p-element over each p-element of B*_tors times each element of
+1 + (N_tors)_p, and its type recovered from the multiplication.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd, lcm, prod
 
-from .abelian import (FinAbGroup, abelian_structure, format_group,
+from .abelian import (FinAbGroup, _power, abelian_structure, format_group,
                       group_from_relations, smith_normal_form)
 from .caps import TN_UNIT_CANDIDATE_CAP, CapExceeded
 from .numtheory import (HypothesisViolated, _pdivmod, cyclotomic_poly,
@@ -178,9 +189,11 @@ class TnModel(Frozen):
                 for m, n in enumerate(self.tors_orders)) for row in powers[-1]])
         return powers
 
-    def torsion_elements(self):
-        for coords in iproduct(*(range(n) for n in self.tors_orders)):
-            yield self.from_torsion(coords)
+    def torsion_coords(self, p: int):
+        """Every torsion coordinate tuple of the p-part of N_tors: any
+        value on the symbols of order divisible by p, 0 on the others."""
+        return iproduct(*(range(n) if n % p == 0 else (0,)
+                          for n in self.tors_orders))
 
     # text format -------------------------------------------------------------
 
@@ -208,7 +221,8 @@ class TnModel(Frozen):
         for nm in tors_names:
             row = doc["scalar_action"].get(nm)
             if row is None:
-                raise InvalidRing(f"missing scalar_action for {nm}")
+                raise presentation.PresentationError(
+                    f"missing scalar_action for {nm}")
             scalar.append(tuple(row.get(m, 0) for m in tors_names))
         names = (*free_names, *tors_names)
 
@@ -216,7 +230,7 @@ class TnModel(Frozen):
             a, b = names[ai], names[bi]
             key = (a, b) if (a, b) in doc["mult"] else (b, a)
             if key not in doc["mult"]:
-                raise InvalidRing(f"missing mult {a} {b}")
+                raise presentation.PresentationError(f"missing mult {a} {b}")
             fmap, tmap = doc["mult"][key]
             free = tuple(base.reduce(fmap.get(nm, ())) for nm in free_names)
             tors = tuple(tmap.get(nm, 0) % o
@@ -480,54 +494,67 @@ def _power_basis_relation(B: _BaseAlgebra):
 
 class TorsionUnitData(Record):
     """1 + N_tors and the torsion unit groups of B = A/N_tors and of the
-    model A, each of the last two with its elements."""
+    model A, with the elements of B*_tors and the elements of A*_tors swept
+    at the primes that divide both |B*_tors| and |N_tors|."""
 
     _repr_fields = ("one_plus_n", "b_tors", "a_tors", "b_tors_elements",
-                    "a_tors_elements")
+                    "shared_prime_elements")
 
     def __init__(self, one_plus_n: FinAbGroup, b_tors: FinAbGroup,
                  a_tors: FinAbGroup, b_tors_elements: list,
-                 a_tors_elements: list):
+                 shared_prime_elements: list):
         self.one_plus_n = one_plus_n
         self.b_tors = b_tors
         self.a_tors = a_tors
         self.b_tors_elements = b_tors_elements
-        self.a_tors_elements = a_tors_elements
+        self.shared_prime_elements = shared_prime_elements
 
 
 # bounded; a round of the benchmark's `oracles` workload sweeps 23 models
 @lru_cache(maxsize=32)
 def _torsion_unit_data(A: TnModel) -> TorsionUnitData:
     B = _BaseAlgebra(A)
-    f = A.nfree()
     one = A.one()
-
-    # (1) 1 + N_tors inside the model; its type is the adjoint group's
-    one_plus_n_elements = [(one[0], t[1]) for t in A.torsion_elements()]
     one_plus_n = adjoint_of_nil_torsion(A)
 
-    # (2) torsion units of B through the cyclotomic embedding
-    if f == 1:
+    # torsion units of B through the cyclotomic embedding
+    if A.nfree() == 1:
         b_units = [(z,) for z in _roots_of_unity(A.conductor)]
     else:
         b_units = _b_torsion_units(A, B)
     b_tors = abelian_structure(b_units, B.mul, B.one())
 
-    # (3) lift each torsion unit of B and sweep its 1+N coset.  Units of A
-    # over a unit of B are exactly lift * (1 + N): N is nilpotent, so any
-    # preimage of a unit is a unit, and the fibers partition A*_tors.
-    lifted = set()
-    for bu in b_units:
-        lift = (bu, (0,) * A.ntors())
-        for n in one_plus_n_elements:
-            lifted.add(A.mul(lift, n))
-    assert len(lifted) == len(b_units) * len(one_plus_n_elements)
-    a_tors = abelian_structure(lifted, A.mul, one)
+    # A*_tors one Sylow subgroup at a time.  pi: A*_tors -> B*_tors is onto
+    # with kernel 1 + N_tors: N is nilpotent, so any preimage of a unit is a
+    # unit.  At a prime of only one of the two groups the Sylow subgroup is
+    # that group's; only at a shared prime can the sequence fail to split.
+    # There, with p^v the p-part of |A*_tors| and e = 1 mod p^v,
+    # e = 0 mod |A*_tors| / p^v, u = lift(b)^e is a p-element over each
+    # p-element b of B*_tors, and the u (1 + n), n in (N_tors)_p, are the
+    # Sylow p-subgroup.
+    order = b_tors.order() * one_plus_n.order()
+    no_tors = (0,) * A.ntors()
+    a_tors = FinAbGroup.trivial()
+    swept = []
+    for p in sorted({*b_tors.primes(), *one_plus_n.primes()}):
+        b_syl, n_syl = b_tors.sylow(p), one_plus_n.sylow(p)
+        if n_syl.is_trivial() or b_syl.is_trivial():
+            a_tors = a_tors * b_syl * n_syl
+            continue
+        q = b_syl.order() * n_syl.order()
+        e = order // q * pow(order // q, -1, q)
+        lifts = [_power(A.mul, one, (b, no_tors), e) for b in b_units
+                 if _power(B.mul, B.one(), b, b_syl.order()) == B.one()]
+        sylow = {A.mul(u, (one[0], n)) for u in lifts
+                 for n in A.torsion_coords(p)}
+        assert len(sylow) == q, "Sylow subgroup of A*_tors has the wrong order"
+        swept.extend(sylow)
+        a_tors = a_tors * abelian_structure(sylow, A.mul, one)
     # order bound: u^exp(B*_tors) lands in 1+N_tors, so the exponent of
     # A*_tors divides exp(B*_tors) * exp(1+N_tors)
     assert (b_tors.exponent() * one_plus_n.exponent()) % a_tors.exponent() == 0, \
         "torsion unit order exceeded the exact-sequence bound"
-    return TorsionUnitData(one_plus_n, b_tors, a_tors, b_units, list(lifted))
+    return TorsionUnitData(one_plus_n, b_tors, a_tors, b_units, swept)
 
 
 def _b_torsion_units(A: TnModel, B: _BaseAlgebra) -> list:
@@ -547,11 +574,24 @@ def _b_torsion_units(A: TnModel, B: _BaseAlgebra) -> list:
             raise HypothesisViolated("generator has no small multiplicative order")
     M = order
 
-    # components: x -> zeta_M^j = zeta_L^s for every j with h(zeta_M^j) = 0,
-    # where L = lcm(k, ord(zeta_M^j)) and zeta_k = zeta_L^(L/k); h(rho) =
-    # rho^f - sum tail_e(zeta_k) rho^e is added up by exponent mod L
+    # components: x -> zeta_M^j = zeta_L^s for one j per Galois orbit with
+    # h(zeta_M^j) = 0, where L = lcm(k, ord(zeta_M^j)) and zeta_k =
+    # zeta_L^(L/k); h(rho) = rho^f - sum tail_e(zeta_k) rho^e is added up by
+    # exponent mod L.  zeta -> zeta^t, t a unit mod lcm(k, M) with t = 1
+    # mod k, fixes Z[zeta_k] and so sends component j to component jt mod M
+    # and the value there to its conjugate: an element is a root of unity at
+    # every component iff it is one at the first j of each orbit, and the
+    # embedding stays injective.  By CRT the t mod M are the units t = 1
+    # mod gcd(k, M).
+    g = gcd(k, M)
+    shifts = [t for t in range(1, M + 1)
+              if gcd(t, M) == 1 and (t - 1) % g == 0]
+    seen = set()
     components = []  # (L, Z[zeta_L], s)
     for j in range(M):
+        if j in seen:
+            continue
+        seen.update(j * t % M for t in shifts)
         L = lcm(k, M // gcd(j, M))
         s = L * j // M
         h = [0] * L
@@ -564,7 +604,8 @@ def _b_torsion_units(A: TnModel, B: _BaseAlgebra) -> list:
             components.append((L, big, s))
     if not components:
         raise HypothesisViolated("generator relation has no root-of-unity roots")
-    # the sweep tries every tuple of roots of unity, lcm(2, L) per component
+    # the sweep tries every tuple of roots of unity, lcm(2, L) per kept
+    # component
     candidates = prod(lcm(2, L) for L, _, _ in components)
     if candidates > TN_UNIT_CANDIDATE_CAP:
         raise CapExceeded(
@@ -602,9 +643,12 @@ def _b_torsion_units(A: TnModel, B: _BaseAlgebra) -> list:
 def torsion_units(A: TnModel) -> FinAbGroup:
     """Isomorphism type of A*_tors.
 
-    Computed through the exact unit sequence: B*_tors first (cyclotomic
-    embedding), then every torsion unit of B is lifted and its coset of
-    1 + N_tors swept; the result is recovered from the multiplication.
+    Computed through the exact unit sequence 1 -> 1 + N_tors -> A*_tors ->
+    B*_tors -> 1, one prime at a time: B*_tors first (cyclotomic embedding,
+    one component per Galois orbit).  At a prime of only one of B*_tors and
+    1 + N_tors the Sylow subgroup is that group's.  At a shared prime p the
+    p-elements over B*_tors, times 1 + (N_tors)_p, are swept, and their
+    type is recovered from the multiplication.
     """
     return _torsion_unit_data(A).a_tors
 
@@ -615,7 +659,9 @@ def quotient_torsion_units(A: TnModel) -> FinAbGroup:
 
 
 def sequence_splits(A: TnModel) -> bool:
-    """Whether A*_tors = (1 + N_tors) x B*_tors as abstract groups."""
+    """Whether A*_tors = (1 + N_tors) x B*_tors as abstract groups.  The
+    Sylow subgroups at a prime of only one of the two groups always match,
+    so only a prime they share can make this False."""
     data = _torsion_unit_data(A)
     return data.a_tors == data.one_plus_n * data.b_tors
 

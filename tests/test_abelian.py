@@ -446,6 +446,26 @@ def _reference_structure(elements, op, identity):
     return FinAbGroup(tuple(factors))
 
 
+def _one_plus_n(A):
+    """Every element 1 + n of the TN model A, n in N_tors."""
+    one = A.one()[0]
+    return [(one, t) for t in iproduct(*(range(o) for o in A.tors_orders))]
+
+
+def _full_torsion_units(A):
+    """Every torsion unit of the TN model A, from the full coset sweep: each
+    lift of a torsion unit of B = A/N_tors times every element of
+    1 + N_tors.  The units over a unit of B are exactly lift * (1 + N_tors),
+    since N_tors is nilpotent."""
+    from fuchs.tnlab import _torsion_unit_data
+    b_units = _torsion_unit_data(A).b_tors_elements
+    one_plus_n = _one_plus_n(A)
+    no_tors = (0,) * A.ntors()
+    lifted = {A.mul((b, no_tors), n) for b in b_units for n in one_plus_n}
+    assert len(lifted) == len(b_units) * len(one_plus_n)
+    return lifted
+
+
 _PRIME_POWERS = [q for q in range(2, 2001) if len(factorize(q).pairs) == 1]
 
 
@@ -503,12 +523,11 @@ class TestStructureByCounting:
             A = load_example(name)
             data = _torsion_unit_data(A)
             B = _BaseAlgebra(A)
-            one_plus_n = [(B.one(), t[1]) for t in A.torsion_elements()]
-            assert _peeled_structure(one_plus_n, A.mul, A.one()) \
+            assert _peeled_structure(_one_plus_n(A), A.mul, A.one()) \
                 == data.one_plus_n, name
             assert _peeled_structure(data.b_tors_elements, B.mul, B.one()) \
                 == data.b_tors, name
-            assert _peeled_structure(data.a_tors_elements, A.mul, A.one()) \
+            assert _peeled_structure(_full_torsion_units(A), A.mul, A.one()) \
                 == data.a_tors, name
 
     @given(_cyclic_orders(), st.integers(0, 2 ** 32))
@@ -566,16 +585,18 @@ class TestSylowRestriction:
                     == _reference_structure(elems, N.circle, N.zero()), N.mult
 
     def test_tn_torsion_units(self):
-        from fuchs.tnlab import (EXAMPLE_NAMES, _torsion_unit_data,
-                                 build_construction_model, load_example)
-        models = [load_example(name) for name in EXAMPLE_NAMES]
-        models += [build_construction_model(k, FinAbGroup.from_orders(H))
-                   for k, H in [(2, [27]), (4, [9, 9]), (8, [13, 13]),
-                                (2, [3, 5, 7])]]
-        for A in models:
-            data = _torsion_unit_data(A)
-            assert _reference_structure(data.a_tors_elements, A.mul, A.one()) \
-                == data.a_tors, A.name
+        from fuchs.tnlab import (EXAMPLE_NAMES, build_construction_model,
+                                 load_example, torsion_units)
+        from test_tnlab import _group_ring_model
+        examples = [load_example(name) for name in EXAMPLE_NAMES]
+        constructions = [
+            build_construction_model(k, FinAbGroup.from_orders(H))
+            for k, H in [(2, [27]), (4, [9, 9]), (8, [13, 13]), (2, [3, 5, 7]),
+                         (2, [27, 27]), (4, [289])]]
+        # B*_tors and 1 + N_tors share the prime 2 in these
+        group_rings = [_group_ring_model(k, 3, True) for k in (1, 2, 4)]
+        for A in examples + constructions + group_rings:
+            assert _reference_structure(_full_torsion_units(A), A.mul,
+                                        A.one()) == torsion_units(A), A.name
         # the construction models are the ones with several primes
-        assert all(len(_torsion_unit_data(A).a_tors.primes()) >= 2
-                   for A in models[len(EXAMPLE_NAMES):])
+        assert all(len(torsion_units(A).primes()) >= 2 for A in constructions)

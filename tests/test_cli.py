@@ -202,16 +202,10 @@ class TestModels:
         code, doc = run_json(capsys, "model", str(path), "--sequence")
         assert code == 0 and doc["sequence_splits"] is False
 
-    def test_one_plus_n_recovered_once_per_model(self, capsys, tmp_path,
-                                                 monkeypatch):
-        # the report's 1 + N_tors and the unit sweep share one structure
-        # recovery, run by the component's RadicalRing.adjoint_group;
-        # B*_tors and A*_tors take one each
+    @staticmethod
+    def _structure_recoveries(capsys, monkeypatch, path):
         import fuchs.radical as radical
         import fuchs.tnlab as tnlab
-        path = tmp_path / "c.tn"
-        path.write_text(tnlab.build_construction_model(
-            4, FinAbGroup.from_orders([13])).to_presentation(), encoding="utf-8")
         tnlab._torsion_unit_data.cache_clear()
         tnlab.adjoint_of_nil_torsion.cache_clear()
         calls = []
@@ -220,8 +214,33 @@ class TestModels:
             monkeypatch.setattr(module, "abelian_structure",
                                 lambda *args: calls.append(1) or inner(*args))
         code, doc = run_json(capsys, "model", str(path))
-        assert code == 0 and doc["torsion_units"] == "Z/4Z x Z/13Z"
-        assert len(calls) == 3
+        assert code == 0
+        return doc, len(calls)
+
+    def test_one_plus_n_recovered_once_per_model(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # the report's 1 + N_tors and the unit sweep share one structure
+        # recovery, run by the component's RadicalRing.adjoint_group;
+        # B*_tors takes one, and A*_tors none, since Z/4 and Z/13 share
+        # no prime
+        import fuchs.tnlab as tnlab
+        path = tmp_path / "c.tn"
+        path.write_text(tnlab.build_construction_model(
+            4, FinAbGroup.from_orders([13])).to_presentation(), encoding="utf-8")
+        doc, calls = self._structure_recoveries(capsys, monkeypatch, path)
+        assert doc["torsion_units"] == "Z/4Z x Z/13Z"
+        assert calls == 2
+
+    def test_shared_prime_swept_once(self, capsys, tmp_path, monkeypatch):
+        # B*_tors and 1 + N_tors are both 2-groups: one more recovery, of
+        # the Sylow 2-subgroup of A*_tors
+        from fuchs.tnlab import load_example
+        path = tmp_path / "v4.tn"
+        path.write_text(load_example("paper-7-2-v4").to_presentation(),
+                        encoding="utf-8")
+        doc, calls = self._structure_recoveries(capsys, monkeypatch, path)
+        assert doc["torsion_units"] == "Z/4Z x Z/8Z"
+        assert calls == 3
 
     @pytest.mark.parametrize("order", [0, 1, -2])
     def test_bad_torsion_order_exits_3(self, capsys, tmp_path, order):
@@ -301,6 +320,8 @@ _MALFORMED = {
     "tn-repeated-scalar": (_TN + "scalar_action y = y\n", "'scalar_action y = y'"),
     "tn-missing-free-basis": (_edit(_TN, "free_basis = u\n", ""), "free_basis"),
     "tn-missing-mult": (_edit(_TN, "mult y y = 0\n", ""), "missing mult y y"),
+    "tn-missing-scalar-action": (
+        _edit(_TN, "scalar_action y = y\n", ""), "missing scalar_action for y"),
     # a header key given twice is refused, not overwritten by the last value
     "tn-repeated-conductor": (_TN + "conductor = 1\n", "repeated key 'conductor'"),
     "tn-repeated-free-basis": (

@@ -76,6 +76,18 @@ class TestTnDocuments:
         with pytest.raises(PresentationError):
             parse_tn_document("conductor = 4\nfree_basis = u\ntors_basis =\n")
 
+    @pytest.mark.parametrize("row, message", [
+        ("mult y y = 0\n", "missing mult y y"),
+        ("scalar_action y = y\n", "missing scalar_action for y")])
+    def test_missing_row_is_malformed_text(self, row, message):
+        # a row the document lacks is malformed text, not an invalid ring
+        text = ("kind = tn\nconductor = 4\nfree_basis = u\ntors_basis = y:2\n"
+                "scalar_action y = y\nmult u u = u\nmult u y = y\n"
+                "mult y y = 0\n")
+        assert row in text
+        with pytest.raises(PresentationError, match=message):
+            TnModel.from_presentation(text.replace(row, ""))
+
     def test_conductor_cap_is_fixed(self, monkeypatch):
         # FUCHS_ORACLE_CAP raises the enumeration caps, not this one
         monkeypatch.setenv("FUCHS_ORACLE_CAP", "100000")

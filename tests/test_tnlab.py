@@ -494,7 +494,10 @@ class TestTorsionUnitsBeyondTheBase:
         (2, 3, False, G(2, 3), G(2, 3)),
         (4, 3, True, G(4, 3), G(2, 4, 3)),
         (3, 2, False, G(2, 2, 3), G(2, 2, 3)),
-        (5, 2, False, G(2, 2, 5), G(2, 2, 5))])
+        (5, 2, False, G(2, 2, 5), G(2, 2, 5)),
+        (3, 5, False, G(2, 3, 5), G(2, 3, 5)),
+        (4, 5, True, G(4, 5), G(2, 4, 5)),
+        (1, 7, False, G(2, 7), G(2, 7))])
     def test_group_ring_values(self, k, n, torsion, b_tors, a_tors):
         A = _group_ring_model(k, n, torsion)
         assert quotient_torsion_units(A) == b_tors
@@ -506,8 +509,10 @@ class TestTorsionUnitsBeyondTheBase:
         (lambda: _group_ring_model(3, 2, False), 2),
         (lambda: _group_ring_model(5, 2, False), 2),
         (lambda: load_example("paper-7-1"), 2),
-        (lambda: load_example("paper-7-2-v2"), 2)],
-        ids=["k2-n3", "k4-n3-y", "k3-n2", "k5-n2", "paper-7-1", "paper-7-2-v2"])
+        (lambda: load_example("paper-7-2-v2"), 2),
+        (lambda: _group_ring_model(1, 7, False), 7)],
+        ids=["k2-n3", "k4-n3-y", "k3-n2", "k5-n2", "paper-7-1", "paper-7-2-v2",
+             "k1-n7"])
     def test_against_a_box_search(self, model, n):
         # every torsion unit of these B has coordinates in {-1, 0, 1}, and
         # its order divides 2 lcm(k, n), the order of the roots of unity of
@@ -533,11 +538,36 @@ class TestTorsionUnitsBeyondTheBase:
         assert set(found) == expected
 
     def test_sweep_above_the_candidate_cap_raises(self):
-        # Z[C_7]: 2 * 14^6 = 15,059,072 root-of-unity tuples, refused
-        # before the first one is tried
-        A = _group_ring_model(1, 7, False)
+        # Z[zeta_8][C_8]: x -> zeta_8^j fixes zeta_8, so each of the 8
+        # components is its own Galois orbit, and 8^8 = 16,777,216
+        # root-of-unity tuples are refused before the first one is tried
+        A = _group_ring_model(8, 8, False)
         with pytest.raises(CapExceeded, match=f"cap {TN_UNIT_CANDIDATE_CAP}"):
             torsion_units(A)
+
+
+class TestSweepSize:
+    """Production sweeps A*_tors only at the primes that B*_tors and
+    1 + N_tors share, one Sylow subgroup at a time."""
+
+    @pytest.mark.parametrize("model", [
+        lambda: build_construction_model(2, G(27, 27)),
+        lambda: load_example("paper-7-1")], ids=["k2-27-27", "paper-7-1"])
+    def test_no_set_above_the_shared_prime_bound(self, model, monkeypatch):
+        import fuchs.tnlab as tnlab
+        A = model()
+        tnlab._torsion_unit_data.cache_clear()
+        sizes = []
+        inner = tnlab.abelian_structure
+        monkeypatch.setattr(tnlab, "abelian_structure", lambda elements, *rest:
+                            sizes.append(len(elements)) or inner(elements, *rest))
+        torsion_units(A)
+        b_tors = quotient_torsion_units(A)
+        n_tors = adjoint_of_nil_torsion(A)
+        shared = [b_tors.sylow(p).order() * n_tors.sylow(p).order()
+                  for p in b_tors.primes() if p in n_tors.primes()]
+        # B*_tors itself, then one Sylow subgroup per shared prime
+        assert sizes == [b_tors.order()] + shared
 
 
 def _models_with_torsion():
