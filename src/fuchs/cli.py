@@ -18,8 +18,8 @@ from .abelian import FgAbGroup, FinAbGroup, format_group, parse_group
 from .finring import FinCommRing, NotLocal, build_corpus, localize, \
     unit_group, verify_local_formula
 from .radical import check_byott, check_small_theorem, enumerate_radical_rings
-from .realize import (certificate_check_status, decide_any, decide_finite,
-                      decide_tn, ge_classify, g_value, r_value,
+from .realize import (certificate_check_status, decide_finite, decide_tn,
+                      decider, ge_classify, g_value, r_value,
                       verdict_to_json, mersenne_split, GeClass)
 from .tnlab import (TnModel, adjoint_of_nil_torsion, load_example, sequence_splits,
                     torsion_units, quotient_torsion_units, EXAMPLE_NAMES)
@@ -31,22 +31,6 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
 
-# Each command path maps to its positionals, options and required options.
-# A kind is None (a flag, or free text), int, or a tuple of choices whose
-# first is the default; a positional ending in "?" may be left out.  --class
-# stores to ring_class, every other option to its name with - turned into _.
-_COMMANDS = {
-    "decide": ({"group": None},
-               {"--class": ("any", "finite", "tn"), "--json": None}, ()),
-    "rank": ({"group": None}, {"--json": None}, ()),
-    "oracle radical": ({}, {"--prime": int, "--exp": int, "--json": None},
-                       ("--prime", "--exp")),
-    "oracle finring": ({"file?": None}, {"--corpus": None, "--json": None}, ()),
-    "model": ({"file": None}, {"--torsion-units": None, "--sequence": None,
-                               "--json": None}, ()),
-    "example": ({"name": tuple(sorted(EXAMPLE_NAMES))}, {"--json": None}, ()),
-    "table cyclic": ({}, {"--max": int, "--json": None}, ("--max",)),
-}
 # a token such as -5 is a value: no option looks like a negative number
 _is_option = re.compile(r"-(?!\d*\.?\d+$).").match
 
@@ -59,7 +43,7 @@ def _metavar(kind) -> str:
 def _usage(path: str) -> str:
     """Usage lines of every command under ``path`` ("" for all of them)."""
     lines = []
-    for name, (positionals, options, required) in _COMMANDS.items():
+    for name, (positionals, options, required, _) in _COMMANDS.items():
         if f"{name} ".startswith(f"{path} ".lstrip()):
             words = [opt + _metavar(kind) if opt in required else
                      f"[{opt}{_metavar(kind)}]" for opt, kind in options.items()]
@@ -116,7 +100,7 @@ def _parse(argv: list[str]):
                 raise ValueError(f"no command {path!r}")
     if path not in _COMMANDS:
         raise ValueError(f"{('fuchs ' + path).strip()!r} needs a command")
-    positionals, options, required = _COMMANDS[path]
+    positionals, options, required, _ = _COMMANDS[path]
     for opt, kind in options.items():
         default = kind[0] if isinstance(kind, tuple) else None if kind else False
         setattr(args, "ring_class" if opt == "--class" else
@@ -140,13 +124,11 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def _cmd_decide(args) -> int:
     G = parse_group(args.group)
-    decide = {"finite": lambda g: decide_finite(g.torsion),
-              "tn": decide_tn, "any": decide_any}[args.ring_class]
     if args.ring_class == "finite" and G.free_rank:
         print("the finite-ring class takes a finite group (no Z^r factor)",
               file=sys.stderr)
         return EXIT_USAGE
-    v = decide(G)
+    v = decider(args.ring_class)(G)
     if not v.is_unknown:
         v = Verdict(v.kind, v.theorem, v.query, v.ring_class, v.certificate,
                     v.obstruction, v.gap,
@@ -331,6 +313,29 @@ def _cmd_table_cyclic(args) -> int:
     return EXIT_REALISABLE
 
 
+# Each command path maps to its positionals, options, required options and
+# handler.  A kind is None (a flag, or free text), int, or a tuple of
+# choices whose first is the default; a positional ending in "?" may be left
+# out.  --class stores to ring_class, every other option to its name with -
+# turned into _.
+_COMMANDS = {
+    "decide": ({"group": None},
+               {"--class": ("any", "finite", "tn"), "--json": None}, (),
+               _cmd_decide),
+    "rank": ({"group": None}, {"--json": None}, (), _cmd_rank),
+    "oracle radical": ({}, {"--prime": int, "--exp": int, "--json": None},
+                       ("--prime", "--exp"), _cmd_oracle_radical),
+    "oracle finring": ({"file?": None}, {"--corpus": None, "--json": None}, (),
+                       _cmd_oracle_finring),
+    "model": ({"file": None}, {"--torsion-units": None, "--sequence": None,
+                               "--json": None}, (), _cmd_model),
+    "example": ({"name": tuple(sorted(EXAMPLE_NAMES))}, {"--json": None}, (),
+                _cmd_example),
+    "table cyclic": ({}, {"--max": int, "--json": None}, ("--max",),
+                     _cmd_table_cyclic),
+}
+
+
 def main(argv=None) -> int:
     try:
         path, args = _parse(sys.argv[1:] if argv is None else argv)
@@ -341,11 +346,7 @@ def main(argv=None) -> int:
         print(args)
         return EXIT_REALISABLE
     try:
-        return {"decide": _cmd_decide, "rank": _cmd_rank,
-                "oracle radical": _cmd_oracle_radical,
-                "oracle finring": _cmd_oracle_finring, "model": _cmd_model,
-                "example": _cmd_example,
-                "table cyclic": _cmd_table_cyclic}[path](args)
+        return _COMMANDS[path][3](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

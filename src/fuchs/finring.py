@@ -54,9 +54,7 @@ class FinCommRing(TableRing, Frozen):
 
     @classmethod
     def from_presentation(cls, text: str) -> "FinCommRing":
-        doc = presentation.parse_ring_document(text)
-        if doc["kind"] != "ring":
-            raise InvalidRing("not a unital-ring document")
+        doc = presentation.parse_ring_document(text, "ring")
         return cls(doc["basis_orders"], doc["mult"], doc["one"],
                    name=doc.get("name", ""))
 

@@ -20,9 +20,13 @@ comment.  Three kinds are supported:
     are integer polynomials in ``z`` (the base root of unity), e.g.
     ``(1+2z^2)*x``; values on torsion symbols are plain integers.
 
-Ring tables arrive and leave in the pair order of ``table.pairs``, and the
-TN products leave in it, over the free then the torsion symbols.  A key
-other than a ``mult`` or ``scalar_action`` row may appear only once.
+Ring tables arrive and leave in the pair order of ``table.pairs``, and so
+do the TN rows, over the free then the torsion symbols: a product is a
+tuple of z-polynomials, one per free symbol, and a tuple of integers, one
+per torsion symbol, and a ``scalar_action`` row is one such integer tuple
+per torsion symbol.  The symbol names stay in this module.  Every row must
+be given, and a key other than a ``mult`` or ``scalar_action`` row may
+appear only once.
 
 Round-trip guarantee: ``parse(print(obj)) == obj`` for every emitted
 document.
@@ -74,9 +78,13 @@ def _intvec(s: str, key: str) -> tuple[int, ...]:
 _MULT_RE = re.compile(r"^mult\[(\d+)\]\[(\d+)\]$")
 
 
-def parse_ring_document(text: str) -> dict:
+_KIND_NOUNS = {"radical": "radical-ring", "ring": "unital-ring"}
+
+
+def parse_ring_document(text: str, kind: str | None = None) -> dict:
     """Parse a ``radical`` or ``ring`` document into a plain dict; ``mult``
-    is the table in the pair order of ``table.pairs``."""
+    is the table in the pair order of ``table.pairs``.  Given ``kind``, a
+    document of the other kind is refused."""
     fields: dict = {}
     rows = {}  # (i, j), 1-based -> coordinate vector
     for key, value, _ in _entries(text):
@@ -98,7 +106,9 @@ def parse_ring_document(text: str) -> dict:
             fields["name"] = value
         else:
             raise PresentationError(f"unknown key {key!r}")
-    if fields.get("kind") not in ("radical", "ring"):
+    if kind and fields.get("kind") != kind:
+        raise PresentationError(f"not a {_KIND_NOUNS[kind]} document")
+    if fields.get("kind") not in _KIND_NOUNS:
         raise PresentationError("document kind must be 'radical' or 'ring'")
     if "basis_orders" not in fields:
         raise PresentationError("missing basis_orders")
@@ -277,8 +287,9 @@ def format_combination(free: dict, tors: dict) -> str:
 def parse_tn_document(text: str) -> dict:
     """Parse a ``tn`` document into a plain dict.  Every basis symbol is
     declared once; a ``scalar_action`` key names one torsion symbol and a
-    ``mult`` key two basis symbols, each key given at most once."""
-    fields: dict = {"scalar_action": {}, "mult": {}}
+    ``mult`` key two basis symbols, each key given exactly once.  The rows
+    come back as tuples (module docstring), the coefficients unreduced."""
+    fields: dict = {}
     pending = []
     for key, value, line in _entries(text):
         words = key.split()
@@ -325,7 +336,7 @@ def parse_tn_document(text: str) -> dict:
         if nm in seen:
             raise PresentationError(f"basis symbol {nm!r} is listed twice")
         seen.add(nm)
-    keys = set()
+    rows = {}  # (tag, frozenset of symbols) -> (free map, torsion map)
     for tag, symbols, value, line in pending:
         allowed = tors_names if tag == "scalar_action" else seen
         for nm in symbols:
@@ -334,25 +345,40 @@ def parse_tn_document(text: str) -> dict:
                 raise PresentationError(
                     f"unknown {what} symbol {nm!r} in line {line!r}")
         key = (tag, frozenset(symbols))
-        if key in keys:
+        if key in rows:
             raise PresentationError(f"repeated key in line {line!r}")
-        keys.add(key)
-        if tag == "scalar_action":
-            free, tors = parse_combination(value, (), tors_names)
-            fields["scalar_action"][symbols[0]] = tors
-        else:
-            fields["mult"][symbols] = parse_combination(value, free_names, tors_names)
+        rows[key] = parse_combination(
+            value, () if tag == "scalar_action" else free_names, tors_names)
+
+    def row(tag, symbols, missing):
+        if (tag, frozenset(symbols)) not in rows:
+            raise PresentationError(f"missing {missing}")
+        free, tors = rows[tag, frozenset(symbols)]
+        return (tuple(free.get(nm, ()) for nm in free_names),
+                tuple(tors.get(nm, 0) for nm in tors_names))
+
+    fields["scalar_action"] = tuple(
+        row("scalar_action", (nm,), f"scalar_action for {nm}")[1]
+        for nm in tors_names)
+    names = free_names + tors_names
+    fields["mult"] = tuple(
+        row("mult", (names[a], names[b]), f"mult {names[a]} {names[b]}")
+        for a, b in pairs(len(names)))
     return fields
 
 
 def format_tn_document(name, conductor, free_names, tors_pairs, scalar_action, mult) -> str:
+    """The document of a model whose rows are tuples in the layout that
+    ``parse_tn_document`` returns."""
     lines = [f"name = {name}", "kind = tn", f"conductor = {conductor}"]
     lines.append("free_basis = " + " ".join(free_names))
     lines.append("tors_basis = " + " ".join(f"{nm}:{o}" for nm, o in tors_pairs))
-    tors_names = [nm for nm, _ in tors_pairs]
-    for nm in tors_names:
-        lines.append(f"scalar_action {nm} = " + format_combination({}, scalar_action[nm]))
+    tors_names = tuple(nm for nm, _ in tors_pairs)
+    for nm, col in zip(tors_names, scalar_action):
+        lines.append(f"scalar_action {nm} = "
+                     + format_combination({}, dict(zip(tors_names, col))))
     names = (*free_names, *tors_names)
     for (a, b), (free, tors) in zip(pairs(len(names)), mult):
-        lines.append(f"mult {names[a]} {names[b]} = " + format_combination(free, tors))
+        lines.append(f"mult {names[a]} {names[b]} = " + format_combination(
+            dict(zip(free_names, free)), dict(zip(tors_names, tors))))
     return "\n".join(lines) + "\n"

@@ -72,9 +72,7 @@ class RadicalRing(TableRing, Frozen):
 
     @classmethod
     def from_presentation(cls, text: str) -> "RadicalRing":
-        doc = presentation.parse_ring_document(text)
-        if doc["kind"] != "radical":
-            raise InvalidRing("not a radical-ring document")
+        doc = presentation.parse_ring_document(text, "radical")
         p = doc["prime"]
         exponents = []
         for n in doc["basis_orders"]:
@@ -165,23 +163,28 @@ def _candidate_tables_elementary(p: int, r: int):
     class admits such an adapted basis, and isomorphisms between adapted
     tables preserve the standard flag, so per-d orbit closure under the
     flag-preserving generators partitions candidates into classes.
-    Yields (weights, tables) per d, d running over the compositions of r.
+    Yields (weights, tables) per d, d running over the compositions of r;
+    the tables are an iterator that builds each one as it is read.
     """
     for c in range(1, r + 1):
         for cuts in combinations(range(1, r), c - 1):
             weights = [1 + sum(cut <= m for cut in cuts) for m in range(r)]
             slots = pair_table(r, lambda i, j: [
                 m for m in range(r) if weights[m] >= weights[i] + weights[j]])
-            tables = []
-            for assignment in iproduct(*(iproduct(range(p), repeat=len(s)) for s in slots)):
-                table = []
-                for (vals, free) in zip(assignment, slots):
-                    vec = [0] * r
-                    for m, v in zip(free, vals):
-                        vec[m] = v
-                    table.append(tuple(vec))
-                tables.append(tuple(table))
-            yield weights, tables
+            yield weights, _slot_tables(p, r, slots)
+
+
+def _slot_tables(p: int, r: int, slots):
+    """Every table whose entry q is any vector mod p on the positions
+    ``slots[q]`` and 0 elsewhere, one at a time."""
+    for assignment in iproduct(*(iproduct(range(p), repeat=len(s)) for s in slots)):
+        table = []
+        for (vals, free) in zip(assignment, slots):
+            vec = [0] * r
+            for m, v in zip(free, vals):
+                vec[m] = v
+            table.append(tuple(vec))
+        yield tuple(table)
 
 
 def _filtration_exact(p: int, table, weights) -> bool:
@@ -300,15 +303,20 @@ def _enumerate_type_elementary(p: int, r: int) -> tuple[RadicalRing, ...]:
     classes = []
     for weights, tables in _candidate_tables_elementary(p, r):
         # the filtration test first: it passes for one weight vector only,
-        # so each table is validated once
-        survivors = {}
+        # so each table is validated once.  The tables arrive in increasing
+        # order, so the first valid table of an orbit is its minimum: only
+        # its ring is kept, and its orbit joins the surviving tables
+        transports = _transports(p, exponents, weights)
+        survivors = set()
         for table in tables:
-            if _filtration_exact(p, table, weights):
-                ring = _valid_table(p, exponents, table)
-                if ring is not None:
-                    survivors[table] = ring
-        classes += [survivors[t] for t in
-                    _orbit_minima(survivors, _transports(p, exponents, weights))]
+            if not _filtration_exact(p, table, weights):
+                continue
+            ring = _valid_table(p, exponents, table)
+            if ring is not None and table not in survivors:
+                orbit = _orbit(table, transports)
+                assert min(orbit) == table, "candidates out of order"
+                survivors |= orbit
+                classes.append(ring)
     return tuple(classes)
 
 

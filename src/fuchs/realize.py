@@ -539,6 +539,14 @@ def _split_search(T: FinAbGroup, r: int, query: str, cls: str) -> Verdict:
                            "failures": failures[:10]})
 
 
+def decider(ring_class: str):
+    """The decision procedure of a ring class, on an ``FgAbGroup``; the
+    finite class reads the torsion part, so a caller first refuses free
+    rank there."""
+    return {"finite": lambda g: decide_finite(g.torsion),
+            "tn": decide_tn, "any": decide_any}[ring_class]
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -585,9 +593,7 @@ def _recheck(V: Verdict) -> bool:
     if V.is_realisable:
         proof = _PROOFS.get((V.ring_class, V.theorem))
         return proof is not None and proof(V.certificate, G)
-    decide = {"finite": lambda g: decide_finite(g.torsion),
-              "tn": decide_tn, "any": decide_any}[V.ring_class]
-    return decide(G) == V
+    return decider(V.ring_class)(G) == V
 
 
 def _proof_cover(cert, G: FgAbGroup) -> bool:

@@ -6,7 +6,9 @@ symbols, with the base root of unity acting on torsion coordinates through
 an explicit matrix.  That is enough to reproduce the characteristic
 examples: the torsion ideal, its adjoint group, the torsion units of the
 model and of its torsion-free quotient B = A / N_tors, and whether the unit
-sequence 1 -> 1+N -> A*_tors -> B*_tors -> 1 splits.
+sequence 1 -> 1+N -> A*_tors -> B*_tors -> 1 splits.  This module holds
+only that ring arithmetic: ``presentation`` maps the ``.tn`` symbol names
+and rows to and from the tuples a model keeps.
 
 The product is compiled into structure constants once per model.  Over Z
 an element has coordinates zeta^d e_i (free index i, d < phi(k)) and then
@@ -22,7 +24,12 @@ is read off its rows and columns as a radical ring, and 1 + N_tors is the
 product of those components' adjoint groups, since products across primes
 vanish.
 
-B*_tors is computed by embedding B into a product of rings Z[zeta_L], one
+B is A's own free block: its product is A's on elements with no torsion
+coordinates, read on the free coordinates, since a product that touches
+the torsion ideal stays inside it.  One walk x, x^2, ... of the generator
+checks that x^e is free basis vector e for e < f, reads the relation at
+x^f and stops at the order M of x (f = 1 takes x = 1, M = 1).  B*_tors is
+then computed by embedding B into a product of rings Z[zeta_L], one
 component per Galois orbit of the roots of unity zeta_L^s that annihilate
 the generator relation, and membership of a candidate root-of-unity tuple
 is decided by an exact integer linear solve (the embedding is injective
@@ -56,7 +63,7 @@ from .numtheory import (HypothesisViolated, _pdivmod, cyclotomic_poly,
                         factor_cyclo_mod, factorize, hensel_lift_factor,
                         mult_order, poly_mul)
 from .radical import RadicalRing
-from .record import Frozen, Record, _set
+from .record import Frozen, _set
 from .table import InvalidRing, compile_product, pair_entry, pair_table, pairs
 from . import presentation
 
@@ -167,9 +174,7 @@ class TnModel(Frozen):
         return ((self.base.zero(),) * self.nfree(), (0,) * self.ntors())
 
     def one(self):
-        free = tuple(self.base.one() if i == 0 else self.base.zero()
-                     for i in range(self.nfree()))
-        return (free, (0,) * self.ntors())
+        return _basis_elements(self)[0]
 
     def from_torsion(self, coords):
         return ((self.base.zero(),) * self.nfree(), tuple(coords))
@@ -198,47 +203,22 @@ class TnModel(Frozen):
     # text format -------------------------------------------------------------
 
     def to_presentation(self) -> str:
-        def tors_map(coords):
-            return {nm: v for nm, v in zip(self.tors_names, coords) if v}
-
-        scalar = {nm: tors_map(col)
-                  for nm, col in zip(self.tors_names, self.scalar_action)}
-        table = [({nm: coeff for nm, coeff in zip(self.free_names, free)
-                   if any(coeff)}, tors_map(tors)) for free, tors in self.mult]
         return presentation.format_tn_document(
             self.name or "model", self.conductor, self.free_names,
-            tuple(zip(self.tors_names, self.tors_orders)), scalar, table)
+            tuple(zip(self.tors_names, self.tors_orders)), self.scalar_action,
+            self.mult)
 
     @classmethod
     def from_presentation(cls, text: str) -> "TnModel":
         doc = presentation.parse_tn_document(text)
-        free_names = doc["free_basis"]
-        tors_pairs = doc["tors_basis"]
-        tors_names = tuple(nm for nm, _ in tors_pairs)
-        tors_orders = tuple(o for _, o in tors_pairs)
         base = CycloBase(doc["conductor"])
-        scalar = []
-        for nm in tors_names:
-            row = doc["scalar_action"].get(nm)
-            if row is None:
-                raise presentation.PresentationError(
-                    f"missing scalar_action for {nm}")
-            scalar.append(tuple(row.get(m, 0) for m in tors_names))
-        names = (*free_names, *tors_names)
-
-        def entry(ai, bi):
-            a, b = names[ai], names[bi]
-            key = (a, b) if (a, b) in doc["mult"] else (b, a)
-            if key not in doc["mult"]:
-                raise presentation.PresentationError(f"missing mult {a} {b}")
-            fmap, tmap = doc["mult"][key]
-            free = tuple(base.reduce(fmap.get(nm, ())) for nm in free_names)
-            tors = tuple(tmap.get(nm, 0) % o
-                         for nm, o in zip(tors_names, tors_orders))
-            return free, tors
-
-        return cls(doc["conductor"], free_names, tors_names, tors_orders,
-                   tuple(scalar), pair_table(len(names), entry),
+        tors_names = tuple(nm for nm, _ in doc["tors_basis"])
+        tors_orders = tuple(o for _, o in doc["tors_basis"])
+        mult = tuple((tuple(base.reduce(c) for c in free),
+                      tuple(v % o for v, o in zip(tors, tors_orders)))
+                     for free, tors in doc["mult"])
+        return cls(doc["conductor"], doc["free_basis"], tors_names,
+                   tors_orders, doc["scalar_action"], mult,
                    name=doc.get("name", ""))
 
 
@@ -327,7 +307,7 @@ def validate_model(A: TnModel) -> "TorsionIdeal":
         if any(_scalar_apply(A, base.phi, tj[1])):
             raise InvalidRing("Phi_k(scalar action) is nonzero on the torsion part")
     # identity
-    one = A.one()
+    one = basis[0]
     for b in basis:
         if A.mul(one, b) != b:
             raise InvalidRing("first free basis element is not an identity")
@@ -445,24 +425,6 @@ def adjoint_of_nil_torsion(A: TnModel) -> FinAbGroup:
 # the torsion-free quotient B = A / N_tors and its torsion units
 
 
-class _BaseAlgebra:
-    """B = A/N_tors on the free basis (table with torsion coords dropped)."""
-
-    def __init__(self, A: TnModel):
-        self.A = A
-        self.base = A.base
-        self.f = A.nfree()
-        self._no_tors = (0,) * A.ntors()
-
-    def one(self):
-        return tuple(self.base.one() if i == 0 else self.base.zero()
-                     for i in range(self.f))
-
-    def mul(self, x, y):
-        # with no torsion coordinates only the free x free block is read
-        return self.A.mul((x, self._no_tors), (y, self._no_tors))[0]
-
-
 _ORDER_SEARCH_CAP = 4096
 
 
@@ -475,54 +437,31 @@ def _roots_of_unity(conductor: int):
     return sorted(out)
 
 
-def _power_basis_relation(B: _BaseAlgebra):
-    """Verify the free part is a power basis and return the generator's
-    monic relation h(x) = x^f - tail as base coefficients [c_0..c_{f-1}]."""
-    f = B.f
-    base = B.base
-    if f == 1:
-        return None
-    gen = tuple(base.one() if i == 1 else base.zero() for i in range(f))
-    for i in range(1, f - 1):
-        ei = tuple(base.one() if e == i else base.zero() for e in range(f))
-        expected = tuple(base.one() if e == i + 1 else base.zero() for e in range(f))
-        if B.mul(gen, ei) != expected:
-            raise InvalidRing("free part is not a power basis of one generator")
-    last = tuple(base.one() if e == f - 1 else base.zero() for e in range(f))
-    return list(B.mul(gen, last))
-
-
-class TorsionUnitData(Record):
+class TorsionUnitData(Frozen):
     """1 + N_tors and the torsion unit groups of B = A/N_tors and of the
-    model A, with the elements of B*_tors and the elements of A*_tors swept
-    at the primes that divide both |B*_tors| and |N_tors|."""
+    model A."""
 
-    _repr_fields = ("one_plus_n", "b_tors", "a_tors", "b_tors_elements",
-                    "shared_prime_elements")
+    _repr_fields = ("one_plus_n", "b_tors", "a_tors")
 
     def __init__(self, one_plus_n: FinAbGroup, b_tors: FinAbGroup,
-                 a_tors: FinAbGroup, b_tors_elements: list,
-                 shared_prime_elements: list):
-        self.one_plus_n = one_plus_n
-        self.b_tors = b_tors
-        self.a_tors = a_tors
-        self.b_tors_elements = b_tors_elements
-        self.shared_prime_elements = shared_prime_elements
+                 a_tors: FinAbGroup):
+        _set(self, "one_plus_n", one_plus_n)
+        _set(self, "b_tors", b_tors)
+        _set(self, "a_tors", a_tors)
 
 
 # bounded; a round of the benchmark's `oracles` workload sweeps 23 models
 @lru_cache(maxsize=32)
 def _torsion_unit_data(A: TnModel) -> TorsionUnitData:
-    B = _BaseAlgebra(A)
     one = A.one()
+    no_tors = (0,) * A.ntors()
     one_plus_n = adjoint_of_nil_torsion(A)
 
-    # torsion units of B through the cyclotomic embedding
-    if A.nfree() == 1:
-        b_units = [(z,) for z in _roots_of_unity(A.conductor)]
-    else:
-        b_units = _b_torsion_units(A, B)
-    b_tors = abelian_structure(b_units, B.mul, B.one())
+    def b_mul(x, y):  # B's product: A's on the free block
+        return A.mul((x, no_tors), (y, no_tors))[0]
+
+    b_units = _b_torsion_units(A)
+    b_tors = abelian_structure(b_units, b_mul, one[0])
 
     # A*_tors one Sylow subgroup at a time.  pi: A*_tors -> B*_tors is onto
     # with kernel 1 + N_tors: N is nilpotent, so any preimage of a unit is a
@@ -533,9 +472,7 @@ def _torsion_unit_data(A: TnModel) -> TorsionUnitData:
     # p-element b of B*_tors, and the u (1 + n), n in (N_tors)_p, are the
     # Sylow p-subgroup.
     order = b_tors.order() * one_plus_n.order()
-    no_tors = (0,) * A.ntors()
     a_tors = FinAbGroup.trivial()
-    swept = []
     for p in sorted({*b_tors.primes(), *one_plus_n.primes()}):
         b_syl, n_syl = b_tors.sylow(p), one_plus_n.sylow(p)
         if n_syl.is_trivial() or b_syl.is_trivial():
@@ -544,35 +481,40 @@ def _torsion_unit_data(A: TnModel) -> TorsionUnitData:
         q = b_syl.order() * n_syl.order()
         e = order // q * pow(order // q, -1, q)
         lifts = [_power(A.mul, one, (b, no_tors), e) for b in b_units
-                 if _power(B.mul, B.one(), b, b_syl.order()) == B.one()]
+                 if _power(b_mul, one[0], b, b_syl.order()) == one[0]]
         sylow = {A.mul(u, (one[0], n)) for u in lifts
                  for n in A.torsion_coords(p)}
         assert len(sylow) == q, "Sylow subgroup of A*_tors has the wrong order"
-        swept.extend(sylow)
         a_tors = a_tors * abelian_structure(sylow, A.mul, one)
     # order bound: u^exp(B*_tors) lands in 1+N_tors, so the exponent of
     # A*_tors divides exp(B*_tors) * exp(1+N_tors)
     assert (b_tors.exponent() * one_plus_n.exponent()) % a_tors.exponent() == 0, \
         "torsion unit order exceeded the exact-sequence bound"
-    return TorsionUnitData(one_plus_n, b_tors, a_tors, b_units, swept)
+    return TorsionUnitData(one_plus_n, b_tors, a_tors)
 
 
-def _b_torsion_units(A: TnModel, B: _BaseAlgebra) -> list:
-    base = A.base
+def _b_torsion_units(A: TnModel) -> list:
+    """Every torsion unit of B = A/N_tors, as free coordinate tuples."""
+    base, basis = A.base, _basis_elements(A)
     f, k, deg = A.nfree(), A.conductor, base.degree
-    tail = _power_basis_relation(B)
+    one = basis[0]
 
-    # order of the generator x in B (must be finite for a TN model whose
-    # base algebra is a product of cyclotomic rings)
-    gen = tuple(base.one() if i == 1 else base.zero() for i in range(f))
-    acc = gen
-    order = 1
-    while acc != B.one():
-        acc = B.mul(acc, gen)
-        order += 1
-        if order > _ORDER_SEARCH_CAP:
+    # the one walk of x (module docstring), in A and read on the free
+    # block: x^f gives the relation h(x) = x^f - sum tail_e x^e, and M must
+    # be finite for B to be a product of cyclotomic rings
+    gen = basis[1 if f > 1 else 0]
+    power, M = gen, 1
+    while True:
+        if M < f and power[0] != basis[M][0]:
+            raise InvalidRing("free part is not a power basis of one generator")
+        if M == f:
+            tail = power[0]
+        if power[0] == one[0]:
+            break
+        M += 1
+        if M > _ORDER_SEARCH_CAP:
             raise HypothesisViolated("generator has no small multiplicative order")
-    M = order
+        power = A.mul(power, gen)
 
     # components: x -> zeta_M^j = zeta_L^s for one j per Galois orbit with
     # h(zeta_M^j) = 0, where L = lcm(k, ord(zeta_M^j)) and zeta_k =

@@ -242,6 +242,21 @@ class TestModels:
         assert doc["torsion_units"] == "Z/4Z x Z/8Z"
         assert calls == 3
 
+    def test_generator_of_infinite_order_exits_3(self, capsys, tmp_path):
+        # Z[sqrt 2]: x^2 = 2 has no root of unity, so the walk of x stops
+        # at its cap of 4096 powers, quickly and without a traceback
+        import time
+        path = tmp_path / "sqrt2.tn"
+        path.write_text("kind = tn\nconductor = 1\nfree_basis = u x\n"
+                        "mult u u = u\nmult u x = x\nmult x x = 2*u\n",
+                        encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "model", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert "Traceback" not in err
+        assert "generator has no small multiplicative order" in err
+
     @pytest.mark.parametrize("order", [0, 1, -2])
     def test_bad_torsion_order_exits_3(self, capsys, tmp_path, order):
         path = tmp_path / "bad.tn"
@@ -349,6 +364,12 @@ _MALFORMED = {
         _edit(_RING, "mult[1][2] = 0 1", "mult[1][2] = 0 1/2"), "mult[1][2]"),
     "ring-prime-not-integer": ("prime = p\n" + _RING, "prime"),
     "ring-with-prime": ("prime = 7\n" + _RING, "'prime'"),
+    # `oracle finring` reads unital rings only
+    "ring-radical-document": (
+        "kind = radical\nprime = 2\nbasis_orders = 4\nmult[1][1] = 2\n",
+        "not a unital-ring document"),
+    "ring-kind-missing": (
+        _edit(_RING, "kind = ring\n", ""), "not a unital-ring document"),
 }
 
 

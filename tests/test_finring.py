@@ -199,7 +199,8 @@ class TestInvalidRing:
             zn_with_nilpotent(4, 3)
         with pytest.raises(fuchs.InvalidRing):  # x^2 = 0, so 1 is no identity
             FinCommRing((2,), ((0,),), (1,))
-        with pytest.raises(fuchs.InvalidRing):
+        # a document of the other kind is malformed text, not an invalid ring
+        with pytest.raises(fuchs.PresentationError, match="not a unital-ring"):
             FinCommRing.from_presentation(
                 "kind = radical\nprime = 2\nbasis_orders = 2\nmult[1][1] = 0\n")
 

@@ -37,6 +37,17 @@ class TestRingDocuments:
         with pytest.raises(PresentationError, match="'one'"):
             RadicalRing.from_presentation(text)
 
+    @pytest.mark.parametrize("cls, other, message", [
+        (RadicalRing, zn_ring(4), "not a radical-ring document"),
+        (FinCommRing, RadicalRing(2, (2,), ((2,),)), "not a unital-ring document")])
+    def test_document_of_the_other_kind_is_malformed_text(self, cls, other,
+                                                          message):
+        # a well-formed document of the other kind is malformed text for
+        # this one, not an invalid ring
+        with pytest.raises(PresentationError, match=message) as caught:
+            cls.from_presentation(other.to_presentation())
+        assert type(caught.value) is PresentationError
+
     def test_comments_and_spacing(self):
         doc = parse_ring_document(
             "# header\nkind = radical\nprime = 2\nbasis_orders = 4\n"
@@ -91,7 +102,7 @@ class TestTnDocuments:
     def test_conductor_cap_is_fixed(self, monkeypatch):
         # FUCHS_ORACLE_CAP raises the enumeration caps, not this one
         monkeypatch.setenv("FUCHS_ORACLE_CAP", "100000")
-        doc = "kind = tn\nconductor = {}\nfree_basis = u\n"
+        doc = "kind = tn\nconductor = {}\nfree_basis = u\nmult u u = u\n"
         assert parse_tn_document(doc.format(256))["conductor"] == 256
         with pytest.raises(CapExceeded, match="conductor 257"):
             parse_tn_document(doc.format(257))

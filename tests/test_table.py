@@ -83,6 +83,18 @@ class TestPairLayout:
         own = (src / "table.py").read_text(encoding="utf-8")
         assert not re.search(r"^\s*(from|import)\b.*presentation", own, re.M)
 
+    def test_only_presentation_raises_presentation_error(self):
+        # the text formats, their names and their missing rows live in
+        # ``presentation``; the modules that build on them get tuples
+        src = Path(table.__file__).parent
+        hits = [f"{path.name}:{n}: {line.strip()}"
+                for path in sorted(src.glob("*.py"))
+                if path.name != "presentation.py"
+                for n, line in enumerate(
+                    path.read_text(encoding="utf-8").splitlines(), 1)
+                if re.search(r"raise\b.*PresentationError", line)]
+        assert hits == []
+
 
 class TestKernelMatchesTableMul:
     def test_radical_classes(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import random
+import sys
 from itertools import product as iproduct
 from math import gcd, lcm
 from pathlib import Path
@@ -18,7 +19,7 @@ from fuchs.numtheory import (HypothesisViolated, factor_cyclo_mod, factorize,
 from fuchs.radical import radical_ring_from_mult
 from fuchs.table import InvalidRing, pairs
 from fuchs.tnlab import (CycloBase, PrimePowerIdealQuotient, TnModel,
-                         _BaseAlgebra, _torsion_unit_data,
+                         _b_torsion_units, _roots_of_unity,
                          adjoint_of_nil_torsion, build_construction_model,
                          cyclotomic_quotient_group, load_example, nil_torsion,
                          quotient_torsion_units, sequence_splits,
@@ -103,6 +104,13 @@ def _reference_mul(A, x, y):
     free = tuple(tuple(v for v in row) for row in rf)
     tors = tuple(a % n for a, n in zip(rt, A.tors_orders))
     return (free, tors)
+
+
+def quotient_product(A):
+    """The product and identity of B = A/N_tors on free coordinate tuples:
+    A's product on elements with no torsion, read on the free block."""
+    no_tors = (0,) * A.ntors()
+    return (lambda x, y: A.mul((x, no_tors), (y, no_tors))[0]), A.one()[0]
 
 
 def _kernel_models():
@@ -273,12 +281,11 @@ class TestShippedModels:
             base = A.base
             f = A.nfree()
             i_elem = tuple(base.zeta() if e == 0 else base.zero() for e in range(f))
-            from fuchs.tnlab import _BaseAlgebra
-            B = _BaseAlgebra(A)
+            mul, one = quotient_product(A)
             acc = i_elem
             order = 1
-            while acc != B.one():
-                acc = B.mul(acc, i_elem)
+            while acc != one:
+                acc = mul(acc, i_elem)
                 order += 1
                 assert order <= 2 * A.conductor
             assert order == A.conductor
@@ -518,22 +525,22 @@ class TestTorsionUnitsBeyondTheBase:
         # its order divides 2 lcm(k, n), the order of the roots of unity of
         # every Z[zeta_L] the generator x can map to (x^n = 1 in B)
         A = model()
-        B = _BaseAlgebra(A)
+        mul, one = quotient_product(A)
         f, deg = A.nfree(), A.base.degree
 
         def power(x, e):
-            acc = B.one()
+            acc = one
             while e:
                 if e & 1:
-                    acc = B.mul(acc, x)
-                x, e = B.mul(x, x), e >> 1
+                    acc = mul(acc, x)
+                x, e = mul(x, x), e >> 1
             return acc
 
         exponent = 2 * lcm(A.conductor, n)
         box = (tuple(tuple(c[e * deg:(e + 1) * deg]) for e in range(f))
                for c in iproduct((-1, 0, 1), repeat=f * deg))
-        expected = {x for x in box if power(x, exponent) == B.one()}
-        found = _torsion_unit_data(A).b_tors_elements
+        expected = {x for x in box if power(x, exponent) == one}
+        found = _b_torsion_units(A)
         assert len(found) == len(set(found))
         assert set(found) == expected
 
@@ -544,6 +551,68 @@ class TestTorsionUnitsBeyondTheBase:
         A = _group_ring_model(8, 8, False)
         with pytest.raises(CapExceeded, match=f"cap {TN_UNIT_CANDIDATE_CAP}"):
             torsion_units(A)
+
+
+def _benchmark_construction_models():
+    """The construction models of the benchmark's TN strata, then the
+    shipped construction files."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import workloads
+    models = [build_construction_model(k, G(*H))
+              for menu, _ in workloads.TN_STRATA for k, H in menu]
+    data = Path(__file__).resolve().parent / "data"
+    return models + [TnModel.from_presentation(path.read_text(encoding="utf-8"))
+                     for path in sorted(data.glob("construction-k*.tn"))]
+
+
+class TestOneWalk:
+    """B*_tors of every model comes from one walk of the generator x."""
+
+    def test_rank_one_free_part_gives_the_base_roots(self):
+        # with f = 1, B = Z[zeta_k] and x = 1: the one component is Z[zeta_k]
+        models = _benchmark_construction_models()
+        assert len(models) == 36
+        for A in models:
+            assert A.nfree() == 1
+            reference = [(z,) for z in _roots_of_unity(A.conductor)]
+            found = _b_torsion_units(A)
+            assert len(found) == len(set(found))
+            assert set(found) == set(reference), A.name
+
+    def test_order_cap_is_inclusive(self, monkeypatch):
+        # x has order 4 in B for paper-7-2-v4 (x^4 = 1 + y): a cap of 4
+        # still finds it, and a cap of 3 refuses the walk
+        import fuchs.tnlab as tnlab
+        A = load_example("paper-7-2-v4")
+        monkeypatch.setattr(tnlab, "_ORDER_SEARCH_CAP", 4)
+        assert len(_b_torsion_units(A)) == quotient_torsion_units(A).order()
+        monkeypatch.setattr(tnlab, "_ORDER_SEARCH_CAP", 3)
+        with pytest.raises(HypothesisViolated, match="no small multiplicative"):
+            _b_torsion_units(A)
+
+    def test_free_part_that_is_not_a_power_basis_raises(self):
+        # Z[C_2 x C_2] on u a b ab: a is the second basis vector, but a^2 is
+        # u, not b, so the free part is no power basis of one generator
+        text = """\
+kind = tn
+conductor = 1
+free_basis = u a b ab
+mult u u = u
+mult u a = a
+mult u b = b
+mult u ab = ab
+mult a a = u
+mult a b = ab
+mult a ab = b
+mult b b = u
+mult b ab = a
+mult ab ab = u
+"""
+        A = TnModel.from_presentation(text)
+        with pytest.raises(InvalidRing, match="not a power basis"):
+            _b_torsion_units(A)
 
 
 class TestSweepSize:
