@@ -12,7 +12,10 @@ for odd p every class of Prüfer rank < p - 1 has isomorphic additive and
 adjoint groups, while p = 2 exhibits genuine mismatches (2Z/8Z being the
 smallest).  Every type other than (Z/p)^r is lifted p-adically from its
 reduction mod p: nilpotency is decided mod p, and each further digit layer
-of the table is affine over F_p, so every lifted table is valid.
+of the table is affine over F_p, so every lifted table is valid.  Tables
+are validated by orbit: validity is invariant under transport along an
+additive automorphism, so each orbit's minimum, its class representative,
+is validated once and vouches for the rest, which are never validated.
 """
 
 from __future__ import annotations
@@ -302,17 +305,19 @@ def _enumerate_type_elementary(p: int, r: int) -> tuple[RadicalRing, ...]:
     exponents = (1,) * r
     classes = []
     for weights, tables in _candidate_tables_elementary(p, r):
-        # the filtration test first: it passes for one weight vector only,
-        # so each table is validated once.  The tables arrive in increasing
-        # order, so the first valid table of an orbit is its minimum: only
-        # its ring is kept, and its orbit joins the surviving tables
+        # The tables arrive in increasing order, so the first valid table
+        # of an orbit is its minimum: only its ring is kept, and its orbit
+        # joins the surviving tables.  A later table of a closed orbit is
+        # skipped untested, since validity is an isomorphism invariant.  The
+        # filtration test passes for one weight vector only, so every other
+        # table is validated at most once
         transports = _transports(p, exponents, weights)
         survivors = set()
         for table in tables:
-            if not _filtration_exact(p, table, weights):
+            if table in survivors or not _filtration_exact(p, table, weights):
                 continue
             ring = _valid_table(p, exponents, table)
-            if ring is not None and table not in survivors:
+            if ring is not None:
                 orbit = _orbit(table, transports)
                 assert min(orbit) == table, "candidates out of order"
                 survivors |= orbit
@@ -386,19 +391,19 @@ def _enumerate_type_mixed(p: int, exponents) -> list[RadicalRing]:
     digit d of all entries is an affine layer: for T' associative mod p^d,
     the associator of T' + p^d D mod p^(d+1) is that of T' plus p^d times a
     linear function of D (the D*D term carries p^(2d)), so one F_p solve per
-    layer gives exactly the associative lifts.  Every lift is validated."""
+    layer gives exactly the associative lifts.
+
+    Only each orbit's minimum is validated, as its class representative.
+    That vouches for the whole orbit: validity is invariant under transport
+    along an additive automorphism (``compile_transport`` refuses any other
+    map), and ``_orbit_minima`` asserts that every orbit stays inside the
+    lifts."""
     # the lifts are all the valid tables, so they are closed under every
     # additive automorphism
     lifts = [t for base in _elementary_tables(p, len(exponents))
              for t in _lifts(p, exponents, base)]
-    classes = dict.fromkeys(_orbit_minima(lifts, _transports(p, exponents)))
-    for t in lifts:
-        ring = RadicalRing(p, exponents, t)
-        # only the representatives' rings are kept: one per lift took
-        # about 50 MB more at type (2,1,1) over p = 5
-        if t in classes:
-            classes[t] = ring
-    return list(classes.values())
+    return [RadicalRing(p, exponents, t)
+            for t in _orbit_minima(lifts, _transports(p, exponents))]
 
 
 # bounded; a round of the benchmark's `oracles` workload enumerates 8 orders

@@ -20,16 +20,21 @@ turns a table into one straight-line function, which element-scale loops
 (unit groups, idempotent scans, adjoint groups, the TN torsion-unit sweep)
 call instead.  The kernel is exact: coordinate m is the same integer sum
 over the same nonzero constants as in ``table_mul``, reduced once at the
-end, so both give the same tuples.
+end, so both give the same tuples.  Its source is compiled once per shape
+of the table (which constants are nonzero and which of them are 1), not
+once per table: the other constants and the moduli are the arguments of a
+cached factory that the kernel is bound from, so no constant reaches the
+generated source.
 
-Two more kernels take the table itself as input, and are compiled once per
-additive type (associators once per rank) rather than once per table,
+Two more kernels take the table itself as input, not as constants,
 because radical enumeration runs them on thousands of tables of one type.
 ``compile_transport`` carries a table along one additive automorphism; the
-orbit closure of ``radical._orbit`` calls it on every step.
+orbit closure of ``radical._orbit`` calls it on every step.  Like the
+product, its source is compiled once per shape of its coefficients, and the
+coefficients and orders are bound from a factory.
 ``associators`` evaluates one quadratic function of the table and its
-orders for every basis associator; ``check_table`` and each p-adic lifting
-solve call it.  Both reduce each coordinate once,
+orders for every basis associator, compiled once per rank; ``check_table``
+and each p-adic lifting solve call it.  Both reduce each coordinate once,
 where ``table_mul`` reduces x_i * x_j first.  Skipping that reduction is
 exact: for an additive map, orders[m] * inverse[m][t] = 0 mod orders[t], so
 a multiple of orders[m] in coordinate m contributes nothing to coordinate t;
@@ -100,9 +105,13 @@ def compile_product(mult, moduli, shape=None, circle=False):
     (default: one flat tuple).  With ``circle`` the function returns
     x + y + xy instead, the circle operation of a radical ring.
 
-    Only integers reach the generated source, each through
-    ``operator.index``, so a float or a string raises instead of being
-    truncated or spliced in.
+    The source depends only on the table's shape: which constants are
+    nonzero and which of them are 1, ``shape``, ``circle`` and which moduli
+    are ``None``.  It is compiled once per shape into a factory
+    (``_product_factory``); every other constant and every modulus is an
+    argument of that factory, so no constant reaches the generated source.
+    Each passes through ``operator.index`` first, so a float or a string
+    raises instead of being truncated.
 
     Z/4[x]/(x^2) on the basis 1, x:
 
@@ -120,19 +129,36 @@ def compile_product(mult, moduli, shape=None, circle=False):
         raise ValueError("shape does not match the moduli")
     if len(mult) != len(pairs(r)):
         raise ValueError("structure constant count does not match the moduli")
-    terms = [[] for _ in range(r)]  # per coordinate: (constant, pair number)
-    products = []
-    for (i, j), vec in zip(pairs(r), mult):
+    terms = [[] for _ in range(r)]  # per coordinate: (pair number, constant)
+    for k, ((i, j), vec) in enumerate(zip(pairs(r), mult)):
         if len(vec) != r:
             raise ValueError(f"constant ({i},{j}) has the wrong length")
         for m, v in enumerate(vec):
             v = index(v)
             if v:
-                terms[m].append((v, len(products)))
-        products.append(f"x{i}*y{i}" if i == j else f"x{i}*y{j} + x{j}*y{i}")
+                terms[m].append((k, v))
+    make = _product_factory(
+        shape, circle, tuple(n is None for n in moduli),
+        tuple(tuple((k, v == 1) for k, v in row) for row in terms))
+    # the factory names its arguments coordinate by coordinate
+    return make(*(v for row in terms for _, v in row if v != 1),
+                *(n for n in moduli if n is not None))
+
+
+# bounded; a round of the benchmark's `oracles` workload compiles 51 shapes
+@lru_cache(maxsize=256)
+def _product_factory(shape, circle, unreduced, pattern):
+    """The factory of ``compile_product``'s kernels of one shape.
+    ``pattern[m]`` lists (pair number, constant is 1) for the nonzero
+    constants at coordinate m, and ``unreduced[m]`` whether its modulus is
+    ``None``.  The factory takes the constants other than 1, coordinate by
+    coordinate, then the moduli that are not ``None``."""
+    r = len(pattern)
+    products = [f"x{i}*y{i}" if i == j else f"x{i}*y{j} + x{j}*y{i}"
+                for i, j in pairs(r)]
     uses = [0] * len(products)
-    for row in terms:
-        for _, k in row:
+    for row in pattern:
+        for k, _ in row:
             uses[k] += 1
     lines = [f"    {_unpack(shape, 'x', iter(range(r)))} = x",
              f"    {_unpack(shape, 'y', iter(range(r)))} = y"]
@@ -140,18 +166,31 @@ def compile_product(mult, moduli, shape=None, circle=False):
     for k, expr in enumerate(products):
         if uses[k] > 1:
             lines.append(f"    p{k} = {expr}")
-    coords = []
-    for m, (row, n) in enumerate(zip(terms, moduli)):
+    constants, moduli, coords = [], [], []
+    for m, (row, free) in enumerate(zip(pattern, unreduced)):
         parts = [f"x{m} + y{m}"] if circle else []
-        for v, k in row:
+        for k, one in row:
             expr = f"p{k}" if uses[k] > 1 else products[k]
-            if v != 1:
-                expr = f"{v}*({expr})" if "+" in expr else f"{v}*{expr}"
+            if not one:
+                c = f"c{len(constants)}"
+                constants.append(c)
+                expr = f"{c}*({expr})" if "+" in expr else f"{c}*{expr}"
             parts.append(expr)
         total = " + ".join(parts) or "0"
-        coords.append(total if n is None else f"({total}) % {n}")
+        if not free:
+            moduli.append(f"n{len(moduli)}")
+            total = f"({total}) % {moduli[-1]}"
+        coords.append(total)
     lines.append(f"    return {_unpack(shape, None, iter(coords))}")
-    return _define("circle" if circle else "mul", "x, y", lines)
+    return _factory(constants + moduli, "circle" if circle else "mul", "x, y", lines)
+
+
+def _factory(bound, name, params, lines):
+    """``make(*bound)``, which returns ``def name(params):`` with the body
+    ``lines`` and the names ``bound`` bound to its arguments."""
+    body = ["    " + line for line in lines]
+    return _define("make", ", ".join(bound),
+                   [f"    def {name}({params}):", *body, f"    return {name}"])
 
 
 def _define(name, params, lines):
@@ -192,8 +231,12 @@ def compile_transport(orders, images, inverse):
     reduced once mod orders[t].  Both maps must be additive, that is
     orders[m] * row[m][t] = 0 mod orders[t] for every m and t, or
     ``ValueError`` is raised; for ``inverse`` that is what makes skipping
-    the reduction of x_i * x_j mod orders[m] exact.  Kernels are compiled
-    once per (orders, images, inverse) and kept in a bounded cache.
+    the reduction of x_i * x_j mod orders[m] exact.  Kernels are kept in a
+    bounded cache per (orders, images, inverse).  As for
+    ``compile_product``, the source depends only on which coefficients are
+    nonzero and which are 1: it is compiled once per such shape
+    (``_transport_factory``), and the coefficients and orders are the
+    factory's arguments, so no constant reaches the generated source.
 
     Swapping the basis of (Z/2)^2 turns x_1^2 = x_2 into x_2^2 = x_1:
 
@@ -207,7 +250,7 @@ def compile_transport(orders, images, inverse):
     return _transport_kernel(tuple(map(index, orders)), ints(images), ints(inverse))
 
 
-# bounded; a round of the benchmark's `oracles` workload compiles 82
+# bounded; a round of the benchmark's `oracles` workload builds 82
 @lru_cache(maxsize=512)
 def _transport_kernel(orders, images, inverse):
     r = len(orders)
@@ -222,7 +265,7 @@ def _transport_kernel(orders, images, inverse):
     preimages = [[(m, inverse[m][t]) for m in range(r) if inverse[m][t]]
                  for t in range(r)]
     number = {pair: q for q, pair in enumerate(pairs(r))}
-    coords = []
+    pattern, constants = [], []
     for i, j in pairs(r):
         for t, n in enumerate(orders):
             coeffs = {}  # flat index q * r + m of T[q][m] -> coefficient
@@ -231,16 +274,34 @@ def _transport_kernel(orders, images, inverse):
                     q = number[min(a, b), max(a, b)]
                     for m, w in preimages[t]:
                         coeffs[q * r + m] = coeffs.get(q * r + m, 0) + u * v * w
-            terms = []
-            for k, c in sorted(coeffs.items()):
-                c %= n
-                if c:
-                    terms.append(f"t{k}" if c == 1 else f"{c}*t{k}")
-            coords.append(f"({' + '.join(terms)}) % {n}" if terms else "0")
-    shape = (r,) * len(number)
-    lines = [f"    {_unpack(shape, 't', iter(range(r * len(number))))} = table",
+            row = [(k, c % n) for k, c in sorted(coeffs.items()) if c % n]
+            pattern.append(tuple((k, c == 1) for k, c in row))
+            constants.extend(c for _, c in row if c != 1)
+    # the factory names its arguments coordinate by coordinate
+    return _transport_factory(r, tuple(pattern))(*constants, *orders)
+
+
+# bounded; a round of the benchmark's `oracles` workload compiles 42 shapes
+@lru_cache(maxsize=256)
+def _transport_factory(r: int, pattern):
+    """The factory of ``compile_transport``'s kernels of one shape.
+    ``pattern`` lists, for each coordinate t of each entry of the output,
+    (flat index of T[q][m], coefficient is 1) for its nonzero coefficients.
+    The factory takes the coefficients other than 1, coordinate by
+    coordinate, then the r orders."""
+    shape = (r,) * (r * (r + 1) // 2)
+    constants, coords = [], []
+    for e, row in enumerate(pattern):  # entry e // r, coordinate e % r
+        terms = []
+        for k, one in row:
+            if not one:
+                constants.append(f"c{len(constants)}")
+            terms.append(f"t{k}" if one else f"{constants[-1]}*t{k}")
+        coords.append(f"({' + '.join(terms)}) % n{e % r}" if terms else "0")
+    lines = [f"    {_unpack(shape, 't', iter(range(r * len(shape))))} = table",
              f"    return {_unpack(shape, None, iter(coords))}"]
-    return _define("transport", "table", lines)
+    moduli = [f"n{t}" for t in range(r)]
+    return _factory(constants + moduli, "transport", "table", lines)
 
 
 def associators(orders, mult):

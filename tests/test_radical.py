@@ -20,8 +20,8 @@ from fuchs.caps import CapExceeded
 from fuchs.numtheory import HypothesisViolated
 from fuchs.radical import (RadicalRing, check_byott, check_small_theorem,
                            enumerate_radical_rings, radical_ring_from_mult)
-from fuchs.table import (InvalidRing, _associator_kernel, _transport_kernel, associators,
-                         compile_transport, table_mul)
+from fuchs.table import (InvalidRing, _associator_kernel, _define, _transport_factory,
+                         _transport_kernel, associators, compile_transport, table_mul)
 from fuchs.tnlab import _torsion_unit_data
 
 
@@ -592,26 +592,75 @@ class TestTransportKernels:
                         assert moved == _brute_transport(p, exponents, table, images), \
                             (p, exponents, table, images)
 
+    def test_kernels_of_one_shape_keep_their_own_coefficients(self, monkeypatch):
+        # each group shares which coefficients are nonzero and which are 1,
+        # but not the coefficients or the orders
+        groups = [
+            # x_1 -> u x_1 on (Z/p)^2, u not 0 or +-1 mod p
+            [((p, p), ((u, 0), (0, 1)), ((pow(u, -1, p), 0), (0, 1)))
+             for p, u in ((5, 2), (5, 3), (7, 3), (11, 2), (13, 6))],
+            # x_1 -> x_1 + x_2 on (Z/p)^2, p >= 5
+            [((p, p), ((1, 1), (0, 1)), ((1, p - 1), (0, 1))) for p in (5, 7, 11, 13)],
+            # x_1 -> u x_1 on Z/p^2 x Z/p
+            [((p * p, p), ((u, 0), (0, 1)), ((pow(u, -1, p * p), 0), (0, 1)))
+             for p, u in ((5, 2), (7, 3), (11, 2))],
+        ]
+        compiles = []
+
+        def counting(*args):
+            compiles.append(args)
+            return _define(*args)
+
+        monkeypatch.setattr("fuchs.table._define", counting)
+        rng = random.Random(26)
+        for group in groups:
+            _transport_kernel.cache_clear()
+            _transport_factory.cache_clear()
+            compiles.clear()
+            kernels = [compile_transport(*maps) for maps in group]
+            # the first map compiles the shape, the others only bind values
+            assert len(compiles) == 1, group
+            for (orders, images, inverse), transport in zip(group, kernels):
+                for _ in range(20):
+                    raw = tuple(tuple(rng.randrange(n) for n in orders)
+                                for _ in range(3))
+                    assert transport(raw) == \
+                        _apply_automorphism(orders, raw, images, inverse), (orders, images)
+
 
 class TestValidatedOnce:
+    ORDERS = ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (5, 3))
+
     def test_no_table_validated_twice(self, monkeypatch):
         # the radical orders of the benchmark's `oracles` workload, on cold
-        # caches: candidates, lifts and class minima are each validated once
-        seen = Counter()
+        # caches: only class representatives, and candidates that fail, are
+        # validated, each once
+        seen, failed = Counter(), set()
         inner = rad.validate_radical
 
         def counting(N):
-            seen[N.p, N.exponents, N.mult] += 1
-            inner(N)
+            key = (N.p, N.exponents, N.mult)
+            seen[key] += 1
+            try:
+                inner(N)
+            except InvalidRing:
+                failed.add(key)
+                raise
 
         monkeypatch.setattr(rad, "validate_radical", counting)
         for cached in (rad._enumerate_cached, rad._enumerate_type_elementary,
                        rad._elementary_tables):
             cached.cache_clear()
-        for p, k in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (5, 3)):
+        for p, k in self.ORDERS:
             assert enumerate_radical_rings(p, k)
-        assert len(seen) > 500
+        monkeypatch.undo()
         assert max(seen.values()) == 1
+        # the classes of each order, and of the orders p^j below it whose
+        # elementary classes its mixed types lift from
+        classes = {(N.p, N.exponents, N.mult) for p, k in self.ORDERS
+                   for j in range(1, k + 1) for N in enumerate_radical_rings(p, j)}
+        assert set(seen) == classes | failed
+        assert classes.isdisjoint(failed)
 
 
 class TestEnumerationGarbage:

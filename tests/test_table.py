@@ -124,6 +124,76 @@ class TestKernelMatchesTableMul:
         assert mul(((3, 4),), ((3, -4),)) == ((25, 0),)
 
 
+def _flat(element):
+    if isinstance(element, tuple):
+        return [v for part in element for v in _flat(part)]
+    return [element]
+
+
+def _nested(shape, values):
+    """``values`` (an iterator) as an element of ``shape``."""
+    if isinstance(shape, tuple):
+        return tuple(_nested(s, values) for s in shape)
+    return tuple(next(values) for _ in range(shape))
+
+
+class TestKernelsShareAShape:
+    """Seeded raw tables in groups of one shape each (the same nonzero
+    constants, the same constants 1, the same unreduced coordinates) that
+    differ in their other constants and in their moduli."""
+
+    UNREDUCED = 10 ** 30  # above every unreduced coordinate below
+
+    @staticmethod
+    def _group(rng, unreduced, members=5):
+        """(mult, moduli) of ``members`` tables of one shape."""
+        r = len(unreduced)
+        # per constant: 0, 1 or another value drawn for each member
+        kinds = [[rng.choice((0, 0, 1, 2)) for _ in range(r)] for _ in pairs(r)]
+        for _ in range(members):
+            moduli = tuple(None if free else rng.choice((2, 4, 5, 9, 27, 49))
+                           for free in unreduced)
+            mult = tuple(tuple(k if k < 2 else rng.randrange(2, 60) for k in row)
+                         for row in kinds)
+            yield mult, moduli
+
+    def _check(self, kernel, mult, moduli, shape, circle, rng):
+        orders = [self.UNREDUCED if n is None else n for n in moduli]
+        for _ in range(30):
+            x, y = ([rng.randrange(n if n else 50) for n in moduli] for _ in range(2))
+            xy = list(table_mul(orders, mult, x, y))
+            if circle:
+                xy = [(a + b + c) % n for a, b, c, n in zip(x, y, xy, orders)]
+            got = kernel(_nested(shape, iter(x)), _nested(shape, iter(y)))
+            assert _flat(got) == xy, (mult, moduli, x, y)
+
+    @pytest.mark.parametrize("shape, unreduced, circle", [
+        *((None, (False,) * r, circle) for r in range(1, 5) for circle in (False, True)),
+        # as TN models use it: two free symbols over Z[i], then torsion
+        (((2, 2), 2), (True,) * 4 + (False,) * 2, False),
+    ])
+    def test_each_kernel_keeps_its_constants(self, monkeypatch, shape, unreduced, circle):
+        compiles = []
+        inner = table._define
+
+        def counting(*args):
+            compiles.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(table, "_define", counting)
+        rng = random.Random(len(unreduced) + 10 * circle)
+        for _ in range(8):
+            table._product_factory.cache_clear()
+            compiles.clear()
+            group = list(self._group(rng, unreduced))
+            kernels = [compile_product(mult, moduli, shape, circle)
+                       for mult, moduli in group]
+            # the first table compiles the shape, the others only bind values
+            assert len(compiles) == 1
+            for (mult, moduli), kernel in zip(group, kernels):
+                self._check(kernel, mult, moduli, shape or len(moduli), circle, rng)
+
+
 class TestKernelInputs:
     @pytest.mark.parametrize("bad", [1.0, "1", None])
     def test_non_integer_constant_raises(self, bad):
