@@ -421,7 +421,17 @@ def abelian_structure(elements, op, identity) -> FinAbGroup:
     primes = factorize(n).pairs
     factors = []
     for k, (p, v) in enumerate(primes):
-        power = {x: _power(op, identity, x, p) for x in elems}
+        # x^p by ``_power``'s square-and-multiply, inlined: one call per
+        # product, and the bits of p read once per prime
+        bits = bin(p)[3:]
+        power = {}
+        for x in elems:
+            acc = x
+            for bit in bits:
+                acc = op(acc, acc)
+                if bit == "1":
+                    acc = op(acc, x)
+            power[x] = acc
         roots: dict = {}
         for x, y in power.items():
             roots.setdefault(y, []).append(x)

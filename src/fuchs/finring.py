@@ -4,11 +4,14 @@ Everything here is an oracle at desk scale.  Unit elements come from a
 linear test mod each prime p of |A|: p A_p is nilpotent, so it lies in the
 Jacobson radical of the p-part A_p, and by Nakayama's lemma x is a unit
 exactly when multiplication by x is invertible on every A/pA (B. R.
-McDonald, *Finite Rings with Identity*, 1974).  Unit groups are then
-recovered from those elements by ``abelian_structure``, locality from the
-absence of nontrivial idempotents, and the local unit-structure identity
-A* = F* x (1 + m) is re-verified on every local instance rather than
-assumed.  Both sides come from the same compiled product of A: 1 + m is
+McDonald, *Finite Rings with Identity*, 1974).  Locality is linear algebra
+on A/pA too: Frobenius x -> x^p is F_p-linear there, its fixed points
+count the local factors, and its d-th power (d = dim A/pA) has the
+nilradical as kernel, whose preimage is the maximal ideal m (L. Rónyai,
+J. Symbolic Comput. 9, 1990).  Unit groups are then recovered from the
+unit elements by ``abelian_structure``, and the local unit-structure
+identity A* = F* x (1 + m) is re-verified on every local instance rather
+than assumed.  Both sides come from the same compiled product of A: 1 + m is
 the set {1 + x : x in m} inside A*, whose group is the adjoint group of m.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .abelian import FinAbGroup, abelian_structure, row_reduce_mod
+from .abelian import FinAbGroup, _power, abelian_structure, row_reduce_mod
 from .caps import UNIT_GROUP_CAP, CapExceeded, oracle_cap
 from .numtheory import HypothesisViolated, factorize, is_prime, is_prime_power
 from .radical import RadicalRing, radical_ring_from_mult
@@ -115,7 +118,8 @@ def _check_unit_cap(A: FinCommRing) -> int:
 
 def unit_group(A: FinCommRing, units=None) -> FinAbGroup:
     """Isomorphism type of A*, recovered from the invertible elements
-    (``units`` when the caller already has them from ``unit_elements``).
+    (``units`` when the caller already has them, as ``LocalData.units``;
+    otherwise ``unit_elements`` searches for them).
 
     >>> Z9 = zn_ring(9)
     >>> str(unit_group(Z9))
@@ -154,19 +158,40 @@ class NotLocal(Frozen):
 
 def localize(A: FinCommRing):
     """LocalData when A is local, else a NotLocal witness carrying the first
-    nontrivial idempotent in element order, which splits the ring.  A finite
-    commutative ring is local exactly when it has no nontrivial idempotent.
-    LocalData keeps the unit elements, so later steps need not search
-    again; a non-local ring is split before its units are searched."""
-    _check_unit_cap(A)
-    zero = A.zero()
-    for e in A.elements():
-        if e != zero and e != A.one and A.mul(e, e) == e:
-            return NotLocal(e)
-    units = unit_elements(A)
-    unit_set = set(units)
-    nonunits = [x for x in A.elements() if x not in unit_set]
-    residue = A.order() // len(nonunits) if nonunits else A.order()
+    nontrivial idempotent in element order, which splits the ring.
+
+    Both questions are linear algebra on B = A/pA when |A| = p^k.  B is an
+    F_p-algebra of dimension d = rank A, and the Frobenius map x -> x^p is
+    F_p-linear on it, with rows b_i^p mod p.  In a local factor of B the
+    fixed points of Frobenius are the roots of X^p - X, which lift uniquely
+    from the residue field, so they are F_p e for the factor's identity e;
+    the number of local factors of A (which are those of B) is therefore
+    dim ker(Frob - 1), and A is local exactly when it is 1.  The nilradical
+    of B is ker(Frob^d), since a nilpotent x has x^d = 0, and the maximal
+    ideal m of a local A is the preimage of that nilradical (pA lies in m).
+    One pass over the elements then splits them into m and the units.
+    A ring of any other order, or with several local factors, is scanned
+    for its first nontrivial idempotent.  LocalData keeps the unit elements,
+    so later steps need not search again."""
+    n = _check_unit_cap(A)
+    pe = is_prime_power(n)
+    if pe is None or _frobenius_fixed_dimension(A, pe[0]) > 1:
+        zero = A.zero()
+        for e in A.elements():
+            if e != zero and e != A.one and A.mul(e, e) == e:
+                return NotLocal(e)
+        # only the zero ring, of order 1, has no local factor at all
+        raise InvalidRing("residue size is not a prime power")
+    p = pe[0]
+    nilradical = set(_kernel_span(_frobenius_rows(A, p, p ** A.rank()), p))
+    # x lies in m exactly when its residue mod p lies in the nilradical;
+    # the residues run through iproduct in the same order as the elements
+    residues = iproduct(*([v % p for v in range(order)]
+                         for order in A.basis_orders))
+    maximal, units = [], []
+    for x, r in zip(A.elements(), residues):
+        (maximal if r in nilradical else units).append(x)
+    residue = n // len(maximal)
     pe = is_prime_power(residue)
     if pe is None:
         raise InvalidRing("residue size is not a prime power")
@@ -176,7 +201,37 @@ def localize(A: FinCommRing):
         target = residue - 1
         assert any(_mult_order_in(A, u, target) == target for u in units), \
             "residue field size inconsistent with the unit group"
-    return LocalData(p, lam, tuple(nonunits), residue, tuple(units))
+    return LocalData(p, lam, tuple(maximal), residue, tuple(units))
+
+
+def _frobenius_rows(A: FinCommRing, p: int, q: int) -> list[list[int]]:
+    """The matrix of x -> x^q on A/pA for a power q of p, with rows
+    b_i^q mod p; every basis order of A is a power of p."""
+    return [[c % p for c in _power(A.mul, A.one, b, q)] for b in A.basis()]
+
+
+def _frobenius_fixed_dimension(A: FinCommRing, p: int) -> int:
+    """dim ker(Frob - 1) on A/pA, the number of local factors of A."""
+    rows = _frobenius_rows(A, p, p)
+    for i, row in enumerate(rows):
+        row[i] -= 1
+    return len(rows) - len(row_reduce_mod(rows, p)[0])
+
+
+def _kernel_span(rows, p: int):
+    """Every x in F_p^d with x M = 0 for the d x d matrix ``rows``."""
+    d = len(rows)
+    # x M = 0 is M^T x = 0: solve for the pivot coordinates of the
+    # reduced columns of M in terms of the free ones
+    pivots, reduced = row_reduce_mod([list(col) for col in zip(*rows)], p)
+    free = [c for c in range(d) if c not in pivots]
+    for values in iproduct(range(p), repeat=len(free)):
+        x = [0] * d
+        for c, v in zip(free, values):
+            x[c] = v
+        for c, row in zip(pivots, reduced):
+            x[c] = -sum(row[f] * v for f, v in zip(free, values)) % p
+        yield tuple(x)
 
 
 def _mult_order_in(A: FinCommRing, x, bound: int) -> int:

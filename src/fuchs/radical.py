@@ -66,7 +66,12 @@ class RadicalRing(TableRing, Frozen):
         return self._kernel(circle=True)
 
     def adjoint_group(self) -> FinAbGroup:
-        """Isomorphism type of (N, o), recovered from the elements."""
+        """Isomorphism type of (N, o), recovered from the elements once and
+        kept on the instance, as ``circle`` is."""
+        return self._adjoint
+
+    @cached_property
+    def _adjoint(self) -> FinAbGroup:
         return abelian_structure(list(self.elements()), self.circle, self.zero())
 
     def to_presentation(self) -> str:
@@ -146,14 +151,17 @@ def _partitions_below(rest: int, maxpart: int):
             yield (part,) + tail
 
 
-def _primitive_root(p: int) -> int:
+def _unit_generators(p: int) -> tuple[int, ...]:
+    """Integers whose residues generate (Z/p^e)* for every e >= 1: -1 and 3
+    for p = 2, and for odd p one primitive root mod p^2, which is then a
+    primitive root mod every p^e."""
     if p == 2:
-        return 1
+        return (-1, 3)
     fac = [q for q, _ in factorize(p - 1).pairs]
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise AssertionError
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // q, p) != 1 for q in fac))
+    # when g is not a primitive root mod p^2, g + p is
+    return (g + p,) if pow(g, p - 1, p * p) == 1 else (g,)
 
 
 def _candidate_tables_elementary(p: int, r: int):
@@ -216,13 +224,16 @@ def _symmetry_generators(p: int, exponents, weights=None):
     An automorphism preserves the flag when the image of x_m lies in the
     span of the positions of weight >= weights[m]; without weights every
     automorphism does.  The generators are the scalings of one coordinate
-    by g, -1 and 1 + p (g a primitive root mod p; together they generate
-    (Z/p^e)*), the swaps of adjacent positions of equal exponent and
-    weight, and the transvections x_a -> x_a + p^max(0, e_b - e_a) x_b with
-    weight(b) >= weight(a).  Without weights they generate all of
-    Aut(Z/p^e1 x ... x Z/p^er), whose matrix description is in Hillar and
-    Rhea, "Automorphisms of finite abelian groups", Amer. Math. Monthly 114
-    (2007).
+    by the generators of (Z/p^e)* (``_unit_generators``: one primitive
+    root for odd p, -1 and 3 for p = 2) and the transvections
+    x_a -> x_a + p^max(0, e_b - e_a) x_b with weight(b) >= weight(a).  No
+    swap is needed: within a block of equal exponent and weight the
+    transvections run both ways, and the product of x_a -> x_a + x_b,
+    x_b -> x_b - x_a and x_a -> x_a + x_b maps x_a to x_b and x_b to -x_a,
+    so with a scaling by -1 it swaps them.  Without weights they generate
+    all of Aut(Z/p^e1 x ... x Z/p^er), whose matrix description is in
+    Hillar and Rhea, "Automorphisms of finite abelian groups", Amer. Math.
+    Monthly 114 (2007).
     """
     r = len(exponents)
     orders = [p ** e for e in exponents]
@@ -235,14 +246,10 @@ def _symmetry_generators(p: int, exponents, weights=None):
                      for a in range(r))
 
     gens = []
-    g = _primitive_root(p)
+    units = _unit_generators(p)
     for a, n in enumerate(orders):
-        for u in sorted({g % n, -1 % n, (1 + p) % n} - {1}):
+        for u in sorted({u % n for u in units} - {1}):
             gens.append((basis_map({a: {a: u}}), basis_map({a: {a: pow(u, -1, n)}})))
-    for a in range(r - 1):
-        if (exponents[a], weights[a]) == (exponents[a + 1], weights[a + 1]):
-            swap = basis_map({a: {a + 1: 1}, a + 1: {a: 1}})
-            gens.append((swap, swap))
     for a, b in permutations(range(r), 2):
         if weights[b] >= weights[a]:
             c = p ** max(0, exponents[b] - exponents[a])

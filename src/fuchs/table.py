@@ -250,7 +250,7 @@ def compile_transport(orders, images, inverse):
     return _transport_kernel(tuple(map(index, orders)), ints(images), ints(inverse))
 
 
-# bounded; a round of the benchmark's `oracles` workload builds 82
+# bounded; a round of the benchmark's `oracles` workload builds 54
 @lru_cache(maxsize=512)
 def _transport_kernel(orders, images, inverse):
     r = len(orders)
@@ -281,7 +281,7 @@ def _transport_kernel(orders, images, inverse):
     return _transport_factory(r, tuple(pattern))(*constants, *orders)
 
 
-# bounded; a round of the benchmark's `oracles` workload compiles 42 shapes
+# bounded; a round of the benchmark's `oracles` workload compiles 39 shapes
 @lru_cache(maxsize=256)
 def _transport_factory(r: int, pattern):
     """The factory of ``compile_transport``'s kernels of one shape.

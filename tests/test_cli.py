@@ -137,11 +137,11 @@ class TestOracles:
 
     @pytest.mark.parametrize("n, local, structures", [(9, True, 2),
                                                       (6, False, 0)])
-    def test_finring_searches_units_once_per_ring(self, capsys, tmp_path,
-                                                  monkeypatch, n, local,
-                                                  structures):
-        # localize, unit_group and verify_local_formula share one unit
-        # search, and a non-local ring is split before any; a local ring
+    def test_finring_walks_no_unit_search(self, capsys, tmp_path,
+                                          monkeypatch, n, local, structures):
+        # localize finds the units and m by linear algebra mod p, and
+        # unit_group and verify_local_formula reuse them; a non-local ring
+        # is split before any structure is recovered.  A local ring
         # recovers two structures, A* and 1 + m, counted wherever they run
         # (finring or the radical ring of m)
         import fuchs.finring as finring
@@ -160,8 +160,23 @@ class TestOracles:
         path.write_text(finring.zn_ring(n).to_presentation(), encoding="utf-8")
         code, doc = run_json(capsys, "oracle", "finring", str(path))
         assert code == 0 and doc["rings"][0]["local"] is local
-        assert calls == {"unit_elements": int(local),
-                         "abelian_structure": structures}
+        assert calls == {"unit_elements": 0, "abelian_structure": structures}
+
+    def test_radical_adjoint_group_once_per_class(self, capsys, monkeypatch):
+        # check_small_theorem and check_byott share each class's adjoint
+        # group; the enumeration caches are cleared so that every class is
+        # a fresh ring
+        import fuchs.radical as radical
+        radical._enumerate_cached.cache_clear()
+        radical._enumerate_type_elementary.cache_clear()
+        calls = []
+        inner = radical.abelian_structure
+        monkeypatch.setattr(radical, "abelian_structure",
+                            lambda *args: calls.append(1) or inner(*args))
+        code, doc = run_json(capsys, "oracle", "radical", "--prime", "2",
+                             "--exp", "3")
+        assert code == 0 and doc["byott_holds"] is True
+        assert doc["classes"] == 16 and len(calls) == 16
 
 
 class TestModels:

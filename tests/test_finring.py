@@ -3,6 +3,7 @@ unit sequence, all over explicitly enumerated finite rings."""
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,9 @@ from fuchs.finring import (FinCommRing, LocalData, NotLocal, build_corpus,
                            unit_group, verify_local_formula,
                            zn_ring, zn_with_nilpotent)
 import fuchs.radical as rad
-from fuchs.finring import _one_plus_m
+from fuchs.finring import _frobenius_fixed_dimension, _one_plus_m
 from fuchs.caps import CapExceeded
+from fuchs.numtheory import is_prime_power
 from fuchs.radical import enumerate_radical_rings
 
 
@@ -191,6 +193,90 @@ class TestLocalizeAgainstClosure:
             else:
                 assert data.maximal_ideal == ideal, A.name
                 assert data.residue_size == A.order() // len(ideal)
+
+
+def reference_localize(A):
+    """The element search ``localize`` replaced, kept as its reference: the
+    first nontrivial idempotent in element order splits the ring;
+    otherwise the units come from ``unit_elements`` and the nonunits, the
+    rest of the elements, are the maximal ideal."""
+    zero = A.zero()
+    for e in A.elements():
+        if e != zero and e != A.one and A.mul(e, e) == e:
+            return NotLocal(e)
+    units = unit_elements(A)
+    unit_set = set(units)
+    nonunits = [x for x in A.elements() if x not in unit_set]
+    residue = A.order() // len(nonunits) if nonunits else A.order()
+    p, lam = is_prime_power(residue)
+    return LocalData(p, lam, tuple(nonunits), residue, tuple(units))
+
+
+def _strata_rings():
+    """Rings of every kind of spec the benchmark's finring ops draw: Z/n,
+    fields, Galois rings, Z/n[t]/(t^2), F_q[t]/(t^2), Z/n[t]/(t^2, (n/d)t)
+    and products of two Z/n."""
+    rings = [zn_ring(n) for n in (30, 60, 150, 256, 300, 400, 500, 512, 625,
+                                  800, 1024)]
+    rings += [field_ring(q) for q in (4, 8, 9, 16, 25, 27, 199, 211, 233,
+                                      251, 257, 907)]
+    rings += [galois_ring(2, 2, 4), galois_ring(2, 3, 4), galois_ring(2, 3, 8),
+              galois_ring(2, 5, 4), galois_ring(3, 3, 9), galois_ring(5, 2, 25)]
+    rings += [nilpotent_extension(zn_ring(n)) for n in (4, 6, 12, 32)]
+    rings += [nilpotent_extension(field_ring(4))]
+    rings += [zn_with_nilpotent(n, d) for n, d in [(512, 2), (256, 4), (128, 8)]]
+    rings += [product_ring(zn_ring(a), zn_ring(b))
+              for a, b in [(4, 9), (16, 25), (32, 27), (8, 27), (5, 49)]]
+    return rings
+
+
+class TestLocalizeAgainstReference:
+    @staticmethod
+    def _agree(A):
+        data, expected = localize(A), reference_localize(A)
+        assert data == expected, A.name
+        if isinstance(data, LocalData):
+            assert data.units == expected.units, A.name
+
+    def test_corpus(self):
+        for A in build_corpus():
+            self._agree(A)
+
+    def test_benchmark_specs(self):
+        for A in _strata_rings():
+            self._agree(A)
+
+    def test_unitalizations_up_to_order_16(self):
+        checked = 0
+        for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1),
+                     (7, 1), (11, 1), (13, 1)]:
+            for N in enumerate_radical_rings(p, k):
+                top = max(N.exponents)
+                for c in (top, top + 1):
+                    self._agree(unitalization(N, c))
+                    checked += 1
+        assert checked == 2 * (1 + 4 + 16 + 83 + 1 + 4 + 1 + 1 + 1 + 1)
+
+    def test_products(self):
+        for A in [product_ring(zn_ring(4), field_ring(4)),
+                  product_ring(field_ring(4), field_ring(4)),
+                  product_ring(product_ring(zn_ring(2), zn_ring(2)), zn_ring(2)),
+                  zn_ring(6)]:
+            assert isinstance(localize(A), NotLocal), A.name
+            self._agree(A)
+
+    def test_frobenius_counts_local_factors(self):
+        local = {2: [zn_ring(2), zn_ring(4), field_ring(4), field_ring(8),
+                     galois_ring(2, 2, 4), zn_with_nilpotent(4, 2)],
+                 3: [zn_ring(3), zn_ring(9), field_ring(9),
+                     nilpotent_extension(zn_ring(3))]}
+        for p, factors in local.items():
+            for count in (1, 2, 3):
+                for parts in combinations_with_replacement(factors, count):
+                    A = parts[0]
+                    for B in parts[1:]:
+                        A = product_ring(A, B)
+                    assert _frobenius_fixed_dimension(A, p) == count, parts
 
 
 class TestInvalidRing:
